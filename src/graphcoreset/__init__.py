@@ -8,7 +8,6 @@ alignment quality for cheaper vertices.
 """
 
 from .baselines import (
-    BaselineCoreset,
     betweenness_coreset,
     betweenness_scores,
     kmeans_coreset,
@@ -21,7 +20,6 @@ from .evaluate import (
     avg_shortest_path_estimate,
     avg_shortest_path_true,
     bound_check,
-    cost_report,
     error_metric,
     estimate_mean,
     eta_diagnostic,
@@ -46,7 +44,6 @@ from .graphs import (
 from .selection import (
     Coreset,
     IterationRecord,
-    IterationState,
     SelectionConfig,
     beta_star,
     cost_penalty_bound,
@@ -69,7 +66,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineCoreset",
     "Coreset",
     "CostReport",
     "CostVector",
@@ -77,7 +73,6 @@ __all__ = [
     "Graph",
     "GraphFunction",
     "IterationRecord",
-    "IterationState",
     "NormalizedColumns",
     "PointCloud",
     "SelectionConfig",
@@ -90,7 +85,6 @@ __all__ = [
     "bound_check",
     "build_knn_kernel_graph",
     "cost_penalty_bound",
-    "cost_report",
     "eigendecomposition",
     "error_metric",
     "estimate_mean",

@@ -1,70 +1,26 @@
 """Reference selection schemes: random, k-means, spectral clustering, betweenness.
 
-Each returns a BaselineCoreset with estimator weights that sum to 1. These
-are the standard comparison points for the greedy geodesic selector; none of
-them look at placement costs.
+Each returns a Coreset with estimator weights that sum to 1 (beta 1, no
+trajectory). These are the standard comparison points for the greedy
+geodesic selector; none of them look at placement costs.
 """
 
 import heapq
-import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import dump_json
-from .graphs import CostVector, Graph, PointCloud
+from .graphs import Graph, PointCloud
+from .selection import Coreset
 from .spectral import lazy_walk_matrix, top_eigenvectors
 
 
-@dataclass
-class BaselineCoreset:
-    """Selected vertices and weights from a reference scheme."""
-
-    indices: list
-    weights: np.ndarray
-    method: str
-    total_cost: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "indices": [int(i) for i in self.indices],
-            "weights": [float(w) for w in self.weights],
-            "beta": 1.0,
-            "total_cost": float(self.total_cost),
-            "trajectory": [],
-            "status": "ok",
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BaselineCoreset":
-        return cls(
-            indices=[int(i) for i in data["indices"]],
-            weights=np.array(data["weights"], dtype=np.float64),
-            method=data.get("method", "baseline"),
-            total_cost=float(data.get("total_cost", 0.0)),
-        )
-
-    def save_json(self, path: str) -> None:
-        dump_json(self.to_dict(), path)
-
-    @classmethod
-    def load_json(cls, path: str) -> "BaselineCoreset":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    def with_cost(self, costs: CostVector) -> "BaselineCoreset":
-        self.total_cost = float(costs.costs[np.array(self.indices, dtype=np.int64)].sum())
-        return self
-
-
-def random_sampling(n: int, k: int, seed: int) -> BaselineCoreset:
+def random_sampling(n: int, k: int, seed: int) -> Coreset:
     """k distinct vertices uniformly at random, weight 1/k each."""
     if not (1 <= k <= n):
         raise ValueError("k must be in 1..n")
     picks = np.random.default_rng(seed).choice(n, size=k, replace=False)
-    return BaselineCoreset([int(i) for i in picks], np.full(k, 1.0 / k), "random")
+    return Coreset([int(i) for i in picks], np.full(k, 1.0 / k), method="random")
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -134,19 +90,19 @@ def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarr
     return reps, np.array(weights)
 
 
-def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> BaselineCoreset:
+def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> Coreset:
     """Lloyd/kmeans++ clustering; representatives snap to data points,
     weights are cluster fractions."""
     if not (1 <= k <= cloud.n):
         raise ValueError("k must be in 1..n")
     centroids, assign = _lloyd(cloud.coords, k, seed)
     reps, weights = _snap_to_members(cloud.coords, centroids, assign)
-    return BaselineCoreset(reps, weights, "kmeans")
+    return Coreset(reps, weights, method="kmeans")
 
 
 def spectral_clustering_coreset(
     graph: Graph, k: int, seed: int, basis: np.ndarray | None = None
-) -> BaselineCoreset:
+) -> Coreset:
     """k-means in the top-k eigenvector embedding of the lazy walk matrix.
 
     A disconnected graph is handled implicitly: the eigenvalue-1 eigenspace
@@ -163,7 +119,7 @@ def spectral_clustering_coreset(
     embedding = np.ascontiguousarray(basis[:, :k])
     centroids, assign = _lloyd(embedding, k, seed)
     reps, weights = _snap_to_members(embedding, centroids, assign)
-    return BaselineCoreset(reps, weights, "spectral")
+    return Coreset(reps, weights, method="spectral")
 
 
 def betweenness_scores(graph: Graph) -> np.ndarray:
@@ -257,10 +213,10 @@ def _betweenness_dijkstra(graph: Graph) -> np.ndarray:
     return scores / 2.0
 
 
-def betweenness_coreset(graph: Graph, k: int) -> BaselineCoreset:
+def betweenness_coreset(graph: Graph, k: int) -> Coreset:
     """Top-k vertices by betweenness, uniform 1/k weights, index tie-break."""
     if not (1 <= k <= graph.n):
         raise ValueError("k must be in 1..n")
     scores = betweenness_scores(graph)
     order = np.argsort(-scores, kind="stable")[:k]
-    return BaselineCoreset([int(i) for i in order], np.full(k, 1.0 / k), "betweenness")
+    return Coreset([int(i) for i in order], np.full(k, 1.0 / k), method="betweenness")

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from collections import namedtuple
 
 import numpy as np
 
@@ -49,15 +48,13 @@ from .graphs import (
     load_edge_list,
     sample_costs_uniform,
 )
-from .selection import SelectionConfig, select_coreset
+from .selection import Coreset, SelectionConfig, select_coreset
 from .spectral import (
     GraphFunction,
     lazy_walk_matrix,
     normalized_columns,
     synthesize_smooth_function,
 )
-
-_LoadedCoreset = namedtuple("_LoadedCoreset", ["indices", "weights"])
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -74,13 +71,6 @@ def _parse_means(text: str) -> list[list[float]]:
     if not means:
         raise ValueError("at least one mean vector is required")
     return means
-
-
-def _load_coreset_file(path: str) -> _LoadedCoreset:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return _LoadedCoreset(indices=list(map(int, data["indices"])),
-                          weights=[float(w) for w in data["weights"]])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def _execute_experiment(params: dict):
 def _execute_eval(params: dict):
     inputs = [params["graph"], params["coreset"]]
     graph = Graph.load_json(params["graph"])
-    coreset = _load_coreset_file(params["coreset"])
+    coreset = Coreset.load_json(params["coreset"])
     kind = params["function"]
     bound_rhs = None
     if kind == "indicator":
@@ -337,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--k", type=int, required=True)
     sel.add_argument("--ell", type=int, default=1)
     sel.add_argument("--tol", type=float, default=1e-12)
-    sel.add_argument("--seed", type=int, default=0, help="reserved; selection is deterministic")
     sel.add_argument("-o", "--out", required=True)
 
     base = sub.add_parser("baseline", help="run a reference selection scheme")
@@ -410,7 +399,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
             raise ValueError("--costs and --uniform-costs are mutually exclusive")
         return {"graph": args.graph, "costs": args.costs, "uniform_costs": args.uniform_costs,
                 "kappa": args.kappa, "k": args.k, "ell": args.ell, "tol": args.tol,
-                "seed": args.seed, "out": args.out}
+                "out": args.out}
     if args.command == "baseline":
         return {"method": args.method, "graph": args.graph, "cloud": args.cloud,
                 "n": args.n, "k": args.k, "seed": args.seed, "out": args.out}

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from ._util import atomic_write_text, fmt_float
-from .graphs import CostVector, Graph
+from .graphs import Graph
 from .spectral import GraphFunction, NormalizedColumns, smoothness_norm
 
 # slack added to the certified side before comparing, absorbing float error
@@ -33,9 +33,17 @@ class ExperimentResult:
 CostReport = namedtuple("CostReport", ["c_cso", "c_cos"])
 
 
+def _indices(coreset, n: int) -> np.ndarray:
+    """The coreset's vertex indices, each checked to lie in 0..n-1."""
+    idx = np.asarray(coreset.indices, dtype=np.int64)
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"coreset index out of range for {n} vertices")
+    return idx
+
+
 def estimate_mean(function: GraphFunction, coreset) -> float:
     """Weighted sample estimate of the mean of a vertex function."""
-    idx = np.asarray(coreset.indices, dtype=np.int64)
+    idx = _indices(coreset, len(function.values))
     weights = np.asarray(coreset.weights, dtype=np.float64)
     if len(idx) != len(weights):
         raise ValueError("indices and weights length mismatch")
@@ -52,7 +60,7 @@ def error_metric(function: GraphFunction, coreset) -> tuple:
 
 def _weight_row(coreset, n: int) -> np.ndarray:
     row = np.zeros(n)
-    idx = np.asarray(coreset.indices, dtype=np.int64)
+    idx = _indices(coreset, n)
     if len(idx):
         np.add.at(row, idx, np.asarray(coreset.weights, dtype=np.float64))
     return row
@@ -132,21 +140,10 @@ def avg_shortest_path_true(graph: Graph) -> float:
 def avg_shortest_path_estimate(graph: Graph, coreset) -> float:
     """Same statistic estimated from the coreset: Dijkstra runs only from the
     selected vertices."""
-    if len(coreset.indices) == 0:
+    idx = _indices(coreset, graph.n)
+    if len(idx) == 0:
         return 0.0
-    return _weighted_average_distance(graph, coreset.indices, coreset.weights)
-
-
-def cost_report(costed, free, costs: CostVector) -> CostReport:
-    """Total placement cost of the cost-aware selection next to the
-    cost-oblivious one, recomputed from the selected indices."""
-    values = costs.costs
-
-    def total(coreset) -> float:
-        idx = np.asarray(coreset.indices, dtype=np.int64)
-        return float(values[idx].sum()) if len(idx) else 0.0
-
-    return CostReport(c_cso=total(costed), c_cos=total(free))
+    return _weighted_average_distance(graph, idx, coreset.weights)
 
 
 def results_to_csv(rows, path: str) -> None:

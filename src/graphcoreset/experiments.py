@@ -1,11 +1,13 @@
 """Experiment harness: the comparison studies behind the library.
 
-Each experiment family gets a frozen config dataclass and a runner that
-returns median-aggregated ExperimentResult rows (plus a cost report when the
-run is cost-aware). Runners are deterministic given their config: every
-random draw flows through seeds derived from the config's seed list, so a
-rerun reproduces the same rows bit for bit. The CLI feeds configs from JSON
-files; tests call the runners directly.
+Each study is a frozen config dataclass and a runner that supplies only its
+instance for a seed: the graph, its vertex costs, and the squared error of
+a coreset's estimate. One loop runs the study's method table over that
+instance for every K and seed and returns median-aggregated ExperimentResult
+rows. Runners are deterministic given their config: every random draw flows
+through seeds derived from the config's seed list, so a rerun reproduces the
+same rows bit for bit. The CLI feeds configs from JSON files; tests call the
+runners directly.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from .baselines import (
 from .evaluate import (
     CostReport,
     ExperimentResult,
-    cost_report,
     error_metric,
     results_to_csv,
     source_average_distances,
@@ -42,7 +44,7 @@ from .graphs import (
     load_edge_list,
     sample_costs_uniform,
 )
-from .selection import SelectionConfig, select_coreset_grid
+from .selection import Coreset, SelectionConfig, select_coreset_grid
 from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns, top_eigenvectors
 from ._util import atomic_write_text, thread_count
 
@@ -56,19 +58,107 @@ def _map_seeds(work, seeds):
         return list(pool.map(work, seeds))
 
 
-def _median_rows(per_seed: list[dict], methods, k_grid, costs_by_method=None) -> list[ExperimentResult]:
-    """Aggregate per-seed error dicts {(method, K): err} into median rows."""
-    rows = []
-    for method in methods:
-        for K in k_grid:
-            errs = np.array([seed_row[(method, K)] for seed_row in per_seed])
-            err = float(np.median(errs))
-            cost = 0.0
-            if costs_by_method and method in costs_by_method:
-                cost = float(np.median([c[K] for c in costs_by_method[method]]))
-            rows.append(ExperimentResult(method=method, K=K, err=err,
-                                         abs_err=float(np.sqrt(err)), coreset_cost=cost))
-    return rows
+# ---------------------------------------------------------------------------
+# the one experiment loop over a method table: greedy method names map to
+# their kappa, baseline names (keys of _BASELINES) to None
+
+
+@dataclass
+class _Instance:
+    """One graph of a study with what its methods share across K and seeds.
+
+    error maps a coreset to the squared error of its estimate. grids holds
+    each greedy method's budget grid, ranking the betweenness order, basis
+    the walk's top eigenvectors, and cloud the points k-means clusters (None
+    clusters the spectral embedding instead).
+    """
+
+    graph: Graph
+    error: Callable
+    grids: dict
+    ranking: list | None
+    basis: np.ndarray | None
+    cloud: PointCloud | None
+
+
+def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Callable,
+              cloud: PointCloud | None = None) -> _Instance:
+    walk = lazy_walk_matrix(graph)
+    k_max = max(config.k_grid)
+    columns = normalized_columns(walk, config.ell)
+    grids = {
+        method: select_coreset_grid(columns, costs,
+                                    SelectionConfig(budget=k_max, kappa=kappa, ell=config.ell),
+                                    config.k_grid)
+        for method, kappa in methods.items() if kappa is not None
+    }
+    ranking = betweenness_coreset(graph, k_max).indices if "betweenness" in methods else None
+    clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
+    basis = top_eigenvectors(walk, k_max) if clusters else None
+    return _Instance(graph, error, grids, ranking, basis, cloud)
+
+
+def _kmeans(inst: _Instance, K: int, seed: int) -> Coreset:
+    points = inst.cloud
+    if points is None:
+        points = PointCloud(np.ascontiguousarray(inst.basis[:, :K]))
+    return kmeans_coreset(points, K, seed * 131 + K)
+
+
+_BASELINES = {
+    "random": lambda inst, K, seed: random_sampling(inst.graph.n, K, seed * 1000 + K),
+    "kmeans": _kmeans,
+    "spectral": lambda inst, K, seed: spectral_clustering_coreset(
+        inst.graph, K, seed * 55 + K, basis=inst.basis),
+    "betweenness": lambda inst, K, seed: Coreset(
+        inst.ranking[:K], np.full(K, 1.0 / K), method="betweenness"),
+}
+
+
+def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
+    """Median error and placement cost of every method at every K over the seeds."""
+    if not config.seeds:
+        raise ValueError("seeds must not be empty")
+    cells = [(method, K) for method in methods for K in config.k_grid]
+
+    def one_seed(seed: int) -> list[tuple[float, float]]:
+        inst = instance_for(seed)
+        out = []
+        for method, K in cells:
+            if method in inst.grids:
+                coreset = inst.grids[method][K]
+            else:
+                coreset = _BASELINES[method](inst, K, seed)
+            out.append((inst.error(coreset), coreset.total_cost))
+        return out
+
+    medians = np.median(np.array(_map_seeds(one_seed, config.seeds)), axis=0)
+    return [ExperimentResult(method=method, K=K, err=float(err), abs_err=float(np.sqrt(err)),
+                             coreset_cost=float(cost))
+            for (method, K), (err, cost) in zip(cells, medians)]
+
+
+def _cost_report(rows: list[ExperimentResult], config) -> CostReport:
+    """Cost-aware against cost-free placement cost at the largest budget."""
+    cost = {r.method: r.coreset_cost for r in rows if r.K == max(config.k_grid)}
+    return CostReport(c_cso=cost["scgiga-cost"], c_cos=cost["scgiga"])
+
+
+def _indicator_error(values: np.ndarray) -> Callable:
+    f = GraphFunction(values)
+    return lambda coreset: error_metric(f, coreset)[0]
+
+
+def _distance_error(graph: Graph) -> Callable:
+    """Squared error of a coreset's estimate of the mean average distance."""
+    distances = source_average_distances(graph, np.arange(graph.n))
+    truth = float(distances.mean())
+
+    def error(coreset) -> float:
+        idx = np.asarray(coreset.indices, dtype=np.int64)
+        return (float(np.asarray(coreset.weights) @ distances[idx]) - truth) ** 2
+
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -98,46 +188,20 @@ def run_cluster_indicator(config: ClusterIndicatorConfig) -> tuple[list[Experime
     with kappa<1 against uniform random costs. kmeans clusters the raw
     point cloud; spectral and random work on the graph.
     """
-    k_max = max(config.k_grid)
-    methods = ("scgiga", "scgiga-cost", "random", "kmeans", "spectral")
+    methods = {"scgiga": 1.0, "scgiga-cost": config.kappa,
+               "random": None, "kmeans": None, "spectral": None}
 
-    def one_seed(seed: int):
+    def instance_for(seed: int) -> _Instance:
         cloud = generate_gaussian_mixture(
             config.component_means, config.component_fractions,
             config.covariance_scale, config.n, seed=seed)
         graph = build_knn_kernel_graph(cloud, config.k_neighbors, config.bandwidth)
-        walk = lazy_walk_matrix(graph)
-        columns = normalized_columns(walk, config.ell)
         costs = sample_costs_uniform(config.n, seed=seed + config.cost_seed_offset)
-        f = GraphFunction((np.asarray(cloud.labels) == config.indicator_component).astype(float))
-        free = select_coreset_grid(columns, costs,
-                                   SelectionConfig(budget=k_max, kappa=1.0, ell=config.ell),
-                                   config.k_grid)
-        aware = select_coreset_grid(columns, costs,
-                                    SelectionConfig(budget=k_max, kappa=config.kappa, ell=config.ell),
-                                    config.k_grid)
-        basis = top_eigenvectors(walk, k_max)
-        row, cost_row = {}, {"scgiga": {}, "scgiga-cost": {}}
-        for K in config.k_grid:
-            row[("scgiga", K)] = error_metric(f, free[K])[0]
-            row[("scgiga-cost", K)] = error_metric(f, aware[K])[0]
-            row[("random", K)] = error_metric(f, random_sampling(config.n, K, seed * 1000 + K))[0]
-            row[("kmeans", K)] = error_metric(f, kmeans_coreset(cloud, K, seed * 131 + K))[0]
-            row[("spectral", K)] = error_metric(
-                f, spectral_clustering_coreset(graph, K, seed * 55 + K, basis=basis))[0]
-            cost_row["scgiga"][K] = free[K].total_cost
-            cost_row["scgiga-cost"][K] = aware[K].total_cost
-        report = cost_report(aware[k_max], free[k_max], costs)
-        return row, cost_row, report
+        values = (np.asarray(cloud.labels) == config.indicator_component).astype(float)
+        return _instance(config, methods, graph, costs, _indicator_error(values), cloud=cloud)
 
-    outcomes = _map_seeds(one_seed, config.seeds)
-    per_seed = [o[0] for o in outcomes]
-    costs_by_method = {m: [o[1][m] for o in outcomes] for m in ("scgiga", "scgiga-cost")}
-    reports = [o[2] for o in outcomes]
-    rows = _median_rows(per_seed, methods, config.k_grid, costs_by_method)
-    combined = CostReport(c_cso=float(np.median([r.c_cso for r in reports])),
-                          c_cos=float(np.median([r.c_cos for r in reports])))
-    return rows, combined
+    rows = _run(config, methods, instance_for)
+    return rows, _cost_report(rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +226,16 @@ class SbmIndicatorConfig:
         return sizes
 
 
+def _sbm_rows(config: SbmIndicatorConfig, methods: dict) -> list[ExperimentResult]:
+    def instance_for(seed: int) -> _Instance:
+        graph = generate_sbm(config.block_sizes(), config.p_in, config.p_out, seed=seed)
+        values = (np.asarray(graph.labels) == config.indicator_block).astype(float)
+        return _instance(config, methods, graph, CostVector.zeros(config.n),
+                         _indicator_error(values))
+
+    return _run(config, methods, instance_for)
+
+
 def run_sbm_indicator(config: SbmIndicatorConfig) -> tuple[list[ExperimentResult], None]:
     """Small-block indicator mean on the SBM, against all three baselines.
 
@@ -169,30 +243,8 @@ def run_sbm_indicator(config: SbmIndicatorConfig) -> tuple[list[ExperimentResult
     embedding; kmeans clusters the same top-K eigenvector coordinates the
     spectral baseline uses, they differ only in their seeding draws.
     """
-    k_max = max(config.k_grid)
-    methods = ("scgiga", "random", "kmeans", "spectral")
-
-    def one_seed(seed: int):
-        graph = generate_sbm(config.block_sizes(), config.p_in, config.p_out, seed=seed)
-        walk = lazy_walk_matrix(graph)
-        columns = normalized_columns(walk, config.ell)
-        basis = top_eigenvectors(walk, k_max)
-        f = GraphFunction((np.asarray(graph.labels) == config.indicator_block).astype(float))
-        grid = select_coreset_grid(columns, CostVector.zeros(config.n),
-                                   SelectionConfig(budget=k_max, kappa=config.kappa, ell=config.ell),
-                                   config.k_grid)
-        row = {}
-        for K in config.k_grid:
-            embedding = PointCloud(np.ascontiguousarray(basis[:, :K]))
-            row[("scgiga", K)] = error_metric(f, grid[K])[0]
-            row[("random", K)] = error_metric(f, random_sampling(config.n, K, seed * 1000 + K))[0]
-            row[("kmeans", K)] = error_metric(f, kmeans_coreset(embedding, K, seed * 131 + K))[0]
-            row[("spectral", K)] = error_metric(
-                f, spectral_clustering_coreset(graph, K, seed * 55 + K, basis=basis))[0]
-        return row
-
-    per_seed = _map_seeds(one_seed, config.seeds)
-    return _median_rows(per_seed, methods, config.k_grid), None
+    methods = {"scgiga": config.kappa, "random": None, "kmeans": None, "spectral": None}
+    return _sbm_rows(config, methods), None
 
 
 # ---------------------------------------------------------------------------
@@ -222,35 +274,13 @@ def _shortest_path_graph(config: ShortestPathConfig, seed: int) -> Graph:
 
 def run_shortest_path(config: ShortestPathConfig) -> tuple[list[ExperimentResult], None]:
     """Average-distance estimates from k sources vs the n-source truth."""
-    k_max = max(config.k_grid)
-    methods = ("scgiga", "random", "betweenness")
+    methods = {"scgiga": config.kappa, "random": None, "betweenness": None}
 
-    def one_seed(seed: int):
+    def instance_for(seed: int) -> _Instance:
         graph = _shortest_path_graph(config, seed)
-        distances = source_average_distances(graph, np.arange(graph.n))
-        truth = float(distances.mean())
-        columns = normalized_columns(lazy_walk_matrix(graph), config.ell)
-        grid = select_coreset_grid(columns, CostVector.zeros(graph.n),
-                                   SelectionConfig(budget=k_max, kappa=config.kappa, ell=config.ell),
-                                   config.k_grid)
-        ranked = betweenness_coreset(graph, k_max)
+        return _instance(config, methods, graph, CostVector.zeros(graph.n), _distance_error(graph))
 
-        def estimate(indices, weights):
-            idx = np.asarray(indices, dtype=np.int64)
-            return float(np.asarray(weights) @ distances[idx])
-
-        row = {}
-        for K in config.k_grid:
-            cs = grid[K]
-            row[("scgiga", K)] = (estimate(cs.indices, cs.weights) - truth) ** 2
-            rnd = random_sampling(graph.n, K, seed * 1000 + K)
-            row[("random", K)] = (estimate(rnd.indices, rnd.weights) - truth) ** 2
-            top = ranked.indices[:K]
-            row[("betweenness", K)] = (estimate(top, np.full(K, 1.0 / K)) - truth) ** 2
-        return row
-
-    per_seed = _map_seeds(one_seed, config.seeds)
-    return _median_rows(per_seed, methods, config.k_grid), None
+    return _run(config, methods, instance_for), None
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +306,9 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
     """Average-distance estimation on a real social network.
 
     Requires the SNAP facebook_combined edge list on disk (the library ships
-    no datasets); raises FileNotFoundError when it is missing.
+    no datasets); raises FileNotFoundError when it is missing. The graph,
+    its distances and the selections are built once; the seeds only vary
+    the random baseline.
     """
     path = ego_data_path(config)
     if not os.path.exists(path):
@@ -284,42 +316,11 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
             f"ego-centrality needs the facebook_combined edge list at {path} "
             "(set GRAPHCORESET_FACEBOOK or the config's data_path)")
     graph = load_edge_list(path)
-    k_max = max(config.k_grid)
-    methods = ("scgiga", "scgiga-cost", "random", "betweenness")
-    distances = source_average_distances(graph, np.arange(graph.n))
-    truth = float(distances.mean())
-    columns = normalized_columns(lazy_walk_matrix(graph), config.ell)
+    methods = {"scgiga": 1.0, "scgiga-cost": config.kappa, "random": None, "betweenness": None}
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
-    free = select_coreset_grid(columns, costs,
-                               SelectionConfig(budget=k_max, kappa=1.0, ell=config.ell),
-                               config.k_grid)
-    aware = select_coreset_grid(columns, costs,
-                                SelectionConfig(budget=k_max, kappa=config.kappa, ell=config.ell),
-                                config.k_grid)
-    ranked = betweenness_coreset(graph, k_max)
-
-    def estimate(indices, weights):
-        idx = np.asarray(indices, dtype=np.int64)
-        return float(np.asarray(weights) @ distances[idx])
-
-    rows = []
-    for K in config.k_grid:
-        for method, cs in (("scgiga", free[K]), ("scgiga-cost", aware[K])):
-            err = (estimate(cs.indices, cs.weights) - truth) ** 2
-            rows.append(ExperimentResult(method=method, K=K, err=err,
-                                         abs_err=float(np.sqrt(err)),
-                                         coreset_cost=cs.total_cost))
-        rnd_errs = []
-        for seed in config.seeds:
-            rnd = random_sampling(graph.n, K, seed * 1000 + K)
-            rnd_errs.append((estimate(rnd.indices, rnd.weights) - truth) ** 2)
-        err = float(np.median(rnd_errs))
-        rows.append(ExperimentResult(method="random", K=K, err=err, abs_err=float(np.sqrt(err))))
-        top = ranked.indices[:K]
-        err = (estimate(top, np.full(K, 1.0 / K)) - truth) ** 2
-        rows.append(ExperimentResult(method="betweenness", K=K, err=err, abs_err=float(np.sqrt(err))))
-    report = cost_report(aware[k_max], free[k_max], costs)
-    return rows, report
+    shared = _instance(config, methods, graph, costs, _distance_error(graph))
+    rows = _run(config, methods, lambda seed: shared)
+    return rows, _cost_report(rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +338,8 @@ def run_ell_sweep(config: EllSweepConfig) -> tuple[list[ExperimentResult], None]
     rows = []
     for ell in config.ells:
         sub = replace(config.base, ell=ell)
-        k_max = max(sub.k_grid)
-
-        def one_seed(seed: int, sub=sub, k_max=k_max):
-            graph = generate_sbm(sub.block_sizes(), sub.p_in, sub.p_out, seed=seed)
-            columns = normalized_columns(lazy_walk_matrix(graph), sub.ell)
-            f = GraphFunction((np.asarray(graph.labels) == sub.indicator_block).astype(float))
-            grid = select_coreset_grid(columns, CostVector.zeros(sub.n),
-                                       SelectionConfig(budget=k_max, kappa=sub.kappa, ell=sub.ell),
-                                       sub.k_grid)
-            return {(f"scgiga-ell{sub.ell}", K): error_metric(f, grid[K])[0] for K in sub.k_grid}
-
-        per_seed = _map_seeds(one_seed, sub.seeds)
-        rows.extend(_median_rows(per_seed, (f"scgiga-ell{ell}",), sub.k_grid))
+        sub_rows = _sbm_rows(sub, {"scgiga": sub.kappa})
+        rows.extend(replace(r, method=f"scgiga-ell{ell}") for r in sub_rows)
     return rows, None
 
 

@@ -11,13 +11,14 @@ to the argmax, so costs cannot influence that path at all.
 On exit the unit-sphere coefficients are rescaled: beta carries the uniform
 vector's 1/sqrt(n) mass and each selected vertex gets the estimator weight
 beta * w_i / column_norm_i, so sums of the raw walk-power columns weighted by
-those estimates approximate the all-ones vector divided by n.
+those estimates approximate the all-ones vector divided by n. Coreset is the
+one weighted-vertex-set type of the package; the baselines return it too.
 """
 
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,15 +37,13 @@ class SelectionConfig:
     already-chosen vertex refines its weight without consuming budget, so a
     run interleaves support growth with free reweighting rounds and stops
     when the greedy step demands a vertex it has no budget left to place.
-    seed is reserved for randomized tie-breaking and is currently unused:
-    ties break to the lowest vertex index.
+    Ties break to the lowest vertex index.
     """
 
     budget: int
     kappa: float = 1.0
     ell: int = 1
     residual_tolerance: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.budget < 1:
@@ -87,35 +86,20 @@ class IterationRecord:
 
 
 @dataclass
-class IterationState:
-    """Observer payload with full per-round state (test and harness hook)."""
-
-    k: int
-    vertex: int
-    score: float
-    best_score: float
-    delta: float
-    slack_set: np.ndarray
-    coefficients: np.ndarray
-    iterate: np.ndarray
-    alignment: float
-    selected: tuple
-
-
-@dataclass
 class Coreset:
     """Selected vertices with estimator weights and the selection trace.
 
     indices are in first-selection order; weights align with indices and are
     the final estimator weights (beta already applied). coefficients is the
-    full-length unit-sphere weight vector; it is not serialized.
+    full-length unit-sphere weight vector; it is not serialized. A baseline
+    scheme leaves beta at 1 and the trajectory empty.
     """
 
     indices: list
     weights: np.ndarray
-    beta: float
-    total_cost: float
-    trajectory: list
+    beta: float = 1.0
+    total_cost: float = 0.0
+    trajectory: list = field(default_factory=list)
     coefficients: np.ndarray | None = None
     status: str = "ok"
     method: str = "scgiga"
@@ -133,11 +117,19 @@ class Coreset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Coreset":
+        """Inverse of to_dict; only indices and weights are required."""
+        if not isinstance(data, dict):
+            raise ValueError("coreset must be a JSON object")
+        for key in ("indices", "weights"):
+            if not isinstance(data.get(key), list):
+                raise ValueError(f"coreset needs a list of {key}")
+        if len(data["indices"]) != len(data["weights"]):
+            raise ValueError("coreset indices and weights differ in length")
         return cls(
             indices=[int(i) for i in data["indices"]],
             weights=np.array(data["weights"], dtype=np.float64),
-            beta=float(data["beta"]),
-            total_cost=float(data["total_cost"]),
+            beta=float(data.get("beta", 1.0)),
+            total_cost=float(data.get("total_cost", 0.0)),
             trajectory=[IterationRecord.from_dict(r) for r in data.get("trajectory", [])],
             status=data.get("status", "ok"),
             method=data.get("method", "scgiga"),
@@ -211,7 +203,9 @@ def select_coreset(
     float resolution, and "stalled" when no vertex offers a positive
     direction. A hard iteration cap (unreachable in practice) guarantees
     termination with status "capped". observer, when given, is called after
-    each round with an IterationState snapshot.
+    each round with that round's Coreset: the weights and cost of the
+    support so far, coefficients and trajectory copied, status "converged"
+    when the run stops on that round and "ok" otherwise.
     """
     n = columns.n
     if n == 0:
@@ -291,23 +285,25 @@ def select_coreset(
         res_before = res_after
         res_after = max(1.0 - align * align, 0.0)
         trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, len(slack)))
+        # a residual within tolerance, or a best step that no longer moves it
+        # at float resolution (later steps are no better), is convergence
+        done = (res_after <= config.residual_tolerance
+                or res_before - res_after <= 1e-12 * res_before)
         if observer is not None:
-            observer(IterationState(
-                k=k, vertex=v_k, score=score_k, best_score=s_best, delta=delta,
-                slack_set=slack.copy(), coefficients=coeffs.copy(),
-                iterate=iterate.copy(), alignment=align, selected=tuple(selected),
-            ))
-        if res_after <= config.residual_tolerance:
-            status = "converged"
-            break
-        if res_before - res_after <= 1e-12 * res_before:
-            # the best available step no longer moves the residual at float
-            # resolution; later steps are no better, so this is convergence
+            observer(_finish(columns, cost, selected, coeffs.copy(), align, trajectory,
+                             "converged" if done else "ok"))
+        if done:
             status = "converged"
             break
 
+    return _finish(columns, cost, selected, coeffs, align, trajectory, status)
+
+
+def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: list, coeffs: np.ndarray,
+            align: float, trajectory: list, status: str) -> Coreset:
+    """Coreset of a greedy state: beta, estimator weights and placement cost."""
     if selected:
-        beta = beta_star(1.0, align, n)
+        beta = beta_star(1.0, align, columns.n)
         idx = np.array(selected, dtype=np.int64)
         weights = beta * coeffs[idx] / columns.column_norms[idx]
         total_cost = float(cost[idx].sum())
@@ -316,8 +312,8 @@ def select_coreset(
         weights = np.empty(0)
         total_cost = 0.0
     return Coreset(
-        indices=selected, weights=weights, beta=beta, total_cost=total_cost,
-        trajectory=trajectory, coefficients=coeffs, status=status,
+        indices=list(selected), weights=weights, beta=beta, total_cost=total_cost,
+        trajectory=list(trajectory), coefficients=coeffs, status=status,
     )
 
 
@@ -341,46 +337,18 @@ def select_coreset_grid(
         raise ValueError("budgets must be positive")
     wanted = set(budgets)
     snapshots: dict[int, Coreset] = {}
-    records: list[IterationRecord] = []
-    prev: list = [None]  # [state] after the most recent round
+    last = None  # the most recent round's snapshot
 
-    def snap(state: IterationState) -> Coreset:
-        res = max(1.0 - state.alignment * state.alignment, 0.0)
-        beta = beta_star(1.0, state.alignment, columns.n)
-        idx = np.array(state.selected, dtype=np.int64)
-        weights = beta * state.coefficients[idx] / columns.column_norms[idx]
-        status = "converged" if res <= config.residual_tolerance else "ok"
-        return Coreset(
-            indices=list(state.selected), weights=weights, beta=beta,
-            total_cost=float(costs.costs[idx].sum()),
-            trajectory=records[: state.k + 1], coefficients=state.coefficients,
-            status=status,
-        )
-
-    def observe(state: IterationState) -> None:
-        res_after = max(1.0 - state.alignment * state.alignment, 0.0)
-        records.append(IterationRecord(
-            state.k, state.vertex, state.score, state.delta,
-            res_after, len(state.slack_set),
-        ))
-        last = prev[0]
-        if last is not None and len(state.selected) > len(last.selected):
+    def observe(snapshot: Coreset) -> None:
+        nonlocal last
+        if last is not None and len(snapshot.indices) > len(last.indices):
             # this round placed a new vertex; a run whose budget equals the
             # previous support would have stopped right before it
-            grown_from = len(last.selected)
-            if grown_from in wanted and grown_from not in snapshots:
-                snapshots[grown_from] = snap(last)
-        prev[0] = state
+            if len(last.indices) in wanted:
+                snapshots[len(last.indices)] = last
+        last = snapshot
 
-    full_config = SelectionConfig(
-        budget=budgets[-1], kappa=config.kappa, ell=config.ell,
-        residual_tolerance=config.residual_tolerance, seed=config.seed,
-    )
-    final = select_coreset(columns, costs, full_config, observer=observe)
-    for budget in budgets:
-        if budget not in snapshots:
-            # the run ended (budget edge, convergence, or stall) before the
-            # support could outgrow this budget; a fresh run at the budget
-            # would stop at the same point, so the full result applies
-            snapshots[budget] = final
-    return snapshots
+    final = select_coreset(columns, costs, replace(config, budget=budgets[-1]), observer=observe)
+    # a budget the support never outgrew ends where the full run ended
+    # (budget edge, convergence, or stall), as a fresh run at it would
+    return {budget: snapshots.get(budget, final) for budget in budgets}

@@ -6,15 +6,12 @@ multiplication; dense eigendecompositions appear only in the synthesis and
 diagnostic paths, never in column construction.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._util import atomic_write_text
 from .graphs import Graph
 
 
@@ -174,18 +171,3 @@ def smoothness_norm(function: GraphFunction) -> float:
         raise ValueError("function has no spectral coefficients")
     return float(np.linalg.norm(function.coefficients))
 
-
-def dump_diagnostics_csv(walk: TransitionMatrix, columns: NormalizedColumns, path_prefix: str) -> None:
-    """Write the walk matrix and column norms as CSV files (diagnostics)."""
-    dense = walk.matrix.toarray()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in dense:
-        writer.writerow(["%.17g" % x for x in row])
-    atomic_write_text(path_prefix + ".walk.csv", buf.getvalue())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vertex", "column_norm"])
-    for i, norm in enumerate(columns.column_norms):
-        writer.writerow([str(i), "%.17g" % norm])
-    atomic_write_text(path_prefix + ".column_norms.csv", buf.getvalue())

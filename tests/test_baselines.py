@@ -1,10 +1,12 @@
 """Reference schemes: random, k-means, spectral clustering, betweenness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from graphcoreset import (
-    BaselineCoreset,
+    Coreset,
     CostVector,
     Graph,
     GraphFunction,
@@ -189,11 +191,13 @@ def test_betweenness_singleton_and_validation(star4):
 
 
 def test_baseline_coreset_round_trip(tmp_path):
-    out = random_sampling(12, 3, seed=4).with_cost(CostVector(np.ones(12)))
+    sampled = random_sampling(12, 3, seed=4)
+    costs = CostVector(np.ones(12))
+    out = dataclasses.replace(sampled, total_cost=float(costs.costs[sampled.indices].sum()))
     assert out.total_cost == 3.0
     path = str(tmp_path / "b.json")
     out.save_json(path)
-    back = BaselineCoreset.load_json(path)
+    back = Coreset.load_json(path)
     assert back.indices == out.indices
     assert np.array_equal(back.weights, out.weights)
     assert back.method == "random"

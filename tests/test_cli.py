@@ -155,6 +155,24 @@ def test_eval_average_distance(sbm_file):
     assert row.abs_err >= 0.0
 
 
+@pytest.mark.parametrize("coreset, function", [
+    ({"indices": [3, 999], "weights": [0.5, 0.5]}, "indicator"),
+    ({"indices": [-1], "weights": [1.0]}, "average-distance"),
+    ({"indices": [0, 1]}, "indicator"),
+    ({"indices": [0, 1], "weights": [1.0]}, "smooth"),
+    ({"indices": 3, "weights": [1.0]}, "indicator"),
+    ([0, 1], "indicator"),
+], ids=["index-past-n", "negative-index", "no-weights", "length-mismatch", "indices-not-a-list",
+        "not-an-object"])
+def test_eval_rejects_malformed_coreset(sbm_file, capsys, coreset, function):
+    json.dump(coreset, open("bad.json", "w"))
+    capsys.readouterr()
+    assert run_cli("eval", "--graph", sbm_file, "--coreset", "bad.json",
+                   "--function", function, "-o", "ev.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_eval_indicator_needs_labels(workdir):
     run_cli("generate", "--model", "random", "--n", "20",
             "--edge-probability", "0.3", "--seed", "0", "-o", "rg.json")

@@ -11,7 +11,6 @@ from graphcoreset import (
     avg_shortest_path_estimate,
     avg_shortest_path_true,
     bound_check,
-    cost_report,
     error_metric,
     estimate_mean,
     eta_diagnostic,
@@ -49,6 +48,19 @@ def test_estimate_mean_dot_oracle():
     assert estimate_mean(f, FakeCoreset([], [])) == 0.0
     with pytest.raises(ValueError):
         estimate_mean(f, FakeCoreset([0, 1], [1.0]))
+
+
+def test_estimators_reject_out_of_range_indices(path3):
+    f = GraphFunction(np.array([1.0, 2.0, 3.0]), np.array([1.0]))
+    cols = normalized_columns(lazy_walk_matrix(path3), 1)
+    for bad in ([0, 3], [-1]):
+        cs = FakeCoreset(bad, np.full(len(bad), 1.0 / len(bad)))
+        with pytest.raises(ValueError):
+            estimate_mean(f, cs)
+        with pytest.raises(ValueError):
+            avg_shortest_path_estimate(path3, cs)
+        with pytest.raises(ValueError):
+            bound_check(f, 0.5, 1, cs, cols)
 
 
 def test_estimate_mean_full_support_recovers_mean():
@@ -175,14 +187,6 @@ def test_eta_brute_force(two_triangles):
     kappa = 0.8
     expect = np.sqrt(1.0 - (kappa * best) ** 2)
     assert eta_diagnostic(cols, kappa) == pytest.approx(expect, abs=1e-12)
-
-
-def test_cost_report():
-    costs = CostVector(np.array([1.0, 2.0, 4.0, 8.0]))
-    report = cost_report(FakeCoreset([0, 1], [0.5, 0.5]),
-                         FakeCoreset([2, 3], [0.5, 0.5]), costs)
-    assert report.c_cso == 3.0
-    assert report.c_cos == 12.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphcoreset import results_from_csv
+from graphcoreset import generate_random_graph, results_from_csv, save_edge_list
+from graphcoreset.evaluate import CostReport
 from graphcoreset.experiments import (
     ClusterIndicatorConfig,
     EgoCentralityConfig,
@@ -96,12 +97,29 @@ def test_run_shortest_path_tiny():
     assert {r.method for r in rows} == {"scgiga", "random", "betweenness"}
     with pytest.raises(ValueError):
         run_shortest_path(dataclasses.replace(cfg, family="never-heard-of-it"))
+    with pytest.raises(ValueError):
+        run_shortest_path(dataclasses.replace(cfg, seeds=()))
 
 
 def test_run_ego_centrality_missing_data(tmp_path):
     cfg = EgoCentralityConfig(data_path=str(tmp_path / "absent.txt"))
     with pytest.raises(FileNotFoundError):
         run_ego_centrality(cfg)
+
+
+def test_run_ego_centrality_rows(tmp_path, monkeypatch):
+    monkeypatch.delenv("GRAPHCORESET_FACEBOOK", raising=False)
+    path = str(tmp_path / "edges.txt")
+    save_edge_list(generate_random_graph(150, 0.04, seed=3, on_trivial="retry"), path)
+    cfg = EgoCentralityConfig(data_path=path, k_grid=(4, 8), seeds=(0, 1, 2))
+    rows, report = run_ego_centrality(cfg)
+    methods = ("scgiga", "scgiga-cost", "random", "betweenness")
+    assert sorted((r.method, r.K) for r in rows) == sorted(
+        (m, K) for m in methods for K in cfg.k_grid)
+    assert isinstance(report, CostReport)
+    cost = {(r.method, r.K): r.coreset_cost for r in rows}
+    assert report.c_cso == cost[("scgiga-cost", 8)] and report.c_cos == cost[("scgiga", 8)]
+    assert all(r.err >= 0 and np.isfinite(r.err) for r in rows)
 
 
 def test_ell_sweep_tags_rows():
@@ -129,8 +147,6 @@ def test_write_experiment_outputs(tmp_path):
 
 
 def test_write_experiment_outputs_cost_report(tmp_path):
-    from graphcoreset.evaluate import CostReport
-
     rows, _ = run_sbm_indicator(TINY_SBM)
     written = write_experiment_outputs(str(tmp_path / "exp"), rows,
                                        CostReport(c_cso=1.5, c_cos=4.0))

@@ -1,5 +1,6 @@
 """Greedy geodesic selection: closed forms, invariants, and oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from graphcoreset import (
     generate_sbm,
     lazy_walk_matrix,
     normalized_columns,
+    random_sampling,
     residual,
     sample_costs_uniform,
     select_coreset,
@@ -152,19 +154,21 @@ def test_step_size_minimizes_residual():
     """Each blend coefficient beats a numeric line search on the same segment."""
     g = generate_sbm([12, 12], 0.35, 0.04, seed=6)
     cols = columns_for(g, 2)
-    states = []
+    snapshots = []
     select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6, ell=2),
-                   observer=states.append)
+                   observer=snapshots.append)
 
     def resid_at(prev, vertex, d):
         blend = (1.0 - d) * prev + d * cols.column(vertex)
         blend = blend / np.linalg.norm(blend)
         return 1.0 - float(blend @ cols.target) ** 2
 
-    for before, after in zip(states, states[1:]):
-        probe = minimize_scalar(lambda d: resid_at(before.iterate, after.vertex, d),
+    for before, after in zip(snapshots, snapshots[1:]):
+        iterate = cols.combine(before.coefficients)
+        step = after.trajectory[-1]
+        probe = minimize_scalar(lambda d: resid_at(iterate, step.vertex, d),
                                 bounds=(0.0, 1.0), method="bounded")
-        chosen = resid_at(before.iterate, after.vertex, after.delta)
+        chosen = resid_at(iterate, step.vertex, step.delta)
         assert chosen <= probe.fun + 1e-12
 
 
@@ -179,18 +183,42 @@ def test_kappa_one_ignores_costs():
         assert np.array_equal(free.weights, priced.weights)
 
 
+def geodesic_scores(cols: NormalizedColumns, iterate) -> np.ndarray:
+    """Cosine between the geodesic directions from the iterate toward each
+    column and toward the target; the first round scores plain alignment."""
+    base = cols.alignments(cols.target)
+    if iterate is None:
+        return base
+    align = float(iterate @ cols.target)
+    proj = np.clip(cols.alignments(iterate), -1.0, 1.0)
+    denom = math.sqrt(max(1.0 - align * align, 0.0)) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
+    scores = np.full(cols.n, -np.inf)
+    usable = denom > 1e-14
+    scores[usable] = (base[usable] - align * proj[usable]) / denom[usable]
+    return scores
+
+
 def test_slack_set_membership_and_cheapest_pick():
     g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
     cols = columns_for(g, 1)
     costs = sample_costs_uniform(g.n, seed=3)
-    states = []
-    select_coreset(cols, costs, SelectionConfig(budget=8, kappa=0.6),
-                   observer=states.append)
-    assert states
-    for st in states:
-        assert st.vertex in st.slack_set
-        assert st.score >= 0.6 * st.best_score - 1e-12
-        assert costs.costs[st.vertex] == costs.costs[st.slack_set].min()
+    kappa, tol = 0.6, 1e-9
+    snapshots = []
+    select_coreset(cols, costs, SelectionConfig(budget=8, kappa=kappa),
+                   observer=snapshots.append)
+    assert snapshots
+    iterate = None
+    for snap in snapshots:
+        step = snap.trajectory[-1]
+        scores = geodesic_scores(cols, iterate)
+        best = scores.max()
+        assert step.alignment == pytest.approx(scores[step.vertex], abs=tol)
+        assert step.alignment >= kappa * best - tol  # the pick is in the slack set
+        surely_in = np.flatnonzero(scores >= kappa * best + tol)
+        maybe_in = np.flatnonzero(scores >= kappa * best - tol)
+        assert len(surely_in) <= step.slack_set_size <= len(maybe_in)
+        assert costs.costs[step.vertex] <= costs.costs[surely_in].min()  # and its cheapest
+        iterate = cols.combine(snap.coefficients)
 
 
 def test_cost_scale_invariance():
@@ -283,15 +311,22 @@ def test_grid_validation(edge2):
 
 
 def test_coreset_json_round_trip(tmp_path, edge2):
-    out = select_coreset(edge2, CostVector.zeros(2), SelectionConfig(budget=2))
-    path = str(tmp_path / "coreset.json")
-    out.save_json(path)
-    back = Coreset.load_json(path)
-    assert back.indices == out.indices
-    assert np.array_equal(back.weights, out.weights)
-    assert back.beta == out.beta
-    assert back.status == out.status
-    assert back.method == out.method
-    assert len(back.trajectory) == len(out.trajectory)
-    assert back.trajectory[-1].residual == out.trajectory[-1].residual
-    assert back.coefficients is None  # not serialized
+    greedy = select_coreset(edge2, CostVector.zeros(2), SelectionConfig(budget=2))
+    baseline = dataclasses.replace(random_sampling(12, 3, seed=4), total_cost=3.0)
+    for name, out in (("greedy", greedy), ("baseline", baseline)):
+        path = str(tmp_path / f"{name}.json")
+        out.save_json(path)
+        back = Coreset.load_json(path)
+        assert back.indices == out.indices
+        assert np.array_equal(back.weights, out.weights)
+        assert back.beta == out.beta
+        assert back.total_cost == out.total_cost
+        assert back.status == out.status
+        assert back.method == out.method
+        assert [r.to_dict() for r in back.trajectory] == [r.to_dict() for r in out.trajectory]
+        assert back.coefficients is None  # not serialized
+    assert greedy.trajectory and back.method == "random" and back.total_cost == 3.0
+    # indices and weights alone are a complete coreset file
+    bare = Coreset.from_dict({"indices": [2, 0], "weights": [0.25, 0.75]})
+    assert bare.beta == 1.0 and bare.total_cost == 0.0
+    assert bare.trajectory == [] and bare.status == "ok"

@@ -14,7 +14,6 @@ from graphcoreset import (
     top_eigenvectors,
 )
 from graphcoreset.graphs import Graph
-from graphcoreset.spectral import dump_diagnostics_csv
 
 
 def test_walk_matrix_path3_entries(path3):
@@ -160,16 +159,3 @@ def test_smoothness_norm():
 def test_graph_function_mean():
     f = GraphFunction(np.array([1.0, 2.0, 6.0]))
     assert f.mean() == 3.0
-
-
-def test_dump_diagnostics_csv(tmp_path, path3):
-    walk = lazy_walk_matrix(path3)
-    cols = normalized_columns(walk, 1)
-    prefix = str(tmp_path / "diag")
-    dump_diagnostics_csv(walk, cols, prefix)
-    rows = [line.split(",") for line in open(prefix + ".walk.csv").read().splitlines()]
-    parsed = np.array([[float(x) for x in row] for row in rows])
-    assert np.allclose(parsed, walk.matrix.toarray(), atol=0)
-    norm_lines = open(prefix + ".column_norms.csv").read().splitlines()
-    assert norm_lines[0] == "vertex,column_norm"
-    assert len(norm_lines) == 4
