@@ -5,10 +5,9 @@ trajectory). These are the standard comparison points for the greedy
 geodesic selector; none of them look at placement costs.
 """
 
-import heapq
-
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .graphs import Graph, PointCloud
 from .selection import Coreset
@@ -123,10 +122,11 @@ def spectral_clustering_coreset(
 
 
 def betweenness_scores(graph: Graph) -> np.ndarray:
-    """Exact betweenness centrality with weighted shortest paths.
+    """Exact (unnormalized) betweenness centrality; edge weights are lengths.
 
-    Uniform edge weights take a batched breadth-first variant; general
-    weights run one Dijkstra per source. Edge weights act as lengths.
+    Uniform weights take the batched breadth-first sweeps; other weights take
+    batched Dijkstra distances and σ/δ sweeps over each source's
+    shortest-path DAG. Unreachable pairs contribute 0.
     """
     if graph.n == 1:
         return np.zeros(1)
@@ -134,7 +134,7 @@ def betweenness_scores(graph: Graph) -> np.ndarray:
         structure = graph.adjacency()
         structure.data = np.ones_like(structure.data)
         return _betweenness_unit(structure)
-    return _betweenness_dijkstra(graph)
+    return _betweenness_weighted(graph.adjacency())
 
 
 def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
@@ -172,44 +172,44 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
     return scores / 2.0
 
 
-def _betweenness_dijkstra(graph: Graph) -> np.ndarray:
-    n = graph.n
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in zip(graph.edges, graph.weights):
-        neighbors[u].append((int(v), float(w)))
-        neighbors[v].append((int(u), float(w)))
+def _betweenness_weighted(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
+    """Brandes for positive lengths per block of sources: scipy Dijkstra
+    distances, then σ pulled along each shortest-path DAG in increasing distance
+    and δ pulled back in decreasing distance through (1 + δ) / σ, as in BFS."""
+    n, m2 = adjacency.shape[0], adjacency.nnz
+    degree = np.diff(adjacency.indptr)
+    # directed copy e runs tail[e] -> head[e]; the pad e = m2 has a nan length
+    tail = np.append(adjacency.indices, 0)
+    head = np.append(np.repeat(np.arange(n), degree), 0)
+    length = np.append(adjacency.data, np.nan)
+    valid = np.arange(degree.max(initial=0)) < degree[:, None]
+    into, out = np.full(valid.shape, m2), np.full(valid.shape, m2)
+    into[valid], out[valid] = np.arange(m2), np.argsort(tail[:m2], kind="stable")
     scores = np.zeros(n)
-    for s in range(n):
-        dist = np.full(n, np.inf)
-        sigma = np.zeros(n)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0.0
-        sigma[s] = 1.0
-        done = np.zeros(n, dtype=bool)
-        order = []
-        heap = [(0.0, s)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if done[v]:
-                continue
-            done[v] = True
-            order.append(v)
-            for u, w in neighbors[v]:
-                cand = d + w
-                if cand < dist[u]:
-                    dist[u] = cand
-                    sigma[u] = sigma[v]
-                    preds[u] = [v]
-                    heapq.heappush(heap, (cand, u))
-                elif cand == dist[u] and not done[u]:
-                    sigma[u] += sigma[v]
-                    preds[u].append(v)
-        delta = np.zeros(n)
-        for v in reversed(order):
-            for p in preds[v]:
-                delta[p] += sigma[p] / sigma[v] * (1.0 + delta[v])
-            if v != s:
-                scores[v] += delta[v]
+    for start in range(0, n, batch):
+        sources = np.arange(start, min(start + batch, n))
+        row = np.arange(len(sources))[:, None] * n  # offset of each source's row
+        dist = dijkstra(adjacency, directed=False, indices=sources).ravel()
+        rank = np.argsort(dist.reshape(-1, n), axis=1, kind="stable").T[1:, :, None]
+        sigma = np.zeros_like(dist)
+        sigma[row[:, 0] + sources] = 1.0
+        # rank 0 is the source; e is on the DAG when near + w == far, and
+        # near < far keeps it acyclic, dropping unreachable edges (inf + w == inf)
+        for v in rank:
+            e = into[v[:, 0]]
+            at, pred = row + v, row + tail[e]
+            near, far = dist[pred], dist[at]
+            on = (near < far) & (near + length[e] == far)
+            sigma[at] = np.where(on, sigma[pred], 0.0).sum(1, keepdims=True)
+        delta, coef = np.zeros_like(dist), np.zeros_like(dist)
+        for v in rank[::-1]:
+            e = out[v[:, 0]]
+            at, succ = row + v, row + head[e]
+            near, far = dist[at], dist[succ]
+            on = (near < far) & (near + length[e] == far)
+            delta[at] = sigma[at] * np.where(on, coef[succ], 0.0).sum(1, keepdims=True)
+            coef[at] = (1.0 + delta[at]) / np.maximum(sigma[at], 1.0)
+        scores += delta.reshape(-1, n).sum(axis=0)
     return scores / 2.0
 
 

@@ -13,6 +13,7 @@ from graphcoreset import (
     PointCloud,
     betweenness_coreset,
     betweenness_scores,
+    build_knn_kernel_graph,
     estimate_mean,
     generate_random_graph,
     generate_sbm,
@@ -22,7 +23,7 @@ from graphcoreset import (
     spectral_clustering_coreset,
     top_eigenvectors,
 )
-from graphcoreset.baselines import _betweenness_dijkstra
+from graphcoreset.baselines import _betweenness_weighted
 
 
 def test_random_sampling_basics():
@@ -175,8 +176,61 @@ def test_betweenness_matches_brute_force_weighted():
 
 def test_betweenness_batched_equals_dijkstra():
     g = generate_random_graph(40, 0.1, seed=2, on_trivial="retry")
-    batched = betweenness_scores(g)  # unit weights take the batched path
-    assert np.allclose(batched, _betweenness_dijkstra(g), atol=1e-9)
+    batched = betweenness_scores(g)  # unit weights take the breadth-first path
+    assert np.allclose(batched, _betweenness_weighted(g.adjacency()), atol=1e-9)
+    assert np.allclose(batched, _betweenness_weighted(g.adjacency(), batch=16), atol=1e-9)
+
+
+def test_betweenness_weighted_two_components():
+    # weighted path 0-1-2, unit 4-cycle 3-4-5-6 (two shortest paths between
+    # opposite corners), isolated vertex 7; pairs across components count 0
+    edges = np.array([[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [3, 6]])
+    g = Graph(8, edges, np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]))
+    scores = betweenness_scores(g)
+    assert np.allclose(scores, brute_betweenness(g), atol=1e-9)
+    assert scores.tolist() == [0.0, 1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0]
+
+
+def test_betweenness_matches_networkx_on_knn_graph():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(11)
+    g = build_knn_kernel_graph(PointCloud(rng.standard_normal((150, 2))), 8, 1.0)
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_weighted_edges_from((int(u), int(v), float(w))
+                                      for (u, v), w in zip(g.edges, g.weights))
+    bc = nx.betweenness_centrality(reference, weight="weight", normalized=False)
+    expected = np.array([bc[v] for v in range(g.n)])
+    assert np.allclose(betweenness_scores(g), expected, rtol=1e-12, atol=0.0)
+    top = betweenness_coreset(g, 10).indices
+    assert top == sorted(range(g.n), key=lambda v: (-expected[v], v))[:10]
+
+
+def test_betweenness_weighted_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 12))
+        # halves and ones add exactly, so distance ties are exact and σ > 1 occurs
+        raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+                                 min_size=n - 1, max_size=3 * n))
+        picked = {(min(u, v), max(u, v)): w for u, v, w in raw if u != v}
+        hypothesis.assume(picked)  # connected or not, but not edgeless
+        g = Graph(n, np.array(list(picked)), np.array(list(picked.values())))
+        scores = _betweenness_weighted(g.adjacency())
+        assert np.allclose(scores, brute_betweenness(g), rtol=0.0, atol=1e-9)
+        blocked = _betweenness_weighted(g.adjacency(), batch=data.draw(st.integers(1, n - 1)))
+        assert np.allclose(blocked, scores, rtol=0.0, atol=1e-12)
+        public = betweenness_scores(g)
+        k = data.draw(st.integers(1, n))
+        top = betweenness_coreset(g, k).indices
+        assert top == sorted(range(n), key=lambda v: (-public[v], v))[:k]
+
+    check()
 
 
 def test_betweenness_singleton_and_validation(star4):
