@@ -19,6 +19,10 @@ from scipy.spatial import cKDTree
 
 from ._util import atomic_write_text, dump_json
 
+# One edge of Graph.to_dict() as json.dumps(indent=2) lays it out; floats
+# take repr(), which is what the json encoder writes for finite values.
+_EDGE_JSON = "    [\n      %d,\n      %d,\n      %r\n    ]"
+
 
 @dataclass
 class Graph:
@@ -97,18 +101,59 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        edges = np.array([[e[0], e[1]] for e in data["edges"]], dtype=np.int64).reshape(-1, 2)
-        weights = np.array([e[2] for e in data["edges"]], dtype=np.float64)
-        labels = np.array(data["labels"], dtype=np.int64) if "labels" in data else None
-        return cls(int(data["n"]), edges, weights, labels)
+        """Inverse of to_dict; raises ValueError on any malformed field."""
+        if not isinstance(data, dict):
+            raise ValueError("graph must be a JSON object")
+        n = data.get("n")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError("graph needs an integer n")
+        edges = data.get("edges")
+        if not isinstance(edges, list):
+            raise ValueError("graph needs a list of edges")
+        table = _number_array(edges, np.float64)
+        if edges and (table is None or table.ndim != 2 or table.shape[1] != 3):
+            raise ValueError("graph edges must be [u, v, w] triples")
+        table = table.reshape(-1, 3)
+        ends = table[:, :2]
+        if np.any(ends != np.floor(ends)):
+            raise ValueError("edge endpoints must be integers")
+        if len(ends) and (ends.min() < 0 or ends.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        labels = None
+        if "labels" in data:
+            raw = data["labels"]
+            labels = _number_array(raw, None) if isinstance(raw, list) else None
+            if labels is None or labels.ndim != 1 or labels.dtype.kind not in "iu":
+                raise ValueError("graph labels must be a list of integers")
+        return cls(n, ends.astype(np.int64), table[:, 2], labels)
 
     def save_json(self, path: str) -> None:
-        dump_json(self.to_dict(), path)
+        """Write to_dict() in json.dumps(indent=2) layout, one template per edge."""
+        parts = ['{\n  "n": %d,\n  "edges": ' % self.n]
+        if self.m:
+            u, v = self.edges.T.tolist()
+            parts += ["[\n", ",\n".join([_EDGE_JSON % row for row in
+                                         zip(u, v, self.weights.tolist())]), "\n  ]"]
+        else:
+            parts.append("[]")
+        if self.labels is not None:
+            parts += [',\n  "labels": [\n',
+                      ",\n".join(["    %d" % x for x in self.labels.tolist()]), "\n  ]"]
+        parts.append("\n}\n")
+        atomic_write_text(path, "".join(parts))
 
     @classmethod
     def load_json(cls, path: str) -> "Graph":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
+
+
+def _number_array(values: list, dtype) -> np.ndarray | None:
+    """np.array(values, dtype), or None when the nesting or an entry does not fit."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 @dataclass
@@ -250,19 +295,17 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
         raise ValueError("bandwidth must be positive")
     tree = cKDTree(cloud.coords)
     dist, idx = tree.query(cloud.coords, k=k_neighbors + 1)
-    pairs = {}
-    for u in range(cloud.n):
-        taken = 0
-        for d, v in zip(dist[u], idx[u]):
-            if v == u:
-                continue
-            if taken == k_neighbors:
-                break
-            key = (u, v) if u < v else (v, u)
-            pairs.setdefault(key, float(np.exp(-(d * d) / (bandwidth * bandwidth))))
-            taken += 1
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    weights = np.array([pairs[(u, v)] for u, v in edges])
+    # first k entries of each row other than the point itself, in query order
+    other = idx != np.arange(cloud.n)[:, None]
+    keep = other & (np.cumsum(other, axis=1) <= k_neighbors)
+    rows = np.nonzero(keep)[0]
+    cols = idx[keep]
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    # unique's stable sort returns each pair's first occurrence in row order
+    _, first = np.unique(lo * cloud.n + hi, return_index=True)
+    d = dist[keep][first]
+    weights = np.exp(-(d * d) / (bandwidth * bandwidth))
+    edges = np.column_stack([lo[first], hi[first]])
     return Graph(cloud.n, edges, weights, cloud.labels)
 
 

@@ -58,8 +58,10 @@ class NormalizedColumns:
         return self.matrix.shape[0]
 
     def column(self, i: int) -> np.ndarray:
-        """Dense unit-norm column i."""
-        col = np.asarray(self.matrix[:, i].todense()).ravel()
+        """Dense unit-norm column i, filled from the CSC slice of column i."""
+        start, stop = self.matrix.indptr[i], self.matrix.indptr[i + 1]
+        col = np.zeros(self.n)
+        col[self.matrix.indices[start:stop]] = self.matrix.data[start:stop]
         return col / self.column_norms[i]
 
     def alignments(self, x: np.ndarray) -> np.ndarray:

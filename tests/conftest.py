@@ -5,6 +5,18 @@ import pytest
 
 from graphcoreset import Graph
 
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests replay the same examples on every run and keep no
+    # example database, so the suite stays deterministic; they set only
+    # max_examples themselves.
+    hypothesis.settings.register_profile("graphcoreset", derandomize=True, database=None,
+                                         deadline=None)
+    hypothesis.settings.load_profile("graphcoreset")
+
 
 @pytest.fixture
 def path3() -> Graph:

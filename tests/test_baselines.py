@@ -210,7 +210,7 @@ def test_betweenness_weighted_properties():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=100)
     @hypothesis.given(st.data())
     def check(data):
         n = data.draw(st.integers(2, 12))

@@ -104,6 +104,49 @@ def test_select_validation_and_io(sbm_file):
     assert run_cli("select", "--graph", "nope.json", "--k", "3", "-o", "x.json") == 3
 
 
+@pytest.mark.parametrize("content", [
+    {"edges": [[0, 1, 1.0]]},
+    {"n": 2, "edges": [[0, 1]]},
+    {"n": 2, "edges": 5},
+    [1, 2],
+    {"n": 2.7, "edges": [[0, 1, 1.0]]},
+    {"n": 2, "edges": [[0.5, 1, 1.0]]},
+    "",
+    '{"n": 2, "edges": [[0, 1, ',
+    {"n": True, "edges": [[0, 1, 1.0]]},
+    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+    {"n": 2, "edges": [[0, 1, 1.0, 2.0]]},
+    {"n": 2, "edges": [[0, [1], 1.0]]},
+    {"n": 2, "edges": [[0, 1, {"w": 1}]]},
+    {"n": 2, "edges": [[None, 1, 1.0]]},
+    {"n": 2, "edges": [[0, 10**400, 1.0]]},
+    {"n": 2, "edges": [[0, 2, 1.0]]},
+    {"n": 2, "edges": [[0, 1, -1.0]]},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": None},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, 1.5]},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, "a"]},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [[0], 1]},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0]},
+    None,
+], ids=["no-n", "edge-without-weight", "edges-not-a-list", "not-an-object", "fractional-n",
+        "fractional-endpoint", "empty-file", "truncated", "boolean-n", "pairs-not-triples",
+        "four-entries", "nested-endpoint", "object-weight", "null-endpoint", "huge-endpoint",
+        "endpoint-past-n", "negative-weight", "null-labels", "fractional-label", "string-label",
+        "nested-label", "short-labels", "directory"])
+def test_select_rejects_malformed_graph(workdir, capsys, content):
+    """Graph.from_dict raises ValueError (exit 2); only I/O failures exit 3."""
+    if content is None:
+        os.mkdir("bad.json")
+    else:
+        with open("bad.json", "w", encoding="utf-8") as handle:
+            handle.write(content if isinstance(content, str) else json.dumps(content))
+    capsys.readouterr()
+    code = run_cli("select", "--graph", "bad.json", "--k", "1", "-o", "cs.json")
+    err = capsys.readouterr().err
+    assert (code, err.split(":")[0]) == ((3, "io error") if content is None else (2, "error"))
+    assert "Traceback" not in err
+
+
 def test_baseline_methods(sbm_file, workdir):
     assert run_cli("baseline", "--method", "random", "--n", "30", "--k", "4",
                    "--seed", "2", "-o", "r.json") == 0

@@ -1,7 +1,10 @@
 """Containers, generators, and edge-list ingestion."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from graphcoreset import (
     CostVector,
@@ -68,6 +71,28 @@ def test_graph_json_round_trip_unlabeled(tmp_path, path3):
     path = str(tmp_path / "g.json")
     path3.save_json(path)
     assert Graph.load_json(path).labels is None
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(1, np.empty((0, 2), dtype=np.int64), np.empty(0)),
+    Graph(1, np.empty((0, 2), dtype=np.int64), np.empty(0), labels=np.array([7])),
+    Graph(4, np.array([[0, 1], [1, 2], [2, 3], [0, 3]]), np.array([5e-324, 0.1, 1.0, 1e300])),
+    Graph(5, np.array([[0, 4], [1, 2], [3, 4], [0, 1]]), np.array([1e-17, 2.5, 1 / 3, 1e300]),
+          labels=np.array([0, -2, 1, 10**12, 0])),
+], ids=["single-vertex", "single-vertex-labeled", "extreme-weights", "labeled"])
+def test_graph_save_json_matches_json_dumps(tmp_path, graph):
+    """save_json writes exactly json.dumps(to_dict(), indent=2), and loads back."""
+    path = tmp_path / "g.json"
+    graph.save_json(str(path))
+    assert path.read_bytes() == (json.dumps(graph.to_dict(), indent=2) + "\n").encode()
+    back = Graph.load_json(str(path))
+    assert back.n == graph.n
+    assert np.array_equal(back.edges, graph.edges)
+    assert back.weights.tobytes() == graph.weights.tobytes()
+    if graph.labels is None:
+        assert back.labels is None
+    else:
+        assert np.array_equal(back.labels, graph.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +190,55 @@ def test_knn_kernel_degree_at_least_k():
         counts[u] += 1
         counts[v] += 1
     assert counts.min() >= k
+
+
+def reference_knn_kernel_graph(cloud, k_neighbors, bandwidth):
+    """The per-point dict loop that build_knn_kernel_graph must reproduce bit for bit."""
+    dist, idx = cKDTree(cloud.coords).query(cloud.coords, k=k_neighbors + 1)
+    pairs = {}
+    for u in range(cloud.n):
+        taken = 0
+        for d, v in zip(dist[u], idx[u]):
+            if v == u:
+                continue
+            if taken == k_neighbors:
+                break
+            key = (u, v) if u < v else (v, u)
+            pairs.setdefault(key, float(np.exp(-(d * d) / (bandwidth * bandwidth))))
+            taken += 1
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    weights = np.array([pairs[(u, v)] for u, v in edges])
+    return Graph(cloud.n, edges, weights, cloud.labels)
+
+
+def test_knn_kernel_matches_reference_loop():
+    """Grid clouds give duplicate points, distance ties and rows whose self is not first."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 24))
+        dim = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            coords = rng.standard_normal((n, dim))
+        else:
+            coords = rng.integers(0, data.draw(st.integers(1, 3)), (n, dim)).astype(float)
+        labels = rng.integers(0, 3, n) if data.draw(st.booleans()) else None
+        cloud = PointCloud(coords, labels)
+        bandwidth = data.draw(st.sampled_from([0.3, 1.0, 2.5]))
+        for k in range(1, n):
+            got = build_knn_kernel_graph(cloud, k, bandwidth)
+            want = reference_knn_kernel_graph(cloud, k, bandwidth)
+            assert np.array_equal(got.edges, want.edges)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert (got.labels is None) == (labels is None)
+            if labels is not None:
+                assert np.array_equal(got.labels, labels)
+
+    check()
 
 
 def test_knn_kernel_validation():

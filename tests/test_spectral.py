@@ -86,6 +86,20 @@ def test_normalized_columns_sparse_path_agrees(two_triangles):
         assert np.allclose(dense.column_norms, sparse.column_norms, atol=1e-12)
 
 
+@pytest.mark.parametrize("dense_cutoff", [2048, 0], ids=["dense-power", "sparse-power"])
+def test_column_is_the_normalized_power_column(dense_cutoff):
+    """column(i) equals P^ell[:, i] / norm_i on both walk-power paths."""
+    g = generate_sbm([12, 9, 6], 0.4, 0.05, seed=2)
+    walk = lazy_walk_matrix(g)
+    cols = normalized_columns(walk, 3, dense_cutoff=dense_cutoff)
+    stored = cols.matrix.toarray()
+    power = np.linalg.matrix_power(walk.matrix.toarray(), 3)
+    for i in range(g.n):
+        col = cols.column(i)
+        assert np.array_equal(col, stored[:, i] / cols.column_norms[i])
+        assert np.allclose(col, power[:, i] / np.linalg.norm(power[:, i]), rtol=0, atol=1e-14)
+
+
 def test_normalized_columns_helpers(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
     cols = normalized_columns(walk, 2)
