@@ -38,39 +38,62 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centroids
 
 
+def _squared_distances(row_norms: np.ndarray, twice: np.ndarray, centroids: np.ndarray):
+    """|x|^2 - 2 x.c + |c|^2 for every point and centroid, in that operation order."""
+    dist2 = twice @ centroids.T
+    np.subtract(row_norms, dist2, out=dist2)
+    dist2 += np.sum(centroids * centroids, axis=1)[None, :]
+    return dist2
+
+
+def _cluster_sums(points: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster coordinate sums, each added in the order mean(axis=0) adds it.
+
+    Two or more columns: one bincount over (cluster, column) keys adds each
+    cluster's rows in index order, as numpy's axis-0 reduction does. One
+    column: numpy sums it pairwise, so each cluster's run of a stable sort is
+    summed by the same reduction.
+    """
+    k, d = len(counts), points.shape[1]
+    if d == 1:
+        column = points[np.argsort(assign, kind="stable"), 0]
+        stops = np.cumsum(counts)
+        return np.array([[column[stop - count:stop].sum()]
+                         for stop, count in zip(stops.tolist(), counts.tolist())])
+    keys = (assign * d)[:, None] + np.arange(d)
+    return np.bincount(keys.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+
+
 def _lloyd(points: np.ndarray, k: int, seed: int, tol: float = 1e-6, max_iter: int = 300):
-    """Lloyd iterations from a kmeans++ start; empty clusters re-seed at the
-    point farthest from its assigned centroid."""
+    """Lloyd iterations from a kmeans++ start; empty clusters re-seed, in
+    ascending cluster order, at the point farthest from its assigned centroid.
+
+    Each iteration is a fixed set of whole-array operations: one distance
+    matrix, one argmin, one set of cluster sums and counts, and a loop over
+    the empty clusters only. Centroids are bit-equal to per-cluster
+    points[members].mean(axis=0) (see _cluster_sums), and the distances
+    keep one formula and operation order, so argmin ties break the same way.
+    """
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plus_plus(points, k, rng)
-    assign = np.zeros(len(points), dtype=np.int64)
+    rows = np.arange(len(points))
+    row_norms = np.sum(points * points, axis=1)[:, None]
+    twice = 2.0 * points
     for _ in range(max_iter):
-        dist2 = (
-            np.sum(points * points, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids * centroids, axis=1)[None, :]
-        )
+        dist2 = _squared_distances(row_norms, twice, centroids)
         assign = np.argmin(dist2, axis=1)
-        nearest = dist2[np.arange(len(points)), assign]
-        moved = 0.0
-        for j in range(k):
-            members = assign == j
-            if not members.any():
-                far = int(np.argmax(nearest))
-                new = points[far]
-                nearest[far] = 0.0
-            else:
-                new = points[members].mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centroids[j])))
-            centroids[j] = new
+        nearest = dist2[rows, assign]
+        counts = np.bincount(assign, minlength=k)
+        new = _cluster_sums(points, assign, counts) / np.maximum(counts, 1)[:, None]
+        for j in np.flatnonzero(counts == 0).tolist():
+            far = int(np.argmax(nearest))
+            new[j] = points[far]
+            nearest[far] = 0.0
+        moved = float(np.max(np.linalg.norm(new - centroids, axis=1)))
+        centroids = new
         if moved < tol:
             break
-    dist2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    assign = np.argmin(dist2, axis=1)
+    assign = np.argmin(_squared_distances(row_norms, twice, centroids), axis=1)
     return centroids, assign
 
 

@@ -266,13 +266,31 @@ def _run_and_record(command: str, params: dict) -> list[str]:
     return lines
 
 
-def _execute_replay(params: dict):
-    with open(params["manifest"], "r", encoding="utf-8") as handle:
+def _load_manifest(path: str) -> dict:
+    """Read a manifest; raises ValueError unless each field has the type it is written with."""
+    with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    command = manifest["command"]
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
+    command = manifest.get("command")
+    if not isinstance(command, str):
+        raise ValueError("manifest needs a command name")
     if command not in _EXECUTORS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    for path, digest in manifest.get("input_hashes", {}).items():
+    if not isinstance(manifest.get("parameters"), dict):
+        raise ValueError("manifest parameters must be an object")
+    outputs = manifest.get("output_paths")
+    if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
+        raise ValueError("manifest output_paths must be a list of paths")
+    if not isinstance(manifest.get("input_hashes"), dict):
+        raise ValueError("manifest input_hashes must be an object")
+    return manifest
+
+
+def _execute_replay(params: dict):
+    manifest = _load_manifest(params["manifest"])
+    command = manifest["command"]
+    for path, digest in manifest["input_hashes"].items():
         if not os.path.exists(path):
             raise ValueError(f"replay input {path} is missing")
         current = sha256_file(path)

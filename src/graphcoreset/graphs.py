@@ -238,8 +238,20 @@ class CostVector:
 
     @classmethod
     def load_json(cls, path: str) -> "CostVector":
+        """Read {"costs": [numbers]}; raises ValueError on any malformed field."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls(np.array(json.load(handle)["costs"], dtype=np.float64))
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("costs file must be a JSON object")
+        costs = data.get("costs")
+        if not isinstance(costs, list):
+            raise ValueError("costs file needs a list of costs")
+        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in costs):
+            raise ValueError("costs must be numbers")
+        values = _number_array(costs, np.float64)
+        if values is None:
+            raise ValueError("costs must fit in a float")
+        return cls(values)
 
     @classmethod
     def zeros(cls, n: int) -> "CostVector":

@@ -1,9 +1,10 @@
 """Lazy random-walk matrix, normalized walk-power columns, smooth functions.
 
 The walk matrix P = (W - D)/d_max + I is symmetric, doubly stochastic, and
-has spectrum inside [-1, 1]. Walk powers are built by repeated sparse
-multiplication; dense eigendecompositions appear only in the synthesis and
-diagnostic paths, never in column construction.
+has spectrum inside [-1, 1]. The walk power P^ell is P itself at ell = 1;
+for ell >= 2 it is a dense BLAS matrix power up to a vertex-count cutoff and
+repeated sparse multiplication above it. Dense eigendecompositions appear only
+in the synthesis and diagnostic paths, never in column construction.
 """
 
 from dataclasses import dataclass
@@ -76,19 +77,25 @@ class NormalizedColumns:
 def normalized_columns(walk: TransitionMatrix, ell: int, dense_cutoff: int = 2048) -> NormalizedColumns:
     """Normalized columns of P^ell.
 
-    Small graphs go through a dense BLAS matrix power (repeated squaring, so
-    large ell stays cheap); above dense_cutoff vertices the power is built by
-    sequential sparse multiplication to avoid densifying huge graphs.
+    At ell = 1 the power is P, copied to CSC without its explicit zeros: the
+    same arrays a dense round trip would give, without densifying. For
+    ell >= 2, small graphs go through a dense BLAS matrix power (repeated
+    squaring, so large ell stays cheap); above dense_cutoff vertices the power
+    is built by sequential sparse multiplication to avoid densifying huge
+    graphs.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    if walk.n <= dense_cutoff:
-        power = np.linalg.matrix_power(walk.matrix.toarray(), ell)
+    if ell == 1:
+        power = sp.csc_matrix(walk.matrix, copy=True)
+        power.eliminate_zeros()
+    elif walk.n <= dense_cutoff:
+        power = sp.csc_matrix(np.linalg.matrix_power(walk.matrix.toarray(), ell))
     else:
         power = walk.matrix
         for _ in range(ell - 1):
             power = power @ walk.matrix
-    power = sp.csc_matrix(power)
+        power = sp.csc_matrix(power)
     norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
     if np.any(norms <= 0):
         raise ValueError("walk power has a zero column")

@@ -23,7 +23,7 @@ from graphcoreset import (
     spectral_clustering_coreset,
     top_eigenvectors,
 )
-from graphcoreset.baselines import _betweenness_weighted
+from graphcoreset.baselines import _betweenness_weighted, _kmeans_plus_plus, _lloyd
 
 
 def test_random_sampling_basics():
@@ -81,6 +81,68 @@ def test_kmeans_duplicate_points():
     assert not np.array_equal(picked[0], picked[1])  # one from each pile
     with pytest.raises(ValueError):
         kmeans_coreset(cloud, 5, seed=0)
+
+
+def reference_lloyd(points, k, seed, tol=1e-6, max_iter=300):
+    """The per-cluster loop that _lloyd must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_plus_plus(points, k, rng)
+    assign = np.zeros(len(points), dtype=np.int64)
+    for _ in range(max_iter):
+        dist2 = (
+            np.sum(points * points, axis=1)[:, None]
+            - 2.0 * points @ centroids.T
+            + np.sum(centroids * centroids, axis=1)[None, :]
+        )
+        assign = np.argmin(dist2, axis=1)
+        nearest = dist2[np.arange(len(points)), assign]
+        moved = 0.0
+        for j in range(k):
+            members = assign == j
+            if not members.any():
+                far = int(np.argmax(nearest))
+                new = points[far]
+                nearest[far] = 0.0
+            else:
+                new = points[members].mean(axis=0)
+            moved = max(moved, float(np.linalg.norm(new - centroids[j])))
+            centroids[j] = new
+        if moved < tol:
+            break
+    dist2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids * centroids, axis=1)[None, :]
+    )
+    assign = np.argmin(dist2, axis=1)
+    return centroids, assign
+
+
+def test_lloyd_matches_reference_loop():
+    """Grid clouds give duplicate points, so clusters empty out and re-seed; a
+    grid half next to a Gaussian half empties several clusters at once."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 60))
+        dim = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        normal = rng.standard_normal((n, dim))
+        grid = rng.integers(0, data.draw(st.integers(1, 3)), (n, dim)).astype(float)
+        cloud = data.draw(st.sampled_from(["normal", "grid", "mixed"]))
+        points = {"normal": normal, "grid": grid,
+                  "mixed": np.vstack([grid[:n // 2], normal[n // 2:]])}[cloud]
+        seed = data.draw(st.integers(0, 1000))
+        for k in range(1, n + 1):
+            got_centroids, got_assign = _lloyd(points, k, seed)
+            want_centroids, want_assign = reference_lloyd(points, k, seed)
+            assert np.array_equal(got_centroids, want_centroids)
+            assert np.array_equal(got_assign, want_assign)
+
+    check()
 
 
 def test_spectral_clustering_splits_weak_bridge(two_triangles):

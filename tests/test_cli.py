@@ -147,6 +147,36 @@ def test_select_rejects_malformed_graph(workdir, capsys, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {},
+    {"costs": None},
+    {"costs": 5},
+    {"costs": {"0": 1.0}},
+    {"costs": ["1.0"] * 40},
+    {"costs": [True] * 40},
+    {"costs": [None] * 40},
+    {"costs": [[1.0]] * 40},
+    {"costs": [10**400] * 40},
+    {"costs": [-1.0] * 40},
+    {"costs": [1.0] * 39},
+    "",
+    '{"costs": [1.0, ',
+], ids=["not-an-object", "no-costs", "null-costs", "number-costs", "object-costs",
+        "string-entry", "boolean-entry", "null-entry", "nested-entry", "huge-entry",
+        "negative-entry", "short", "empty-file", "truncated"])
+def test_select_rejects_malformed_costs(sbm_file, capsys, content):
+    """CostVector.load_json raises ValueError (exit 2), never a traceback."""
+    with open("costs.json", "w", encoding="utf-8") as handle:
+        handle.write(content if isinstance(content, str) else json.dumps(content))
+    capsys.readouterr()
+    code = run_cli("select", "--graph", sbm_file, "--costs", "costs.json", "--k", "3",
+                   "-o", "cs.json")
+    err = capsys.readouterr().err
+    assert (code, err.split(":")[0]) == (2, "error")
+    assert "Traceback" not in err
+
+
 def test_baseline_methods(sbm_file, workdir):
     assert run_cli("baseline", "--method", "random", "--n", "30", "--k", "4",
                    "--seed", "2", "-o", "r.json") == 0
@@ -244,6 +274,34 @@ def test_replay_rejects_changed_inputs(sbm_file):
 
 def test_replay_missing_manifest(workdir):
     assert run_cli("replay", "ghost.manifest.json") == 3
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: [m],
+    lambda m: {"command": "select"},
+    lambda m: {k: v for k, v in m.items() if k != "command"},
+    lambda m: dict(m, command=["select"]),
+    lambda m: dict(m, command="nonsense"),
+    lambda m: {k: v for k, v in m.items() if k != "parameters"},
+    lambda m: dict(m, parameters=["--k", "3"]),
+    lambda m: {k: v for k, v in m.items() if k != "output_paths"},
+    lambda m: dict(m, output_paths="cs.json"),
+    lambda m: dict(m, output_paths=[1]),
+    lambda m: {k: v for k, v in m.items() if k != "input_hashes"},
+    lambda m: dict(m, input_hashes=["g.json"]),
+], ids=["not-an-object", "command-only", "no-command", "list-command", "unknown-command",
+        "no-parameters", "list-parameters", "no-output-paths", "string-output-paths",
+        "number-output-path", "no-input-hashes", "list-input-hashes"])
+def test_replay_rejects_malformed_manifest(sbm_file, capsys, change):
+    """A manifest field of the wrong type is a ValueError (exit 2), never a traceback."""
+    run_cli("select", "--graph", sbm_file, "--k", "3", "-o", "cs.json")
+    manifest = json.load(open("cs.json.manifest.json"))
+    json.dump(change(manifest), open("bad.manifest.json", "w"))
+    capsys.readouterr()
+    code = run_cli("replay", "bad.manifest.json", "--verify")
+    err = capsys.readouterr().err
+    assert (code, err.split(":")[0]) == (2, "error")
+    assert "Traceback" not in err
 
 
 def test_experiment_command_and_replay(workdir):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcoreset import (
     GraphFunction,
+    PointCloud,
+    TransitionMatrix,
+    build_knn_kernel_graph,
     eigendecomposition,
     generate_sbm,
     lazy_walk_matrix,
@@ -84,6 +88,39 @@ def test_normalized_columns_sparse_path_agrees(two_triangles):
         sparse = normalized_columns(walk, ell, dense_cutoff=0)
         assert np.allclose(dense.matrix.toarray(), sparse.matrix.toarray(), atol=1e-12)
         assert np.allclose(dense.column_norms, sparse.column_norms, atol=1e-12)
+
+
+def _with_stored_zero_diagonal(walk):
+    """The same P with the zero diagonal entries of its max-degree vertices stored explicitly."""
+    coo = walk.matrix.tocoo()
+    hubs = np.flatnonzero(walk.matrix.diagonal() == 0)
+    rows, cols = np.concatenate([coo.row, hubs]), np.concatenate([coo.col, hubs])
+    data = np.concatenate([coo.data, np.zeros(len(hubs))])
+    return TransitionMatrix(walk.n, sp.csr_matrix((data, (rows, cols)), shape=coo.shape), walk.d_max)
+
+
+@pytest.mark.parametrize("case", ["knn", "star", "stored-zero"])
+def test_ell_one_columns_equal_dense_round_trip(star4, case):
+    """At ell = 1 the CSC arrays and norms are bit-equal to the dense round trip of P."""
+    if case == "knn":
+        cloud = PointCloud(np.random.default_rng(5).standard_normal((300, 2)))
+        walk = lazy_walk_matrix(build_knn_kernel_graph(cloud, 6, 1.0))
+    else:
+        walk = lazy_walk_matrix(star4)  # the centre has degree d_max: P[0, 0] == 0
+        if case == "stored-zero":
+            walk = _with_stored_zero_diagonal(walk)
+            assert np.any(walk.matrix.data == 0)
+    assert np.any(walk.matrix.diagonal() == 0)
+    stored_before = walk.matrix.data.copy()
+    cols = normalized_columns(walk, 1)
+    want = sp.csc_matrix(np.linalg.matrix_power(walk.matrix.toarray(), 1))
+    want_norms = np.sqrt(np.asarray(want.multiply(want).sum(axis=0)).ravel())
+    for name in ("indptr", "indices", "data"):
+        got_array, want_array = getattr(cols.matrix, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
+    assert cols.column_norms.tobytes() == want_norms.tobytes()
+    assert np.array_equal(walk.matrix.data, stored_before)  # P itself is left as it was
 
 
 @pytest.mark.parametrize("dense_cutoff", [2048, 0], ids=["dense-power", "sparse-power"])
