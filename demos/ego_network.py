@@ -33,7 +33,7 @@ def main():
     costs = sample_costs_uniform(graph.n, seed=77)
     for kappa in (1.0, 0.8):
         out = select_coreset(columns, costs,
-                             SelectionConfig(budget=30, kappa=kappa, ell=2))
+                             SelectionConfig(budget=30, kappa=kappa))
         print(f"kappa {kappa:.1f}: support {len(out.indices)}, "
               f"total cost {out.total_cost:.3f}, "
               f"final J {out.trajectory[-1].residual:.3e}, status {out.status}")

@@ -26,7 +26,7 @@ def main():
     print(f"{'kappa':>6} {'eta':>7} {'total cost':>11} {'final J':>11} {'status':>10}")
     for kappa in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
         out = select_coreset(columns, costs,
-                             SelectionConfig(budget=12, kappa=kappa, ell=2))
+                             SelectionConfig(budget=12, kappa=kappa))
         eta = eta_diagnostic(columns, kappa)
         print(f"{kappa:>6.1f} {eta:>7.4f} {out.total_cost:>11.3f} "
               f"{out.trajectory[-1].residual:>11.3e} {out.status:>10}")

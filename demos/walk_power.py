@@ -29,7 +29,7 @@ def main():
     for ell in (1, 2, 4, 8, 16):
         columns = normalized_columns(walk, ell)
         out = select_coreset(columns, CostVector.zeros(graph.n),
-                             SelectionConfig(budget=12, ell=ell))
+                             SelectionConfig(budget=12))
         est = estimate_mean(f, out)
         print(f"{ell:>5d} {len(out.indices):>8d} {out.trajectory[-1].residual:>11.3e} "
               f"{est:>9.4f} {abs(est - truth):>9.4f}")

@@ -74,6 +74,38 @@ def _parse_means(text: str) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# the parameters each command records, in recording order; generate records
+# model, seed and out and then the keys of its model
+
+_PARAMETERS = {
+    "generate": {
+        "sbm": ("sizes", "p_in", "p_out"),
+        "powerlaw-tree": ("n", "exponent"),
+        "random": ("n", "edge_probability"),
+        "gaussian-mixture": ("means", "fractions", "covariance_scale", "n"),
+        "knn-kernel": ("cloud", "k_neighbors", "bandwidth"),
+    },
+    "select": ("graph", "costs", "uniform_costs", "kappa", "k", "ell", "tol", "out"),
+    "baseline": ("method", "graph", "cloud", "n", "k", "seed", "out"),
+    "experiment": ("name", "config", "overrides", "out_dir"),
+    "eval": ("graph", "coreset", "function", "label", "threshold", "ell", "function_seed", "out"),
+    "replay": ("manifest", "verify"),
+}
+# generate flags given as text and parsed into lists
+_GENERATE_PARSERS = {"sizes": _parse_ints, "means": _parse_means, "fractions": _parse_floats}
+
+
+def _parameter_keys(command: str, model=None) -> tuple:
+    """Keys of a command's parameters; ValueError for a generate model it does not know."""
+    keys = _PARAMETERS[command]
+    if command != "generate":
+        return keys
+    if not isinstance(model, str) or model not in keys:
+        raise ValueError(f"unknown model {model!r}")
+    return ("model", "seed", "out") + keys[model]
+
+
+# ---------------------------------------------------------------------------
 # command execution; each returns (input_paths, output_paths, printed lines)
 
 
@@ -82,27 +114,22 @@ def _execute_generate(params: dict):
     seed = int(params["seed"])
     out = params["out"]
     inputs = []
-    if model == "sbm":
-        graph = generate_sbm(params["sizes"], params["p_in"], params["p_out"], seed=seed)
-        graph.save_json(out)
-    elif model == "powerlaw-tree":
-        graph = generate_powerlaw_tree(params["n"], params["exponent"], seed=seed)
-        graph.save_json(out)
-    elif model == "random":
-        graph = generate_random_graph(params["n"], params["edge_probability"], seed=seed,
-                                      on_trivial="retry")
-        graph.save_json(out)
-    elif model == "gaussian-mixture":
+    if model == "gaussian-mixture":
         cloud = generate_gaussian_mixture(params["means"], params["fractions"],
                                           params["covariance_scale"], params["n"], seed=seed)
         cloud.save_csv(out)
-    elif model == "knn-kernel":
+        return inputs, [out], []
+    if model == "sbm":
+        graph = generate_sbm(params["sizes"], params["p_in"], params["p_out"], seed=seed)
+    elif model == "powerlaw-tree":
+        graph = generate_powerlaw_tree(params["n"], params["exponent"], seed=seed)
+    elif model == "random":
+        graph = generate_random_graph(params["n"], params["edge_probability"], seed=seed)
+    else:  # knn-kernel
         inputs = [params["cloud"]]
         cloud = PointCloud.load_csv(params["cloud"])
         graph = build_knn_kernel_graph(cloud, params["k_neighbors"], params["bandwidth"])
-        graph.save_json(out)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    graph.save_json(out)
     return inputs, [out], []
 
 
@@ -121,9 +148,8 @@ def _execute_select(params: dict):
     graph = Graph.load_json(params["graph"])
     costs = _costs_for(params, graph.n)
     config = SelectionConfig(budget=int(params["k"]), kappa=float(params["kappa"]),
-                             ell=int(params["ell"]),
                              residual_tolerance=float(params["tol"]))
-    columns = normalized_columns(lazy_walk_matrix(graph), config.ell)
+    columns = normalized_columns(lazy_walk_matrix(graph), int(params["ell"]))
     coreset = select_coreset(columns, costs, config)
     coreset.save_json(params["out"])
     final_j = coreset.trajectory[-1].residual if coreset.trajectory else 1.0
@@ -186,7 +212,7 @@ def _execute_experiment(params: dict):
         overrides = merged
     config = experiments.config_from_mapping(name, overrides)
     if name == "ego-centrality":
-        inputs.append(experiments.ego_data_path(config))
+        inputs.append(config.data_path)
     runner = experiments.EXPERIMENTS[name][1]
     rows, report = runner(config)
     written = experiments.write_experiment_outputs(params["out_dir"], rows, report)
@@ -222,8 +248,7 @@ def _execute_eval(params: dict):
         truth = f.mean()
         err, abs_err = error_metric(f, coreset)
         columns = normalized_columns(walk, int(params["ell"]))
-        _, bound_rhs, holds = bound_check(f, float(params["threshold"]), int(params["ell"]),
-                                          coreset, columns)
+        _, bound_rhs, holds = bound_check(f, float(params["threshold"]), coreset, columns)
         if not holds:
             raise FloatingPointError("smoothness bound violated; selection output is corrupt")
     else:
@@ -267,7 +292,8 @@ def _run_and_record(command: str, params: dict) -> list[str]:
 
 
 def _load_manifest(path: str) -> dict:
-    """Read a manifest; raises ValueError unless each field has the type it is written with."""
+    """Read a manifest; raises ValueError unless each field has the type it is written with
+    and the parameters hold every key their command records."""
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict):
@@ -277,8 +303,12 @@ def _load_manifest(path: str) -> dict:
         raise ValueError("manifest needs a command name")
     if command not in _EXECUTORS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    if not isinstance(manifest.get("parameters"), dict):
+    params = manifest.get("parameters")
+    if not isinstance(params, dict):
         raise ValueError("manifest parameters must be an object")
+    missing = [key for key in _parameter_keys(command, params.get("model")) if key not in params]
+    if missing:
+        raise ValueError(f"manifest parameters lack {', '.join(missing)}")
     outputs = manifest.get("output_paths")
     if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
         raise ValueError("manifest output_paths must be a list of paths")
@@ -319,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic graph or point cloud")
-    gen.add_argument("--model", required=True,
-                     choices=["sbm", "powerlaw-tree", "random", "gaussian-mixture", "knn-kernel"])
+    gen.add_argument("--model", required=True, choices=list(_PARAMETERS["generate"]))
     gen.add_argument("--sizes", help="comma-separated block sizes (sbm)")
     gen.add_argument("--p-in", type=float, help="intra-block edge probability (sbm)")
     gen.add_argument("--p-out", type=float, help="inter-block edge probability (sbm)")
@@ -384,44 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
+    keys = _parameter_keys(args.command, getattr(args, "model", None))
+    params = {key: getattr(args, key) for key in keys}
     if args.command == "generate":
-        params = {"model": args.model, "seed": args.seed, "out": args.out}
-        if args.model == "sbm":
-            for flag, value in (("--sizes", args.sizes), ("--p-in", args.p_in),
-                                ("--p-out", args.p_out)):
-                if value is None:
-                    raise ValueError(f"model sbm requires {flag}")
-            params.update(sizes=_parse_ints(args.sizes), p_in=args.p_in, p_out=args.p_out)
-        elif args.model == "powerlaw-tree":
-            if args.n is None:
-                raise ValueError("model powerlaw-tree requires --n")
-            params.update(n=args.n, exponent=args.exponent)
-        elif args.model == "random":
-            if args.n is None or args.edge_probability is None:
-                raise ValueError("model random requires --n and --edge-probability")
-            params.update(n=args.n, edge_probability=args.edge_probability)
-        elif args.model == "gaussian-mixture":
-            if args.means is None or args.fractions is None or args.n is None:
-                raise ValueError("model gaussian-mixture requires --means, --fractions, --n")
-            params.update(means=_parse_means(args.means),
-                          fractions=_parse_floats(args.fractions),
-                          covariance_scale=args.covariance_scale, n=args.n)
-        elif args.model == "knn-kernel":
-            if args.cloud is None:
-                raise ValueError("model knn-kernel requires --cloud")
-            params.update(cloud=args.cloud, k_neighbors=args.k_neighbors,
-                          bandwidth=args.bandwidth)
-        return params
-    if args.command == "select":
+        # every model flag without a default is required
+        missing = ["--" + key.replace("_", "-") for key in keys if params[key] is None]
+        if missing:
+            raise ValueError(f"model {args.model} requires {', '.join(missing)}")
+        for key in keys:
+            if key in _GENERATE_PARSERS:
+                params[key] = _GENERATE_PARSERS[key](params[key])
+    elif args.command == "select":
         if args.costs and args.uniform_costs is not None:
             raise ValueError("--costs and --uniform-costs are mutually exclusive")
-        return {"graph": args.graph, "costs": args.costs, "uniform_costs": args.uniform_costs,
-                "kappa": args.kappa, "k": args.k, "ell": args.ell, "tol": args.tol,
-                "out": args.out}
-    if args.command == "baseline":
-        return {"method": args.method, "graph": args.graph, "cloud": args.cloud,
-                "n": args.n, "k": args.k, "seed": args.seed, "out": args.out}
-    if args.command == "experiment":
+    elif args.command == "experiment":
         overrides = {}
         for item in args.overrides:
             if "=" not in item:
@@ -431,15 +436,8 @@ def _params_from_args(args: argparse.Namespace) -> dict:
                 overrides[key] = json.loads(raw)
             except json.JSONDecodeError:
                 overrides[key] = raw
-        return {"name": args.name, "config": args.config, "overrides": overrides,
-                "out_dir": args.out_dir}
-    if args.command == "eval":
-        return {"graph": args.graph, "coreset": args.coreset, "function": args.function,
-                "label": args.label, "threshold": args.threshold, "ell": args.ell,
-                "function_seed": args.function_seed, "out": args.out}
-    if args.command == "replay":
-        return {"manifest": args.manifest, "verify": args.verify}
-    raise ValueError(f"unknown command {args.command!r}")
+        params["overrides"] = overrides
+    return params
 
 
 def run(argv: list[str] | None = None) -> int:

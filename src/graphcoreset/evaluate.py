@@ -27,7 +27,6 @@ class ExperimentResult:
     abs_err: float
     coreset_cost: float
     bound_rhs: float | None = None
-    runtime_ms: float = 0.0
 
 
 CostReport = namedtuple("CostReport", ["c_cso", "c_cos"])
@@ -69,19 +68,17 @@ def _weight_row(coreset, n: int) -> np.ndarray:
 def bound_check(
     function: GraphFunction,
     eigenvalue_threshold: float,
-    ell: int,
     coreset,
     columns: NormalizedColumns,
 ) -> tuple:
     """Certified error bound for functions spanned by eigenvectors whose
-    eigenvalue magnitude exceeds the threshold.
+    eigenvalue magnitude exceeds the threshold, at the walk power ell the
+    columns were built with.
 
     Returns (lhs, rhs, holds): the actual estimation error, the certificate
     smoothness * threshold^-ell * ||weighted column mix - uniform||, and
     whether lhs <= rhs up to BOUND_SLACK.
     """
-    if ell != columns.ell:
-        raise ValueError("columns were built with a different walk power")
     if not (0.0 < eigenvalue_threshold < 1.0):
         raise ValueError("eigenvalue_threshold must be in (0, 1)")
     norm = smoothness_norm(function)
@@ -92,7 +89,7 @@ def bound_check(
     # |<u, P^ell (1/n - row)>|, and P^ell fixes the uniform vector
     mixed = columns.matrix @ row
     residual_vec = mixed - np.full(n, 1.0 / n)
-    rhs = norm / eigenvalue_threshold**ell * float(np.linalg.norm(residual_vec))
+    rhs = norm / eigenvalue_threshold**columns.ell * float(np.linalg.norm(residual_vec))
     lhs = abs(function.mean() - estimate_mean(function, coreset))
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 
@@ -150,42 +147,21 @@ def results_to_csv(rows, path: str) -> None:
     """Write experiment rows as CSV.
 
     Floats use repr-faithful formatting; bound_rhs is blank when absent and
-    runtime_ms is always blank so result files stay machine-independent.
+    the runtime_ms column is always blank so result files stay
+    machine-independent.
     """
     lines = ["method,K,err,abs_err,cost,bound_rhs,runtime_ms"]
     for r in rows:
         bound = "" if r.bound_rhs is None else fmt_float(r.bound_rhs)
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    str(int(r.K)),
-                    fmt_float(r.err),
-                    fmt_float(r.abs_err),
-                    fmt_float(r.coreset_cost),
-                    bound,
-                    "",
-                ]
-            )
-        )
+        lines.append(",".join([r.method, str(int(r.K)), fmt_float(r.err), fmt_float(r.abs_err),
+                               fmt_float(r.coreset_cost), bound, ""]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def results_from_csv(path: str) -> list:
-    """Inverse of results_to_csv; blank cells map to None / 0.0."""
-    rows = []
+    """Inverse of results_to_csv; a blank bound_rhs maps to None."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for rec in reader:
-            rows.append(
-                ExperimentResult(
-                    method=rec["method"],
-                    K=int(rec["K"]),
-                    err=float(rec["err"]),
-                    abs_err=float(rec["abs_err"]),
-                    coreset_cost=float(rec["cost"]),
-                    bound_rhs=float(rec["bound_rhs"]) if rec["bound_rhs"] else None,
-                    runtime_ms=float(rec["runtime_ms"]) if rec["runtime_ms"] else 0.0,
-                )
-            )
-    return rows
+        return [ExperimentResult(method=rec["method"], K=int(rec["K"]), err=float(rec["err"]),
+                                 abs_err=float(rec["abs_err"]), coreset_cost=float(rec["cost"]),
+                                 bound_rhs=float(rec["bound_rhs"]) if rec["bound_rhs"] else None)
+                for rec in csv.DictReader(handle)]

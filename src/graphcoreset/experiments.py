@@ -88,7 +88,7 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Cal
     columns = normalized_columns(walk, config.ell)
     grids = {
         method: select_coreset_grid(columns, costs,
-                                    SelectionConfig(budget=k_max, kappa=kappa, ell=config.ell),
+                                    SelectionConfig(budget=k_max, kappa=kappa),
                                     config.k_grid)
         for method, kappa in methods.items() if kappa is not None
     }
@@ -267,8 +267,7 @@ def _shortest_path_graph(config: ShortestPathConfig, seed: int) -> Graph:
     if config.family == "powerlaw-tree":
         return generate_powerlaw_tree(config.n, config.tree_exponent, seed=seed)
     if config.family == "random-graph":
-        return generate_random_graph(config.n, config.edge_probability, seed=seed,
-                                     on_trivial="retry")
+        return generate_random_graph(config.n, config.edge_probability, seed=seed)
     raise ValueError(f"unknown shortest-path family: {config.family!r}")
 
 
@@ -297,11 +296,6 @@ class EgoCentralityConfig:
     seeds: tuple = (0, 1, 2)
 
 
-def ego_data_path(config: EgoCentralityConfig) -> str:
-    """Resolve the edge-list path; GRAPHCORESET_FACEBOOK overrides the config."""
-    return os.environ.get("GRAPHCORESET_FACEBOOK", config.data_path)
-
-
 def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResult], CostReport]:
     """Average-distance estimation on a real social network.
 
@@ -310,12 +304,11 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
     its distances and the selections are built once; the seeds only vary
     the random baseline.
     """
-    path = ego_data_path(config)
-    if not os.path.exists(path):
+    if not os.path.exists(config.data_path):
         raise FileNotFoundError(
-            f"ego-centrality needs the facebook_combined edge list at {path} "
-            "(set GRAPHCORESET_FACEBOOK or the config's data_path)")
-    graph = load_edge_list(path)
+            f"ego-centrality needs the facebook_combined edge list at {config.data_path} "
+            "(set the config's data_path)")
+    graph = load_edge_list(config.data_path)
     methods = {"scgiga": 1.0, "scgiga-cost": config.kappa, "random": None, "betweenness": None}
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
     shared = _instance(config, methods, graph, costs, _distance_error(graph))
@@ -328,16 +321,17 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
 
 
 @dataclass(frozen=True)
-class EllSweepConfig:
+class EllSweepConfig(SbmIndicatorConfig):
+    """The SBM setup run once per walk power in ells, each in place of ell."""
+
     ells: tuple = (1, 2, 3, 4)
-    base: SbmIndicatorConfig = SbmIndicatorConfig()
 
 
 def run_ell_sweep(config: EllSweepConfig) -> tuple[list[ExperimentResult], None]:
     """Error curves of the greedy selection across walk powers."""
     rows = []
     for ell in config.ells:
-        sub = replace(config.base, ell=ell)
+        sub = replace(config, ell=ell)
         sub_rows = _sbm_rows(sub, {"scgiga": sub.kappa})
         rows.extend(replace(r, method=f"scgiga-ell{ell}") for r in sub_rows)
     return rows, None
@@ -363,26 +357,35 @@ def experiment_names() -> list[str]:
 def config_from_mapping(name: str, overrides: dict):
     """Build an experiment config from a flat key-value mapping.
 
-    Unknown keys are rejected; list values are frozen to tuples so configs
-    stay hashable. The ell-sweep's nested base config accepts the SBM keys
-    directly (flat files stay flat).
+    Unknown keys are rejected, and so is a value not shaped like its
+    field's default (see _fits); list values are frozen to tuples so configs
+    stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
     config_cls = EXPERIMENTS[name][0]
-    if name == "ell-sweep":
-        base_keys = {f.name for f in fields(SbmIndicatorConfig)}
-        base_kwargs = {k: _freeze(v) for k, v in overrides.items() if k in base_keys}
-        own = {k: _freeze(v) for k, v in overrides.items() if k not in base_keys}
-        unknown = set(own) - {f.name for f in fields(EllSweepConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys for ell-sweep: {sorted(unknown)}")
-        return EllSweepConfig(base=SbmIndicatorConfig(**base_kwargs), **own)
-    known = {f.name for f in fields(config_cls)}
-    unknown = set(overrides) - known
+    defaults = {f.name: f.default for f in fields(config_cls)}
+    unknown = set(overrides) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if not _fits(value, defaults[key]):
+            raise ValueError(f"config key {key!r} of {name} needs a value shaped like "
+                             f"its default {defaults[key]!r}, got {value!r}")
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
+
+
+def _fits(value, default) -> bool:
+    """Whether value is shaped like default: a list or tuple for a tuple, each
+    item shaped like the default's first; an int that is not a bool for an
+    int; such an int or a float for a float; a string for a string."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _freeze(value):

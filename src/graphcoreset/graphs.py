@@ -396,23 +396,19 @@ def largest_connected_component(graph: Graph) -> Graph:
     return Graph(len(old_ids), edges, graph.weights[mask], labels)
 
 
-def generate_random_graph(n: int, edge_probability: float, seed: int, on_trivial: str = "return") -> Graph:
+def generate_random_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Independent-pair random graph; largest component when disconnected.
 
-    on_trivial controls the degenerate case where the largest component is a
-    single vertex: "return" hands it back, "error" raises, "retry" redraws
-    with consecutive seeds (up to 100 attempts).
+    When the largest component is a single vertex the graph is redrawn with
+    consecutive seeds; after 100 such draws it raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not (0.0 <= edge_probability <= 1.0):
         raise ValueError("edge_probability must be in [0, 1]")
-    if on_trivial not in ("return", "error", "retry"):
-        raise ValueError("on_trivial must be one of return|error|retry")
-    attempts = 100 if on_trivial == "retry" else 1
-    for attempt in range(attempts):
+    iu, iv = np.triu_indices(n, k=1)
+    for attempt in range(100):
         rng = np.random.default_rng(seed + attempt)
-        iu, iv = np.triu_indices(n, k=1)
         keep = rng.random(len(iu)) < edge_probability
         edges = np.column_stack([iu[keep], iv[keep]])
         if len(edges) == 0:
@@ -420,8 +416,6 @@ def generate_random_graph(n: int, edge_probability: float, seed: int, on_trivial
         else:
             graph = largest_connected_component(Graph(n, edges, np.ones(len(edges))))
         if graph.n > 1:
-            return graph
-        if on_trivial == "return":
             return graph
     raise ValueError("random graph degenerated to a single vertex")
 

@@ -37,12 +37,12 @@ class SelectionConfig:
     already-chosen vertex refines its weight without consuming budget, so a
     run interleaves support growth with free reweighting rounds and stops
     when the greedy step demands a vertex it has no budget left to place.
-    Ties break to the lowest vertex index.
+    Ties break to the lowest vertex index. The walk power is a property of
+    the columns (NormalizedColumns.ell), not of the run.
     """
 
     budget: int
     kappa: float = 1.0
-    ell: int = 1
     residual_tolerance: float = 1e-12
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class SelectionConfig:
             raise ValueError("budget must be at least 1")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must lie in (0, 1]")
-        if self.ell < 1:
-            raise ValueError("ell must be a positive integer")
         if self.residual_tolerance < 0:
             raise ValueError("residual_tolerance must be non-negative")
 

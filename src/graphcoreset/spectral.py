@@ -2,9 +2,10 @@
 
 The walk matrix P = (W - D)/d_max + I is symmetric, doubly stochastic, and
 has spectrum inside [-1, 1]. The walk power P^ell is P itself at ell = 1;
-for ell >= 2 it is a dense BLAS matrix power up to a vertex-count cutoff and
-repeated sparse multiplication above it. Dense eigendecompositions appear only
-in the synthesis and diagnostic paths, never in column construction.
+for ell >= 2 it is a dense BLAS matrix power on graphs of at most 2048
+vertices and repeated sparse multiplication on larger ones. The path follows
+from n alone; no caller chooses it. Dense eigendecompositions appear only in
+the synthesis and diagnostic paths, never in column construction.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import Graph
+
+# largest vertex count whose walk power (ell >= 2) goes through a dense matrix
+_DENSE_POWER_MAX_N = 2048
+# largest vertex count whose top eigenvectors come from a full dense eigh
+_DENSE_EIG_MAX_N = 600
 
 
 @dataclass
@@ -74,22 +80,24 @@ class NormalizedColumns:
         return self.matrix @ (coefficients / self.column_norms)
 
 
-def normalized_columns(walk: TransitionMatrix, ell: int, dense_cutoff: int = 2048) -> NormalizedColumns:
+def normalized_columns(walk: TransitionMatrix, ell: int) -> NormalizedColumns:
     """Normalized columns of P^ell.
 
+    The result carries ell: the selection and the error bound work from these
+    columns and take no ell of their own.
     At ell = 1 the power is P, copied to CSC without its explicit zeros: the
     same arrays a dense round trip would give, without densifying. For
-    ell >= 2, small graphs go through a dense BLAS matrix power (repeated
-    squaring, so large ell stays cheap); above dense_cutoff vertices the power
-    is built by sequential sparse multiplication to avoid densifying huge
-    graphs.
+    ell >= 2, graphs of at most _DENSE_POWER_MAX_N vertices go through a
+    dense BLAS matrix power (repeated squaring, so large ell stays cheap);
+    larger graphs build the power by sequential sparse multiplication to
+    avoid densifying them.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     if ell == 1:
         power = sp.csc_matrix(walk.matrix, copy=True)
         power.eliminate_zeros()
-    elif walk.n <= dense_cutoff:
+    elif walk.n <= _DENSE_POWER_MAX_N:
         power = sp.csc_matrix(np.linalg.matrix_power(walk.matrix.toarray(), ell))
     else:
         power = walk.matrix
@@ -113,15 +121,16 @@ def eigendecomposition(walk: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def top_eigenvectors(walk: TransitionMatrix, k: int, dense_cutoff: int = 600) -> np.ndarray:
+def top_eigenvectors(walk: TransitionMatrix, k: int) -> np.ndarray:
     """Eigenvectors of the k largest eigenvalues, as columns, descending.
 
-    Small problems go through the dense path; larger ones use Lanczos with a
-    fixed seeded start vector so repeated calls are reproducible.
+    Graphs of at most _DENSE_EIG_MAX_N vertices go through the dense path;
+    larger ones use Lanczos with a fixed seeded start vector so repeated
+    calls are reproducible.
     """
     if not (1 <= k <= walk.n):
         raise ValueError("k must be in 1..n")
-    if walk.n <= dense_cutoff or k > walk.n - 2:
+    if walk.n <= _DENSE_EIG_MAX_N or k > walk.n - 2:
         _, vectors = eigendecomposition(walk)
         return vectors[:, :k]
     v0 = np.random.default_rng(0).standard_normal(walk.n)

@@ -55,7 +55,7 @@ def report(num, ok: bool, detail: str) -> None:
 def sweep_graph(i: int) -> Graph:
     kind = i % 4
     if kind == 0:
-        return generate_random_graph(40 + 5 * i, 0.12, seed=i, on_trivial="retry")
+        return generate_random_graph(40 + 5 * i, 0.12, seed=i)
     if kind == 1:
         return generate_sbm([15 + i, 20, 10], 0.3, 0.03, seed=i)
     if kind == 2:
@@ -78,7 +78,7 @@ def selection_sweep():
         cols = normalized_columns(lazy_walk_matrix(g), ell)
         costs = sample_costs_uniform(g.n, seed=i) if i % 2 else CostVector.zeros(g.n)
         out = select_coreset(cols, costs,
-                             SelectionConfig(budget=budget, kappa=kappa, ell=ell))
+                             SelectionConfig(budget=budget, kappa=kappa))
         runs.append((g.n, cols, out))
     return runs, time.monotonic() - start
 
@@ -119,13 +119,13 @@ def test_criterion_3_certified_bound():
         threshold = 0.3 if trial % 2 == 0 else 0.5
         ell = 1 + trial % 3
         budget = 3 + trial % 18
-        g = generate_random_graph(n, 0.05, seed=trial, on_trivial="retry")
+        g = generate_random_graph(n, 0.05, seed=trial)
         walk = lazy_walk_matrix(g)
         cols = normalized_columns(walk, ell)
         f = synthesize_smooth_function(walk, threshold, seed=trial + 100)
         out = select_coreset(cols, CostVector.zeros(g.n),
-                             SelectionConfig(budget=budget, kappa=1.0, ell=ell))
-        lhs, rhs, holds = bound_check(f, threshold, ell, out, cols)
+                             SelectionConfig(budget=budget, kappa=1.0))
+        lhs, rhs, holds = bound_check(f, threshold, out, cols)
         held += bool(holds)
         if rhs > 0:
             worst_ratio = max(worst_ratio, lhs / rhs)
@@ -148,12 +148,12 @@ def test_criterion_4_first_pick_maximizes_alignment():
         if trial % 3 == 0:
             g = generate_sbm([n // 2, n - n // 2], 0.7, 0.2, seed=trial)
         else:
-            g = generate_random_graph(n, 0.45, seed=trial, on_trivial="retry")
+            g = generate_random_graph(n, 0.45, seed=trial)
         ell = 1 + trial % 2
         cols = normalized_columns(lazy_walk_matrix(g), ell)
         aligns = np.array([cols.column(v) @ cols.target for v in range(g.n)])
         out = select_coreset(cols, CostVector.zeros(g.n),
-                             SelectionConfig(budget=2, ell=ell))
+                             SelectionConfig(budget=2))
         pick = out.indices[0]
         attains_max = aligns[pick] >= aligns.max() - 1e-12
         scores = cols.alignments(cols.target)
@@ -169,7 +169,7 @@ def test_criterion_5_kappa_one_cost_blind():
     """kappa = 1 output is bitwise identical for any cost vector."""
     mismatches = 0
     for seed in range(20):
-        g = generate_random_graph(50, 0.12, seed=seed, on_trivial="retry")
+        g = generate_random_graph(50, 0.12, seed=seed)
         cols = normalized_columns(lazy_walk_matrix(g), 1)
         config = SelectionConfig(budget=8, kappa=1.0)
         free = select_coreset(cols, CostVector.zeros(g.n), config)
@@ -225,9 +225,9 @@ def test_criterion_8_dijkstra_counts(monkeypatch, two_triangles):
         return real(matrix, directed=directed, indices=indices)
 
     monkeypatch.setattr(evaluate_mod, "_sp_dijkstra", counting)
-    g = generate_random_graph(60, 0.1, seed=1, on_trivial="retry")
+    g = generate_random_graph(60, 0.1, seed=1)
     cols = normalized_columns(lazy_walk_matrix(g), 2)
-    out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=5, ell=2))
+    out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=5))
     k = len(out.indices)
     calls.clear()
     avg_shortest_path_estimate(g, out)
@@ -280,7 +280,7 @@ def test_criterion_9_walk_matrix_contract():
     graphs = [
         generate_sbm([40, 40], 0.3, 0.05, seed=0),
         generate_powerlaw_tree(100, 3.0, seed=1),
-        generate_random_graph(80, 0.08, seed=2, on_trivial="retry"),
+        generate_random_graph(80, 0.08, seed=2),
         build_knn_kernel_graph(
             generate_gaussian_mixture([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5], 1.0,
                                       60, seed=3), 5, 1.0),
@@ -312,7 +312,7 @@ def test_criterion_10_ego_network_run():
     cols = normalized_columns(lazy_walk_matrix(g), 2)
     costs = sample_costs_uniform(g.n, seed=77)
     out = select_coreset(cols, costs,
-                         SelectionConfig(budget=30, kappa=0.8, ell=2))
+                         SelectionConfig(budget=30, kappa=0.8))
     elapsed = time.monotonic() - start
     js = [rec.residual for rec in out.trajectory]
     monotone = all(b <= a + 1e-12 for a, b in zip(js, js[1:]))

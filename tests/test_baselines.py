@@ -224,12 +224,12 @@ def test_betweenness_path_and_star(path3, star4):
 
 
 def test_betweenness_matches_brute_force_unit_weights():
-    g = generate_random_graph(30, 0.12, seed=5, on_trivial="retry")
+    g = generate_random_graph(30, 0.12, seed=5)
     assert np.allclose(betweenness_scores(g), brute_betweenness(g), atol=1e-9)
 
 
 def test_betweenness_matches_brute_force_weighted():
-    g = generate_random_graph(25, 0.15, seed=8, on_trivial="retry")
+    g = generate_random_graph(25, 0.15, seed=8)
     # halves and ones add exactly in binary, so distance ties stay exact
     weights = np.random.default_rng(1).choice([0.5, 1.0, 1.5, 2.0], size=g.m)
     wg = Graph(g.n, g.edges, weights)
@@ -237,7 +237,7 @@ def test_betweenness_matches_brute_force_weighted():
 
 
 def test_betweenness_batched_equals_dijkstra():
-    g = generate_random_graph(40, 0.1, seed=2, on_trivial="retry")
+    g = generate_random_graph(40, 0.1, seed=2)
     batched = betweenness_scores(g)  # unit weights take the breadth-first path
     assert np.allclose(batched, _betweenness_weighted(g.adjacency()), atol=1e-9)
     assert np.allclose(batched, _betweenness_weighted(g.adjacency(), batch=16), atol=1e-9)

@@ -18,6 +18,7 @@ from graphcoreset import (
     select_coreset,
 )
 from graphcoreset.cli import main
+from graphcoreset.experiments import config_from_mapping
 
 
 def run_cli(*argv) -> int:
@@ -79,7 +80,7 @@ def test_select_matches_library_and_prints(sbm_file, capsys):
     got = Coreset.load_json("cs.json")
     cols = normalized_columns(lazy_walk_matrix(Graph.load_json(sbm_file)), 2)
     want = select_coreset(cols, CostVector.zeros(40),
-                          SelectionConfig(budget=5, ell=2))
+                          SelectionConfig(budget=5))
     assert got.indices == want.indices
     assert np.array_equal(got.weights, np.asarray(want.weights))
 
@@ -289,11 +290,21 @@ def test_replay_missing_manifest(workdir):
     lambda m: dict(m, output_paths=[1]),
     lambda m: {k: v for k, v in m.items() if k != "input_hashes"},
     lambda m: dict(m, input_hashes=["g.json"]),
+    lambda m: dict(m, parameters={}),
+    lambda m: dict(m, command="generate", parameters={
+        "model": "sbm", "seed": 3, "out": "g2.json", "p_in": 0.4, "p_out": 0.05}),
+    lambda m: dict(m, command="generate", parameters={"model": "lattice", "seed": 3, "out": "g2.json"}),
+    lambda m: dict(m, command="generate", parameters={"model": ["sbm"], "seed": 3, "out": "g2.json"}),
+    lambda m: dict(m, command="experiment", parameters={
+        "name": "sbm-indicator", "config": None, "overrides": {}}),
 ], ids=["not-an-object", "command-only", "no-command", "list-command", "unknown-command",
         "no-parameters", "list-parameters", "no-output-paths", "string-output-paths",
-        "number-output-path", "no-input-hashes", "list-input-hashes"])
+        "number-output-path", "no-input-hashes", "list-input-hashes", "select-empty-parameters",
+        "generate-sbm-no-sizes", "generate-unknown-model", "generate-list-model",
+        "experiment-no-out-dir"])
 def test_replay_rejects_malformed_manifest(sbm_file, capsys, change):
-    """A manifest field of the wrong type is a ValueError (exit 2), never a traceback."""
+    """A manifest field of the wrong type, or parameters missing a key the command
+    records, is a ValueError (exit 2), never a traceback."""
     run_cli("select", "--graph", sbm_file, "--k", "3", "-o", "cs.json")
     manifest = json.load(open("cs.json.manifest.json"))
     json.dump(change(manifest), open("bad.manifest.json", "w"))
@@ -324,6 +335,40 @@ def test_experiment_config_file(workdir):
     assert "cfg.json" in manifest["input_hashes"]
     assert run_cli("experiment", "--name", "sbm-indicator", "--set", "bogus=1",
                    "--out-dir", "exp2") == 2
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("sbm-indicator", ["k_grid=5"]),
+    ("sbm-indicator", ["seeds=3"]),
+    ("sbm-indicator", ["seeds=[0.5]"]),
+    ("sbm-indicator", ["ell=true"]),
+    ("sbm-indicator", ["n=60.0"]),
+    ("sbm-indicator", ["p_in=high"]),
+    ("cluster-indicator", ["component_means=[1,2]"]),
+    ("shortest-path", ["family=3"]),
+    ("ell-sweep", ["base=1"]),
+    ("ell-sweep", ["ells=2"]),
+], ids=["int-grid", "int-seeds", "float-seed", "bool-ell", "float-n", "text-p-in",
+        "flat-means", "number-family", "sweep-base", "int-ells"])
+def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides):
+    """An override not shaped like its field's default is exit 2, never a traceback."""
+    argv = ["experiment", "--name", name, "--out-dir", "exp"]
+    for item in ["n=60", "seeds=[0]", "k_grid=[2]"] + overrides:  # a later --set wins
+        argv += ["--set", item]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert (code, err.split(":")[0]) == (2, "error")
+    assert "Traceback" not in err
+    assert not os.path.exists("exp")
+
+
+def test_experiment_accepts_override_shapes():
+    """Ints stand in for floats, lists for tuples at any depth; the config freezes them."""
+    cfg = config_from_mapping("cluster-indicator", {
+        "bandwidth": 2, "component_means": [[0, 1.5], [2, 2]], "component_fractions": [0.5, 0.5],
+        "k_grid": (2, 4), "seeds": [1]})
+    assert cfg.bandwidth == 2 and cfg.component_means == ((0, 1.5), (2, 2))
+    assert cfg.k_grid == (2, 4) and cfg.seeds == (1,)
 
 
 def test_cli_usage_error_exits_two(workdir):

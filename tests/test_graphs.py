@@ -298,14 +298,12 @@ def test_powerlaw_tree_validation():
 def test_random_graph_extremes():
     g = generate_random_graph(5, 1.0, seed=0)
     assert g.n == 5 and g.m == 10
-    trivial = generate_random_graph(5, 0.0, seed=0, on_trivial="return")
-    assert trivial.n == 1 and trivial.m == 0
-    with pytest.raises(ValueError):
-        generate_random_graph(5, 0.0, seed=0, on_trivial="error")
-    with pytest.raises(ValueError):
-        generate_random_graph(4, 0.0, seed=0, on_trivial="retry")
-    with pytest.raises(ValueError):
-        generate_random_graph(5, 0.5, seed=0, on_trivial="sometimes")
+    with pytest.raises(ValueError):  # every redraw is a single vertex
+        generate_random_graph(4, 0.0, seed=0)
+    # seed 2 draws no edge among 3 vertices, so the graph is seed 3's draw
+    assert not (np.random.default_rng(2).random(3) < 0.2).any()
+    redrawn, next_seed = generate_random_graph(3, 0.2, seed=2), generate_random_graph(3, 0.2, seed=3)
+    assert redrawn.n > 1 and np.array_equal(redrawn.edges, next_seed.edges)
 
 
 def test_random_graph_keeps_largest_component():

@@ -91,7 +91,7 @@ def test_residual_matches_definition(two_triangles):
 def run_cases():
     cases = []
     for seed in range(4):
-        g = generate_random_graph(40 + 10 * seed, 0.15, seed=seed, on_trivial="retry")
+        g = generate_random_graph(40 + 10 * seed, 0.15, seed=seed)
         cases.append((g, 1 + seed % 3, 1.0 if seed % 2 else 0.7, 5 + seed))
     g = generate_sbm([15, 15, 20], 0.3, 0.03, seed=9)
     cases.append((g, 2, 0.8, 8))
@@ -104,7 +104,7 @@ def test_residual_monotone_and_identity():
     for g, ell, kappa, budget in run_cases():
         cols = columns_for(g, ell)
         costs = sample_costs_uniform(g.n, seed=g.n)
-        out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa, ell=ell))
+        out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
         js = [rec.residual for rec in out.trajectory]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
         combo = cols.combine(out.coefficients)
@@ -116,7 +116,7 @@ def test_residual_monotone_and_identity():
 def test_weights_follow_from_coefficients():
     g = generate_sbm([10, 12], 0.4, 0.05, seed=2)
     cols = columns_for(g, 2)
-    out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6, ell=2))
+    out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6))
     idx = np.array(out.indices)
     expect = out.beta * out.coefficients[idx] / cols.column_norms[idx]
     assert np.array_equal(out.weights, expect)
@@ -126,7 +126,7 @@ def test_support_and_cost_accounting():
     for g, ell, kappa, budget in run_cases():
         cols = columns_for(g, ell)
         costs = sample_costs_uniform(g.n, seed=1)
-        out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa, ell=ell))
+        out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
         assert len(out.indices) == len(set(out.indices)) <= budget
         assert out.total_cost == pytest.approx(
             float(costs.costs[np.array(out.indices)].sum()), abs=1e-12)
@@ -136,7 +136,7 @@ def test_support_and_cost_accounting():
 
 def test_first_step_is_best_aligned_column():
     for seed in range(6):
-        g = generate_random_graph(12, 0.3, seed=seed, on_trivial="retry")
+        g = generate_random_graph(12, 0.3, seed=seed)
         cols = columns_for(g, 1)
         aligns = cols.alignments(cols.target)
         out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=3))
@@ -155,7 +155,7 @@ def test_step_size_minimizes_residual():
     g = generate_sbm([12, 12], 0.35, 0.04, seed=6)
     cols = columns_for(g, 2)
     snapshots = []
-    select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6, ell=2),
+    select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6),
                    observer=snapshots.append)
 
     def resid_at(prev, vertex, d):
@@ -174,7 +174,7 @@ def test_step_size_minimizes_residual():
 
 def test_kappa_one_ignores_costs():
     for seed in range(5):
-        g = generate_random_graph(30, 0.2, seed=seed, on_trivial="retry")
+        g = generate_random_graph(30, 0.2, seed=seed)
         cols = columns_for(g, 1)
         config = SelectionConfig(budget=6, kappa=1.0)
         free = select_coreset(cols, CostVector.zeros(g.n), config)
@@ -251,8 +251,6 @@ def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(budget=3, kappa=1.2)
     with pytest.raises(ValueError):
-        SelectionConfig(budget=3, ell=0)
-    with pytest.raises(ValueError):
         SelectionConfig(budget=3, residual_tolerance=-1.0)
 
 
@@ -288,12 +286,12 @@ def test_grid_matches_independent_runs():
     costs = sample_costs_uniform(g.n, seed=7)
     budgets = [1, 2, 3, 5, 8]
     for kappa in (1.0, 0.7):
-        config = SelectionConfig(budget=max(budgets), kappa=kappa, ell=2)
+        config = SelectionConfig(budget=max(budgets), kappa=kappa)
         grid = select_coreset_grid(cols, costs, config, budgets)
         assert sorted(grid) == budgets
         for b in budgets:
             solo = select_coreset(cols, costs,
-                                  SelectionConfig(budget=b, kappa=kappa, ell=2))
+                                  SelectionConfig(budget=b, kappa=kappa))
             assert grid[b].indices == solo.indices
             assert np.array_equal(grid[b].weights, solo.weights)
             assert grid[b].status == solo.status

@@ -17,7 +17,26 @@ from graphcoreset import (
     synthesize_smooth_function,
     top_eigenvectors,
 )
+from graphcoreset import spectral
 from graphcoreset.graphs import Graph
+
+
+@pytest.fixture(scope="module")
+def large_knn_walk():
+    """Walk on 2100 kNN points, above the dense walk-power cutoff: ell >= 2 multiplies sparsely."""
+    cloud = PointCloud(np.random.default_rng(11).standard_normal((2100, 2)))
+    walk = lazy_walk_matrix(build_knn_kernel_graph(cloud, 10, 1.0))
+    assert walk.n > spectral._DENSE_POWER_MAX_N
+    return walk
+
+
+def _power_column(walk, ell: int, i: int) -> np.ndarray:
+    """P^ell[:, i] as ell matvecs on e_i (P is symmetric)."""
+    col = np.zeros(walk.n)
+    col[i] = 1.0
+    for _ in range(ell):
+        col = walk.matrix @ col
+    return col
 
 
 def test_walk_matrix_path3_entries(path3):
@@ -80,14 +99,13 @@ def test_normalized_columns_match_matrix_power(two_triangles):
             assert np.allclose(col * cols.column_norms[i], power[:, i], atol=1e-12)
 
 
-def test_normalized_columns_sparse_path_agrees(two_triangles):
-    """dense_cutoff 0 forces the sequential sparse product; same numbers."""
-    walk = lazy_walk_matrix(two_triangles)
-    for ell in (1, 3, 4):
-        dense = normalized_columns(walk, ell)
-        sparse = normalized_columns(walk, ell, dense_cutoff=0)
-        assert np.allclose(dense.matrix.toarray(), sparse.matrix.toarray(), atol=1e-12)
-        assert np.allclose(dense.column_norms, sparse.column_norms, atol=1e-12)
+def test_normalized_columns_sparse_path_agrees(large_knn_walk):
+    """Past the cutoff the sequential sparse product gives the columns and norms of ell matvecs."""
+    cols = normalized_columns(large_knn_walk, 3)
+    for i in (0, 1049, 2099):
+        want = _power_column(large_knn_walk, 3, i)
+        assert np.allclose(cols.matrix[:, [i]].toarray().ravel(), want, rtol=0, atol=1e-14)
+        assert cols.column_norms[i] == pytest.approx(np.linalg.norm(want), rel=1e-13)
 
 
 def _with_stored_zero_diagonal(walk):
@@ -123,18 +141,21 @@ def test_ell_one_columns_equal_dense_round_trip(star4, case):
     assert np.array_equal(walk.matrix.data, stored_before)  # P itself is left as it was
 
 
-@pytest.mark.parametrize("dense_cutoff", [2048, 0], ids=["dense-power", "sparse-power"])
-def test_column_is_the_normalized_power_column(dense_cutoff):
-    """column(i) equals P^ell[:, i] / norm_i on both walk-power paths."""
-    g = generate_sbm([12, 9, 6], 0.4, 0.05, seed=2)
-    walk = lazy_walk_matrix(g)
-    cols = normalized_columns(walk, 3, dense_cutoff=dense_cutoff)
-    stored = cols.matrix.toarray()
-    power = np.linalg.matrix_power(walk.matrix.toarray(), 3)
-    for i in range(g.n):
+@pytest.mark.parametrize("case", ["dense-power", "sparse-power"])
+def test_column_is_the_normalized_power_column(case, large_knn_walk):
+    """column(i) equals P^ell[:, i] / norm_i on both walk-power paths, picked by graph size."""
+    if case == "dense-power":
+        walk = lazy_walk_matrix(generate_sbm([12, 9, 6], 0.4, 0.05, seed=2))
+        sample = range(walk.n)
+    else:
+        walk, sample = large_knn_walk, (0, 1049, 2099)
+    cols = normalized_columns(walk, 3)
+    for i in sample:
         col = cols.column(i)
-        assert np.array_equal(col, stored[:, i] / cols.column_norms[i])
-        assert np.allclose(col, power[:, i] / np.linalg.norm(power[:, i]), rtol=0, atol=1e-14)
+        stored = cols.matrix[:, [i]].toarray().ravel()
+        assert np.array_equal(col, stored / cols.column_norms[i])
+        power = _power_column(walk, 3, i)
+        assert np.allclose(col, power / np.linalg.norm(power), rtol=0, atol=1e-14)
 
 
 def test_normalized_columns_helpers(two_triangles):
@@ -153,18 +174,21 @@ def test_normalized_columns_helpers(two_triangles):
 
 
 def test_top_eigenvectors_lanczos_path():
-    g = generate_sbm([20, 20], 0.4, 0.02, seed=3)
+    g = generate_sbm([240, 230, 230], 0.1, 0.005, seed=3)
     walk = lazy_walk_matrix(g)
-    vecs = top_eigenvectors(walk, 3, dense_cutoff=10)  # forces the iterative branch
-    assert vecs.shape == (40, 3)
+    assert walk.n > spectral._DENSE_EIG_MAX_N  # past the dense cutoff: Lanczos
+    vecs = top_eigenvectors(walk, 3)
+    assert vecs.shape == (700, 3)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-8)
-    dense = walk.matrix.toarray()
+    rhos = []
     for j in range(3):
         u = vecs[:, j]
-        rho = u @ dense @ u
-        assert np.linalg.norm(dense @ u - rho * u) < 1e-8
+        rhos.append(u @ (walk.matrix @ u))
+        assert np.linalg.norm(walk.matrix @ u - rhos[-1] * u) < 1e-8
+    # the top three, descending: the stationary 1, then the two block modes
+    assert rhos[0] == pytest.approx(1.0, abs=1e-12) and rhos[0] > rhos[1] > rhos[2] > 0.5
     # repeated calls reproduce bit for bit (fixed start vector)
-    again = top_eigenvectors(walk, 3, dense_cutoff=10)
+    again = top_eigenvectors(walk, 3)
     assert np.array_equal(vecs, again)
     with pytest.raises(ValueError):
         top_eigenvectors(walk, 0)
