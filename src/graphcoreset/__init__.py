@@ -54,7 +54,6 @@ from .selection import (
 from .spectral import (
     GraphFunction,
     NormalizedColumns,
-    TransitionMatrix,
     eigendecomposition,
     lazy_walk_matrix,
     normalized_columns,
@@ -76,7 +75,6 @@ __all__ = [
     "NormalizedColumns",
     "PointCloud",
     "SelectionConfig",
-    "TransitionMatrix",
     "avg_shortest_path_estimate",
     "avg_shortest_path_true",
     "beta_star",

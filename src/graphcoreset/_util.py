@@ -1,30 +1,17 @@
-"""Shared helpers: deterministic serialization, atomic writes, thread budget."""
+"""Shared helpers: deterministic serialization, atomic writes, type checks."""
 
 import hashlib
 import json
 import os
 import tempfile
 
-THREADS_ENV = "GRAPHCORESET_THREADS"
 
-
-def thread_count() -> int:
-    """Worker budget for the few internally parallel loops.
-
-    Controlled by the GRAPHCORESET_THREADS environment variable; defaults to 1
-    so results never depend on machine load. Outputs are deterministic at any
-    setting because tasks are independent and gathered in submission order.
-    """
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
+def has_type(value, kind) -> bool:
+    """isinstance(value, kind) for JSON-like values, except that a bool is no
+    int and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (isinstance(value, int) and isinstance(0.0, kind))
 
 
 def fmt_float(x) -> str:

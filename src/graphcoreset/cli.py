@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from ._util import dump_json, fmt_float, sha256_file
+from ._util import dump_json, fmt_float, has_type, sha256_file
 from .baselines import (
     betweenness_coreset,
     kmeans_coreset,
@@ -45,7 +45,6 @@ from .graphs import (
     generate_powerlaw_tree,
     generate_random_graph,
     generate_sbm,
-    load_edge_list,
     sample_costs_uniform,
 )
 from .selection import Coreset, SelectionConfig, select_coreset
@@ -74,35 +73,40 @@ def _parse_means(text: str) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# the parameters each command records, in recording order; generate records
-# model, seed and out and then the keys of its model
+# the parameters each command records, in recording order, with the type the
+# parser gives each (None only where the flag has no default and is not
+# required); generate records model, seed and out and then the keys of its model
 
 _PARAMETERS = {
     "generate": {
-        "sbm": ("sizes", "p_in", "p_out"),
-        "powerlaw-tree": ("n", "exponent"),
-        "random": ("n", "edge_probability"),
-        "gaussian-mixture": ("means", "fractions", "covariance_scale", "n"),
-        "knn-kernel": ("cloud", "k_neighbors", "bandwidth"),
+        "sbm": {"sizes": list, "p_in": float, "p_out": float},
+        "powerlaw-tree": {"n": int, "exponent": float},
+        "random": {"n": int, "edge_probability": float},
+        "gaussian-mixture": {"means": list, "fractions": list, "covariance_scale": float,
+                             "n": int},
+        "knn-kernel": {"cloud": str, "k_neighbors": int, "bandwidth": float},
     },
-    "select": ("graph", "costs", "uniform_costs", "kappa", "k", "ell", "tol", "out"),
-    "baseline": ("method", "graph", "cloud", "n", "k", "seed", "out"),
-    "experiment": ("name", "config", "overrides", "out_dir"),
-    "eval": ("graph", "coreset", "function", "label", "threshold", "ell", "function_seed", "out"),
-    "replay": ("manifest", "verify"),
+    "select": {"graph": str, "costs": str | None, "uniform_costs": int | None, "kappa": float,
+               "k": int, "ell": int, "out": str},
+    "baseline": {"method": str, "graph": str | None, "cloud": str | None, "n": int | None,
+                 "k": int, "seed": int, "out": str},
+    "experiment": {"name": str, "config": str | None, "overrides": dict, "out_dir": str},
+    "eval": {"graph": str, "coreset": str, "function": str, "label": int, "threshold": float,
+             "ell": int, "function_seed": int, "out": str},
+    "replay": {"manifest": str, "verify": bool},
 }
 # generate flags given as text and parsed into lists
 _GENERATE_PARSERS = {"sizes": _parse_ints, "means": _parse_means, "fractions": _parse_floats}
 
 
-def _parameter_keys(command: str, model=None) -> tuple:
-    """Keys of a command's parameters; ValueError for a generate model it does not know."""
-    keys = _PARAMETERS[command]
+def _parameter_types(command: str, model=None) -> dict:
+    """Parameter types of a command; ValueError for a generate model it does not know."""
+    types = _PARAMETERS[command]
     if command != "generate":
-        return keys
-    if not isinstance(model, str) or model not in keys:
+        return types
+    if not isinstance(model, str) or model not in types:
         raise ValueError(f"unknown model {model!r}")
-    return ("model", "seed", "out") + keys[model]
+    return {"model": str, "seed": int, "out": str, **types[model]}
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +115,7 @@ def _parameter_keys(command: str, model=None) -> tuple:
 
 def _execute_generate(params: dict):
     model = params["model"]
-    seed = int(params["seed"])
+    seed = params["seed"]
     out = params["out"]
     inputs = []
     if model == "gaussian-mixture":
@@ -137,7 +141,7 @@ def _costs_for(params: dict, n: int) -> CostVector:
     if params.get("costs"):
         return CostVector.load_json(params["costs"])
     if params.get("uniform_costs") is not None:
-        return sample_costs_uniform(n, seed=int(params["uniform_costs"]))
+        return sample_costs_uniform(n, seed=params["uniform_costs"])
     return CostVector.zeros(n)
 
 
@@ -147,9 +151,8 @@ def _execute_select(params: dict):
         inputs.append(params["costs"])
     graph = Graph.load_json(params["graph"])
     costs = _costs_for(params, graph.n)
-    config = SelectionConfig(budget=int(params["k"]), kappa=float(params["kappa"]),
-                             residual_tolerance=float(params["tol"]))
-    columns = normalized_columns(lazy_walk_matrix(graph), int(params["ell"]))
+    config = SelectionConfig(budget=params["k"], kappa=params["kappa"])
+    columns = normalized_columns(lazy_walk_matrix(graph), params["ell"])
     coreset = select_coreset(columns, costs, config)
     coreset.save_json(params["out"])
     final_j = coreset.trajectory[-1].residual if coreset.trajectory else 1.0
@@ -164,15 +167,15 @@ def _execute_select(params: dict):
 
 def _execute_baseline(params: dict):
     method = params["method"]
-    k = int(params["k"])
-    seed = int(params["seed"])
+    k = params["k"]
+    seed = params["seed"]
     inputs = []
     if method == "random":
         if params.get("graph"):
             inputs = [params["graph"]]
             n = Graph.load_json(params["graph"]).n
         elif params.get("n"):
-            n = int(params["n"])
+            n = params["n"]
         else:
             raise ValueError("random baseline needs --graph or --n")
         coreset = random_sampling(n, k, seed)
@@ -199,7 +202,7 @@ def _execute_baseline(params: dict):
 
 def _execute_experiment(params: dict):
     name = params["name"]
-    overrides = dict(params.get("overrides", {}))
+    overrides = params["overrides"]
     inputs = []
     if params.get("config"):
         inputs.append(params["config"])
@@ -231,7 +234,7 @@ def _execute_eval(params: dict):
     if kind == "indicator":
         if graph.labels is None:
             raise ValueError("indicator evaluation needs a labeled graph")
-        f = GraphFunction((np.asarray(graph.labels) == int(params["label"])).astype(float))
+        f = GraphFunction((np.asarray(graph.labels) == params["label"]).astype(float))
         estimate = estimate_mean(f, coreset)
         truth = f.mean()
         err, abs_err = error_metric(f, coreset)
@@ -242,13 +245,12 @@ def _execute_eval(params: dict):
         err = abs_err ** 2
     elif kind == "smooth":
         walk = lazy_walk_matrix(graph)
-        f = synthesize_smooth_function(walk, float(params["threshold"]),
-                                       seed=int(params["function_seed"]))
+        f = synthesize_smooth_function(walk, params["threshold"], seed=params["function_seed"])
         estimate = estimate_mean(f, coreset)
         truth = f.mean()
         err, abs_err = error_metric(f, coreset)
-        columns = normalized_columns(walk, int(params["ell"]))
-        _, bound_rhs, holds = bound_check(f, float(params["threshold"]), coreset, columns)
+        columns = normalized_columns(walk, params["ell"])
+        _, bound_rhs, holds = bound_check(f, params["threshold"], coreset, columns)
         if not holds:
             raise FloatingPointError("smoothness bound violated; selection output is corrupt")
     else:
@@ -283,7 +285,7 @@ def _run_and_record(command: str, params: dict) -> list[str]:
     manifest = {
         "command": command,
         "parameters": params,
-        "seed": int(params.get("seed", 0)),
+        "seed": params.get("seed", 0),
         "input_hashes": {path: sha256_file(path) for path in inputs},
         "output_paths": outputs,
     }
@@ -293,7 +295,7 @@ def _run_and_record(command: str, params: dict) -> list[str]:
 
 def _load_manifest(path: str) -> dict:
     """Read a manifest; raises ValueError unless each field has the type it is written with
-    and the parameters hold every key their command records."""
+    and the parameters hold every key their command records, each of its type."""
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict):
@@ -306,9 +308,14 @@ def _load_manifest(path: str) -> dict:
     params = manifest.get("parameters")
     if not isinstance(params, dict):
         raise ValueError("manifest parameters must be an object")
-    missing = [key for key in _parameter_keys(command, params.get("model")) if key not in params]
+    types = _parameter_types(command, params.get("model"))
+    missing = [key for key in types if key not in params]
     if missing:
         raise ValueError(f"manifest parameters lack {', '.join(missing)}")
+    for key, kind in types.items():
+        if not has_type(params[key], kind):
+            raise ValueError(f"manifest parameter {key} must be "
+                             f"{getattr(kind, '__name__', kind)}, got {params[key]!r}")
     outputs = manifest.get("output_paths")
     if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
         raise ValueError("manifest output_paths must be a list of paths")
@@ -373,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--kappa", type=float, default=1.0)
     sel.add_argument("--k", type=int, required=True)
     sel.add_argument("--ell", type=int, default=1)
-    sel.add_argument("--tol", type=float, default=1e-12)
     sel.add_argument("-o", "--out", required=True)
 
     base = sub.add_parser("baseline", help="run a reference selection scheme")
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    keys = _parameter_keys(args.command, getattr(args, "model", None))
+    keys = _parameter_types(args.command, getattr(args, "model", None))
     params = {key: getattr(args, key) for key in keys}
     if args.command == "generate":
         # every model flag without a default is required

@@ -6,7 +6,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from ._util import atomic_write_text, fmt_float

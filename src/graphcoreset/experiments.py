@@ -13,7 +13,6 @@ runners directly.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -44,18 +43,9 @@ from .graphs import (
     load_edge_list,
     sample_costs_uniform,
 )
-from .selection import Coreset, SelectionConfig, select_coreset_grid
+from .selection import Coreset, select_coreset_grid
 from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns, top_eigenvectors
-from ._util import atomic_write_text, thread_count
-
-
-def _map_seeds(work, seeds):
-    """Run work(seed) for each seed, optionally threaded, order preserved."""
-    workers = min(thread_count(), len(seeds))
-    if workers <= 1:
-        return [work(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, seeds))
+from ._util import atomic_write_text, has_type
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +76,8 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Cal
     walk = lazy_walk_matrix(graph)
     k_max = max(config.k_grid)
     columns = normalized_columns(walk, config.ell)
-    grids = {
-        method: select_coreset_grid(columns, costs,
-                                    SelectionConfig(budget=k_max, kappa=kappa),
-                                    config.k_grid)
-        for method, kappa in methods.items() if kappa is not None
-    }
+    grids = {method: select_coreset_grid(columns, costs, kappa, config.k_grid)
+             for method, kappa in methods.items() if kappa is not None}
     ranking = betweenness_coreset(graph, k_max).indices if "betweenness" in methods else None
     clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
     basis = top_eigenvectors(walk, k_max) if clusters else None
@@ -121,7 +107,8 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
         raise ValueError("seeds must not be empty")
     cells = [(method, K) for method in methods for K in config.k_grid]
 
-    def one_seed(seed: int) -> list[tuple[float, float]]:
+    per_seed = []  # (error, cost) of every cell, one list per seed
+    for seed in config.seeds:
         inst = instance_for(seed)
         out = []
         for method, K in cells:
@@ -130,9 +117,8 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
             else:
                 coreset = _BASELINES[method](inst, K, seed)
             out.append((inst.error(coreset), coreset.total_cost))
-        return out
-
-    medians = np.median(np.array(_map_seeds(one_seed, config.seeds)), axis=0)
+        per_seed.append(out)
+    medians = np.median(np.array(per_seed), axis=0)
     return [ExperimentResult(method=method, K=K, err=float(err), abs_err=float(np.sqrt(err)),
                              coreset_cost=float(cost))
             for (method, K), (err, cost) in zip(cells, medians)]
@@ -368,6 +354,9 @@ def config_from_mapping(name: str, overrides: dict):
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
+    if name == "ell-sweep" and "ell" in overrides:
+        # run_ell_sweep replaces ell with each entry of ells
+        raise ValueError("ell-sweep runs every walk power in ells; set ells, not ell")
     for key, value in overrides.items():
         if not _fits(value, defaults[key]):
             raise ValueError(f"config key {key!r} of {name} needs a value shaped like "
@@ -377,15 +366,11 @@ def config_from_mapping(name: str, overrides: dict):
 
 def _fits(value, default) -> bool:
     """Whether value is shaped like default: a list or tuple for a tuple, each
-    item shaped like the default's first; an int that is not a bool for an
-    int; such an int or a float for a float; a string for a string."""
+    item shaped like the default's first; otherwise of the default's type, as
+    has_type reads it (a bool is no int, an int is also a float)."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+    return has_type(value, type(default))
 
 
 def _freeze(value):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from ._util import atomic_write_text, dump_json
+from ._util import atomic_write_text, dump_json, has_type
 
 # One edge of Graph.to_dict() as json.dumps(indent=2) lays it out; floats
 # take repr(), which is what the json encoder writes for finite values.
@@ -246,7 +246,7 @@ class CostVector:
         costs = data.get("costs")
         if not isinstance(costs, list):
             raise ValueError("costs file needs a list of costs")
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in costs):
+        if not all(has_type(c, float) for c in costs):
             raise ValueError("costs must be numbers")
         values = _number_array(costs, np.float64)
         if values is None:

@@ -18,20 +18,25 @@ one weighted-vertex-set type of the package; the baselines return it too.
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dump_json
+from ._util import dump_json, has_type
 from .graphs import CostVector
 from .spectral import NormalizedColumns
 
 _TINY = 1e-14
+# a residual J at or below this ends the run as converged
+_RESIDUAL_TOL = 1e-12
+# the type of each trajectory field, as has_type reads it
+_RECORD_FIELDS = {"k": int, "vertex": int, "alignment": float, "delta": float, "J": float,
+                  "slack_set_size": int}
 
 
 @dataclass
 class SelectionConfig:
-    """Knobs for one selection run.
+    """The budget and slack of one selection run.
 
     budget caps the number of distinct selected vertices. Re-selecting an
     already-chosen vertex refines its weight without consuming budget, so a
@@ -43,15 +48,12 @@ class SelectionConfig:
 
     budget: int
     kappa: float = 1.0
-    residual_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must lie in (0, 1]")
-        if self.residual_tolerance < 0:
-            raise ValueError("residual_tolerance must be non-negative")
 
 
 @dataclass
@@ -77,9 +79,14 @@ class IterationRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IterationRecord":
+        """Inverse of to_dict; raises ValueError on a missing or mistyped field."""
+        if not isinstance(data, dict) or not all(
+                has_type(data.get(key), kind) for key, kind in _RECORD_FIELDS.items()):
+            raise ValueError("coreset trajectory entries need integer k, vertex and "
+                             "slack_set_size and numeric alignment, delta and J")
         return cls(
-            int(data["k"]), int(data["vertex"]), float(data["alignment"]),
-            float(data["delta"]), float(data["J"]), int(data["slack_set_size"]),
+            data["k"], data["vertex"], float(data["alignment"]),
+            float(data["delta"]), float(data["J"]), data["slack_set_size"],
         )
 
 
@@ -115,23 +122,38 @@ class Coreset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Coreset":
-        """Inverse of to_dict; only indices and weights are required."""
+        """Inverse of to_dict; only indices and weights are required. Raises
+        ValueError on any malformed field."""
         if not isinstance(data, dict):
             raise ValueError("coreset must be a JSON object")
-        for key in ("indices", "weights"):
-            if not isinstance(data.get(key), list):
-                raise ValueError(f"coreset needs a list of {key}")
-        if len(data["indices"]) != len(data["weights"]):
+        indices, weights = data.get("indices"), data.get("weights")
+        if not isinstance(indices, list) or not all(has_type(i, int) for i in indices):
+            raise ValueError("coreset needs a list of integer indices")
+        if not isinstance(weights, list) or not all(has_type(w, float) for w in weights):
+            raise ValueError("coreset needs a list of numeric weights")
+        if len(indices) != len(weights):
             raise ValueError("coreset indices and weights differ in length")
-        return cls(
-            indices=[int(i) for i in data["indices"]],
-            weights=np.array(data["weights"], dtype=np.float64),
-            beta=float(data.get("beta", 1.0)),
-            total_cost=float(data.get("total_cost", 0.0)),
-            trajectory=[IterationRecord.from_dict(r) for r in data.get("trajectory", [])],
-            status=data.get("status", "ok"),
-            method=data.get("method", "scgiga"),
-        )
+        for key in ("beta", "total_cost"):
+            if not has_type(data.get(key, 0.0), float):
+                raise ValueError(f"coreset {key} must be a number")
+        for key in ("status", "method"):
+            if not isinstance(data.get(key, ""), str):
+                raise ValueError(f"coreset {key} must be a string")
+        trajectory = data.get("trajectory", [])
+        if not isinstance(trajectory, list):
+            raise ValueError("coreset trajectory must be a list")
+        try:
+            return cls(
+                indices=list(indices),
+                weights=np.array(weights, dtype=np.float64),
+                beta=float(data.get("beta", 1.0)),
+                total_cost=float(data.get("total_cost", 0.0)),
+                trajectory=[IterationRecord.from_dict(r) for r in trajectory],
+                status=data.get("status", "ok"),
+                method=data.get("method", "scgiga"),
+            )
+        except OverflowError:
+            raise ValueError("coreset holds a number too large for a float") from None
 
     def save_json(self, path: str) -> None:
         dump_json(self.to_dict(), path)
@@ -197,7 +219,7 @@ def select_coreset(
     Each round takes the best single geodesic step, which may re-select an
     already-chosen vertex; only new vertices consume budget. The run ends
     with status "ok" when the step demands a new vertex beyond the budget,
-    "converged" when the residual reaches the tolerance or stops moving at
+    "converged" when the residual reaches _RESIDUAL_TOL or stops moving at
     float resolution, and "stalled" when no vertex offers a positive
     direction. A hard iteration cap (unreachable in practice) guarantees
     termination with status "capped". observer, when given, is called after
@@ -283,10 +305,9 @@ def select_coreset(
         res_before = res_after
         res_after = max(1.0 - align * align, 0.0)
         trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, len(slack)))
-        # a residual within tolerance, or a best step that no longer moves it
+        # a residual within _RESIDUAL_TOL, or a best step that no longer moves it
         # at float resolution (later steps are no better), is convergence
-        done = (res_after <= config.residual_tolerance
-                or res_before - res_after <= 1e-12 * res_before)
+        done = res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before
         if observer is not None:
             observer(_finish(columns, cost, selected, coeffs.copy(), align, trajectory,
                              "converged" if done else "ok"))
@@ -315,13 +336,9 @@ def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: list, coeffs
     )
 
 
-def select_coreset_grid(
-    columns: NormalizedColumns,
-    costs: CostVector,
-    config: SelectionConfig,
-    budgets,
-) -> dict:
-    """Coresets for several budgets from one run.
+def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: float,
+                        budgets) -> dict:
+    """Coresets for several budgets from one run at slack kappa.
 
     The greedy choices do not depend on the budget until the budget blocks a
     placement, so one run at the largest budget reproduces every smaller
@@ -346,7 +363,7 @@ def select_coreset_grid(
                 snapshots[len(last.indices)] = last
         last = snapshot
 
-    final = select_coreset(columns, costs, replace(config, budget=budgets[-1]), observer=observe)
+    final = select_coreset(columns, costs, SelectionConfig(budgets[-1], kappa), observer=observe)
     # a budget the support never outgrew ends where the full run ended
     # (budget edge, convergence, or stall), as a fresh run at it would
     return {budget: snapshots.get(budget, final) for budget in budgets}

@@ -1,11 +1,13 @@
 """Lazy random-walk matrix, normalized walk-power columns, smooth functions.
 
 The walk matrix P = (W - D)/d_max + I is symmetric, doubly stochastic, and
-has spectrum inside [-1, 1]. The walk power P^ell is P itself at ell = 1;
-for ell >= 2 it is a dense BLAS matrix power on graphs of at most 2048
-vertices and repeated sparse multiplication on larger ones. The path follows
-from n alone; no caller chooses it. Dense eigendecompositions appear only in
-the synthesis and diagnostic paths, never in column construction.
+has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a CSR matrix.
+The walk power P^ell is P itself at ell = 1; for ell >= 2 it is a dense BLAS
+matrix power on graphs of at most 2048 vertices and repeated sparse
+multiplication on larger ones. The path follows from n alone; no caller
+chooses it. NormalizedColumns derives the uniform target 1/sqrt(n) from n
+as well. Dense eigendecompositions appear only in the synthesis and
+diagnostic paths, never in column construction.
 """
 
 from dataclasses import dataclass
@@ -22,17 +24,8 @@ _DENSE_POWER_MAX_N = 2048
 _DENSE_EIG_MAX_N = 600
 
 
-@dataclass
-class TransitionMatrix:
-    """Lazy walk matrix with its max-degree normalizer."""
-
-    n: int
-    matrix: sp.csr_matrix
-    d_max: float
-
-
-def lazy_walk_matrix(graph: Graph) -> TransitionMatrix:
-    """Build P = (W - D)/d_max + I for a graph with at least one edge."""
+def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
+    """Build P = (W - D)/d_max + I, as CSR, for a graph with at least one edge."""
     if graph.m == 0:
         raise ValueError("graph has no edges, d_max would be zero")
     adjacency = graph.adjacency()
@@ -43,26 +36,29 @@ def lazy_walk_matrix(graph: Graph) -> TransitionMatrix:
     row_sums = np.asarray(matrix.sum(axis=1)).ravel()
     if np.max(np.abs(row_sums - 1.0)) > 1e-12:
         raise ValueError("walk matrix rows failed to normalize")
-    return TransitionMatrix(graph.n, matrix, d_max)
+    return matrix
 
 
 @dataclass
 class NormalizedColumns:
-    """Unit-normalized columns of a walk power, plus the uniform target.
+    """Unit-normalized columns of a walk power.
 
     matrix holds the raw power P^ell (symmetric, sparse); column i of the
-    normalized family is matrix[:, i] / column_norms[i]. target is the unit
-    vector 1/sqrt(n) that every column is compared against.
+    normalized family is matrix[:, i] / column_norms[i].
     """
 
     ell: int
     matrix: sp.csc_matrix
     column_norms: np.ndarray
-    target: np.ndarray
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def target(self) -> np.ndarray:
+        """The uniform unit vector 1/sqrt(n) that every column is compared against."""
+        return np.full(self.n, 1.0 / np.sqrt(self.n))
 
     def column(self, i: int) -> np.ndarray:
         """Dense unit-norm column i, filled from the CSC slice of column i."""
@@ -80,7 +76,7 @@ class NormalizedColumns:
         return self.matrix @ (coefficients / self.column_norms)
 
 
-def normalized_columns(walk: TransitionMatrix, ell: int) -> NormalizedColumns:
+def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """Normalized columns of P^ell.
 
     The result carries ell: the selection and the error bound work from these
@@ -95,46 +91,46 @@ def normalized_columns(walk: TransitionMatrix, ell: int) -> NormalizedColumns:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     if ell == 1:
-        power = sp.csc_matrix(walk.matrix, copy=True)
+        power = sp.csc_matrix(walk, copy=True)
         power.eliminate_zeros()
-    elif walk.n <= _DENSE_POWER_MAX_N:
-        power = sp.csc_matrix(np.linalg.matrix_power(walk.matrix.toarray(), ell))
+    elif walk.shape[0] <= _DENSE_POWER_MAX_N:
+        power = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), ell))
     else:
-        power = walk.matrix
+        power = walk
         for _ in range(ell - 1):
-            power = power @ walk.matrix
+            power = power @ walk
         power = sp.csc_matrix(power)
     norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
     if np.any(norms <= 0):
         raise ValueError("walk power has a zero column")
-    target = np.full(walk.n, 1.0 / np.sqrt(walk.n))
-    return NormalizedColumns(ell, power, norms, target)
+    return NormalizedColumns(ell, power, norms)
 
 
-def eigendecomposition(walk: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+def eigendecomposition(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Full orthonormal eigenbasis of P, eigenvalues descending.
 
     Dense; intended for synthesis, diagnostics, and modest n.
     """
-    values, vectors = np.linalg.eigh(walk.matrix.toarray())
+    values, vectors = np.linalg.eigh(walk.toarray())
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
 
 
-def top_eigenvectors(walk: TransitionMatrix, k: int) -> np.ndarray:
+def top_eigenvectors(walk: sp.csr_matrix, k: int) -> np.ndarray:
     """Eigenvectors of the k largest eigenvalues, as columns, descending.
 
     Graphs of at most _DENSE_EIG_MAX_N vertices go through the dense path;
     larger ones use Lanczos with a fixed seeded start vector so repeated
     calls are reproducible.
     """
-    if not (1 <= k <= walk.n):
+    n = walk.shape[0]
+    if not (1 <= k <= n):
         raise ValueError("k must be in 1..n")
-    if walk.n <= _DENSE_EIG_MAX_N or k > walk.n - 2:
+    if n <= _DENSE_EIG_MAX_N or k > n - 2:
         _, vectors = eigendecomposition(walk)
         return vectors[:, :k]
-    v0 = np.random.default_rng(0).standard_normal(walk.n)
-    values, vectors = spla.eigsh(walk.matrix, k=k, which="LA", v0=v0)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    values, vectors = spla.eigsh(walk, k=k, which="LA", v0=v0)
     order = np.argsort(-values, kind="stable")
     return vectors[:, order]
 
@@ -156,7 +152,7 @@ class GraphFunction:
 
 
 def synthesize_smooth_function(
-    walk: TransitionMatrix,
+    walk: sp.csr_matrix,
     eigenvalue_threshold: float,
     coefficients: np.ndarray | None = None,
     seed: int | None = None,

@@ -7,9 +7,9 @@ bug in the harness: see test_criterion_8_estimation_comparison for why the
 method cannot win that comparison.
 """
 
-import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,13 +288,13 @@ def test_criterion_9_walk_matrix_contract():
     worst_row, worst_eig, worst_fix = 0.0, 0.0, 0.0
     for g in graphs:
         walk = lazy_walk_matrix(g)
-        rows = np.asarray(walk.matrix.sum(axis=1)).ravel()
+        rows = np.asarray(walk.sum(axis=1)).ravel()
         worst_row = max(worst_row, float(np.max(np.abs(rows - 1.0))))
         values, _ = eigendecomposition(walk)
         worst_eig = max(worst_eig, float(values[0] - 1.0), float(-1.0 - values[-1]))
         vec = np.ones(g.n)
         for _ in range(8):
-            vec = walk.matrix @ vec
+            vec = walk @ vec
             worst_fix = max(worst_fix, float(np.max(np.abs(vec - 1.0))))
     ok = worst_row <= 1e-12 and worst_eig <= 1e-9 and worst_fix <= 1e-10
     report(9, ok, f"row-sum gap {worst_row:.2g}, spectrum overshoot {worst_eig:.2g}, "
@@ -333,9 +333,9 @@ def test_criterion_11_manifest_replay(tmp_path, monkeypatch):
                      "-o", "g.json"]) == 0
     assert cli_main(["select", "--graph", "g.json", "--uniform-costs", "6",
                      "--kappa", "0.8", "--k", "6", "-o", "cs.json"]) == 0
-    before = open("cs.json", "rb").read()
+    before = Path("cs.json").read_bytes()
     code = cli_main(["replay", "cs.json.manifest.json", "--verify"])
-    after = open("cs.json", "rb").read()
+    after = Path("cs.json").read_bytes()
     ok = code == 0 and before == after
     report(11, ok, f"replay exit {code}, bytes {'identical' if before == after else 'DIFFER'}")
     assert ok

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ from graphcoreset.experiments import config_from_mapping
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
 
 
 @pytest.fixture
@@ -69,7 +78,7 @@ def test_generate_deterministic_bytes(workdir):
     for name in ("a.json", "b.json"):
         run_cli("generate", "--model", "sbm", "--sizes", "15,15", "--p-in", "0.3",
                 "--p-out", "0.05", "--seed", "9", "-o", name)
-    assert open("a.json", "rb").read() == open("b.json", "rb").read()
+    assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
 
 
 def test_select_matches_library_and_prints(sbm_file, capsys):
@@ -89,7 +98,7 @@ def test_select_with_cost_file(sbm_file):
     CostVector(np.linspace(0.1, 1.0, 40)).save_json("costs.json")
     assert run_cli("select", "--graph", sbm_file, "--costs", "costs.json",
                    "--kappa", "0.7", "--k", "5", "-o", "cs.json") == 0
-    manifest = json.load(open("cs.json.manifest.json"))
+    manifest = read_json("cs.json.manifest.json")
     assert set(manifest["input_hashes"]) == {sbm_file, "costs.json"}
     assert manifest["output_paths"] == ["cs.json"]
     assert manifest["command"] == "select"
@@ -139,8 +148,7 @@ def test_select_rejects_malformed_graph(workdir, capsys, content):
     if content is None:
         os.mkdir("bad.json")
     else:
-        with open("bad.json", "w", encoding="utf-8") as handle:
-            handle.write(content if isinstance(content, str) else json.dumps(content))
+        write_json("bad.json", content)
     capsys.readouterr()
     code = run_cli("select", "--graph", "bad.json", "--k", "1", "-o", "cs.json")
     err = capsys.readouterr().err
@@ -168,8 +176,7 @@ def test_select_rejects_malformed_graph(workdir, capsys, content):
         "negative-entry", "short", "empty-file", "truncated"])
 def test_select_rejects_malformed_costs(sbm_file, capsys, content):
     """CostVector.load_json raises ValueError (exit 2), never a traceback."""
-    with open("costs.json", "w", encoding="utf-8") as handle:
-        handle.write(content if isinstance(content, str) else json.dumps(content))
+    write_json("costs.json", content)
     capsys.readouterr()
     code = run_cli("select", "--graph", sbm_file, "--costs", "costs.json", "--k", "3",
                    "-o", "cs.json")
@@ -190,7 +197,7 @@ def test_baseline_methods(sbm_file, workdir):
     assert run_cli("baseline", "--method", "kmeans", "--cloud", "c.csv",
                    "--k", "2", "-o", "km.json") == 0
     for path in ("r.json", "s.json", "bw.json", "km.json"):
-        data = json.load(open(path))
+        data = read_json(path)
         assert abs(sum(data["weights"]) - 1.0) < 1e-9
 
 
@@ -236,10 +243,19 @@ def test_eval_average_distance(sbm_file):
     ({"indices": [0, 1], "weights": [1.0]}, "smooth"),
     ({"indices": 3, "weights": [1.0]}, "indicator"),
     ([0, 1], "indicator"),
+    ({"indices": [0], "weights": [1.0], "trajectory": [{}]}, "indicator"),
+    ({"indices": [0], "weights": [1.0], "trajectory": 5}, "indicator"),
+    ({"indices": [[0]], "weights": [1.0]}, "indicator"),
+    ({"indices": [0], "weights": [1.0], "beta": [1]}, "indicator"),
+    ({"indices": [0], "weights": [[1.0]]}, "indicator"),
+    ({"indices": [0.5], "weights": [1.0]}, "indicator"),
+    ({"indices": [True], "weights": [1.0]}, "indicator"),
+    ({"indices": [0], "weights": [10**400]}, "indicator"),
 ], ids=["index-past-n", "negative-index", "no-weights", "length-mismatch", "indices-not-a-list",
-        "not-an-object"])
+        "not-an-object", "empty-record", "number-trajectory", "nested-index", "list-beta",
+        "nested-weight", "fractional-index", "boolean-index", "huge-weight"])
 def test_eval_rejects_malformed_coreset(sbm_file, capsys, coreset, function):
-    json.dump(coreset, open("bad.json", "w"))
+    write_json("bad.json", coreset)
     capsys.readouterr()
     assert run_cli("eval", "--graph", sbm_file, "--coreset", "bad.json",
                    "--function", function, "-o", "ev.csv") == 2
@@ -258,18 +274,28 @@ def test_eval_indicator_needs_labels(workdir):
 def test_replay_reproduces_bytes(sbm_file):
     run_cli("select", "--graph", sbm_file, "--uniform-costs", "8",
             "--kappa", "0.8", "--k", "5", "-o", "cs.json")
-    before = open("cs.json", "rb").read()
+    before = Path("cs.json").read_bytes()
     os.remove("cs.json")
     assert run_cli("replay", "cs.json.manifest.json") == 0
-    assert open("cs.json", "rb").read() == before
+    assert Path("cs.json").read_bytes() == before
+    assert run_cli("replay", "cs.json.manifest.json", "--verify") == 0
+
+
+def test_replay_accepts_unread_parameter_keys(sbm_file):
+    """Keys a command no longer records, such as select's old tol, still replay."""
+    run_cli("select", "--graph", sbm_file, "--k", "5", "-o", "cs.json")
+    manifest = read_json("cs.json.manifest.json")
+    assert "tol" not in manifest["parameters"]
+    manifest["parameters"]["tol"] = 1e-12
+    write_json("cs.json.manifest.json", manifest)
     assert run_cli("replay", "cs.json.manifest.json", "--verify") == 0
 
 
 def test_replay_rejects_changed_inputs(sbm_file):
     run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json")
-    graph = json.load(open(sbm_file))
+    graph = read_json(sbm_file)
     graph["edges"] = graph["edges"][:-1]
-    json.dump(graph, open(sbm_file, "w"))
+    write_json(sbm_file, graph)
     assert run_cli("replay", "cs.json.manifest.json") == 2
 
 
@@ -297,17 +323,27 @@ def test_replay_missing_manifest(workdir):
     lambda m: dict(m, command="generate", parameters={"model": ["sbm"], "seed": 3, "out": "g2.json"}),
     lambda m: dict(m, command="experiment", parameters={
         "name": "sbm-indicator", "config": None, "overrides": {}}),
+    lambda m: dict(m, parameters=dict(m["parameters"], k=[3])),
+    lambda m: dict(m, parameters=dict(m["parameters"], k="3")),
+    lambda m: dict(m, parameters=dict(m["parameters"], graph=999999)),  # read as a file descriptor
+    lambda m: dict(m, command="generate", parameters={
+        "model": "sbm", "seed": 3, "out": "g2.json", "sizes": "99", "p_in": 0.4,
+        "p_out": 0.05}),
+    lambda m: dict(m, command="experiment", parameters={
+        "name": "sbm-indicator", "config": None, "out_dir": "exp",
+        "overrides": [["n", 60], ["seeds", [0]], ["k_grid", [2]]]}),
 ], ids=["not-an-object", "command-only", "no-command", "list-command", "unknown-command",
         "no-parameters", "list-parameters", "no-output-paths", "string-output-paths",
         "number-output-path", "no-input-hashes", "list-input-hashes", "select-empty-parameters",
         "generate-sbm-no-sizes", "generate-unknown-model", "generate-list-model",
-        "experiment-no-out-dir"])
+        "experiment-no-out-dir", "list-k", "string-k", "number-graph", "generate-string-sizes",
+        "experiment-list-overrides"])
 def test_replay_rejects_malformed_manifest(sbm_file, capsys, change):
     """A manifest field of the wrong type, or parameters missing a key the command
-    records, is a ValueError (exit 2), never a traceback."""
+    records or holding a value of another type, is a ValueError (exit 2), never a
+    traceback."""
     run_cli("select", "--graph", sbm_file, "--k", "3", "-o", "cs.json")
-    manifest = json.load(open("cs.json.manifest.json"))
-    json.dump(change(manifest), open("bad.manifest.json", "w"))
+    write_json("bad.manifest.json", change(read_json("cs.json.manifest.json")))
     capsys.readouterr()
     code = run_cli("replay", "bad.manifest.json", "--verify")
     err = capsys.readouterr().err
@@ -326,38 +362,40 @@ def test_experiment_command_and_replay(workdir):
 
 
 def test_experiment_config_file(workdir):
-    json.dump({"n": 60, "k_grid": [4], "seeds": [0], "ell": 2},
-              open("cfg.json", "w"))
+    write_json("cfg.json", {"n": 60, "k_grid": [4], "seeds": [0], "ell": 2})
     assert run_cli("experiment", "--name", "sbm-indicator", "--config", "cfg.json",
                    "--set", "seeds=[0,1]", "--out-dir", "exp") == 0
-    manifest = json.load(open("exp/manifest.json"))
+    manifest = read_json("exp/manifest.json")
     assert manifest["parameters"]["overrides"]["seeds"] == [0, 1]  # --set wins
     assert "cfg.json" in manifest["input_hashes"]
     assert run_cli("experiment", "--name", "sbm-indicator", "--set", "bogus=1",
                    "--out-dir", "exp2") == 2
 
 
-@pytest.mark.parametrize("name, overrides", [
-    ("sbm-indicator", ["k_grid=5"]),
-    ("sbm-indicator", ["seeds=3"]),
-    ("sbm-indicator", ["seeds=[0.5]"]),
-    ("sbm-indicator", ["ell=true"]),
-    ("sbm-indicator", ["n=60.0"]),
-    ("sbm-indicator", ["p_in=high"]),
-    ("cluster-indicator", ["component_means=[1,2]"]),
-    ("shortest-path", ["family=3"]),
-    ("ell-sweep", ["base=1"]),
-    ("ell-sweep", ["ells=2"]),
+@pytest.mark.parametrize("name, overrides, named", [
+    ("sbm-indicator", ["k_grid=5"], "k_grid"),
+    ("sbm-indicator", ["seeds=3"], "seeds"),
+    ("sbm-indicator", ["seeds=[0.5]"], "seeds"),
+    ("sbm-indicator", ["ell=true"], "ell"),
+    ("sbm-indicator", ["n=60.0"], "n"),
+    ("sbm-indicator", ["p_in=high"], "p_in"),
+    ("cluster-indicator", ["component_means=[1,2]"], "component_means"),
+    ("shortest-path", ["family=3"], "family"),
+    ("ell-sweep", ["base=1"], "base"),
+    ("ell-sweep", ["ells=2"], "ells"),
+    ("ell-sweep", ["ell=7"], "ells"),
 ], ids=["int-grid", "int-seeds", "float-seed", "bool-ell", "float-n", "text-p-in",
-        "flat-means", "number-family", "sweep-base", "int-ells"])
-def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides):
-    """An override not shaped like its field's default is exit 2, never a traceback."""
+        "flat-means", "number-family", "sweep-base", "int-ells", "sweep-ell"])
+def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides, named):
+    """An override not shaped like its field's default, or one the runner would
+    replace, is exit 2 with an error naming the key to set, never a traceback."""
     argv = ["experiment", "--name", name, "--out-dir", "exp"]
     for item in ["n=60", "seeds=[0]", "k_grid=[2]"] + overrides:  # a later --set wins
         argv += ["--set", item]
     code = run_cli(*argv)
     err = capsys.readouterr().err
     assert (code, err.split(":")[0]) == (2, "error")
+    assert named in err
     assert "Traceback" not in err
     assert not os.path.exists("exp")
 

@@ -1,5 +1,7 @@
 """Estimates, error metrics, the certified bound, and result CSV files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from graphcoreset import (
     generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
-    random_sampling,
     results_from_csv,
     results_to_csv,
     source_average_distances,
@@ -200,7 +201,7 @@ def test_results_csv_round_trip(tmp_path):
     ]
     path = str(tmp_path / "r.csv")
     results_to_csv(rows, path)
-    text = open(path).read().splitlines()
+    text = Path(path).read_text(encoding="utf-8").splitlines()
     assert text[0] == "method,K,err,abs_err,cost,bound_rhs,runtime_ms"
     assert text[1].endswith(",0.125,")  # the runtime column is blank on every row
     assert text[2].endswith(",,")  # blank bound and runtime for the random row

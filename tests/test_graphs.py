@@ -1,6 +1,7 @@
 """Containers, generators, and edge-list ingestion."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,4 +372,4 @@ def test_save_edge_list_round_trip(tmp_path):
 def test_save_edge_list_unit_weights_omitted(tmp_path, path3):
     path = str(tmp_path / "out.txt")
     save_edge_list(path3, path)
-    assert "1" == open(path).read().strip().split("\n")[0].split()[1]  # "0 1" no weight
+    assert "1" == Path(path).read_text(encoding="utf-8").strip().split("\n")[0].split()[1]  # "0 1" no weight

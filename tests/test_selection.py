@@ -236,7 +236,7 @@ def test_cost_scale_invariance():
 def test_stalled_on_columns_opposing_the_target():
     """Columns pointing away from the target leave no positive direction."""
     matrix = sp.csc_matrix(-np.eye(3))
-    cols = NormalizedColumns(1, matrix, np.ones(3), np.full(3, 1.0 / np.sqrt(3.0)))
+    cols = NormalizedColumns(1, matrix, np.ones(3))
     out = select_coreset(cols, CostVector.zeros(3), SelectionConfig(budget=2))
     assert out.status == "stalled"
     assert out.indices == []
@@ -250,8 +250,6 @@ def test_selection_config_validation():
         SelectionConfig(budget=3, kappa=0.0)
     with pytest.raises(ValueError):
         SelectionConfig(budget=3, kappa=1.2)
-    with pytest.raises(ValueError):
-        SelectionConfig(budget=3, residual_tolerance=-1.0)
 
 
 def test_select_rejects_mismatched_costs(edge2):
@@ -286,8 +284,7 @@ def test_grid_matches_independent_runs():
     costs = sample_costs_uniform(g.n, seed=7)
     budgets = [1, 2, 3, 5, 8]
     for kappa in (1.0, 0.7):
-        config = SelectionConfig(budget=max(budgets), kappa=kappa)
-        grid = select_coreset_grid(cols, costs, config, budgets)
+        grid = select_coreset_grid(cols, costs, kappa, budgets)
         assert sorted(grid) == budgets
         for b in budgets:
             solo = select_coreset(cols, costs,
@@ -301,7 +298,9 @@ def test_grid_matches_independent_runs():
 
 def test_grid_validation(edge2):
     with pytest.raises(ValueError):
-        select_coreset_grid(edge2, CostVector.zeros(2), SelectionConfig(budget=2), [0, 1])
+        select_coreset_grid(edge2, CostVector.zeros(2), 1.0, [0, 1])
+    with pytest.raises(ValueError):
+        select_coreset_grid(edge2, CostVector.zeros(2), 0.0, [1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from graphcoreset import (
     GraphFunction,
     PointCloud,
-    TransitionMatrix,
     build_knn_kernel_graph,
     eigendecomposition,
     generate_sbm,
@@ -26,30 +25,30 @@ def large_knn_walk():
     """Walk on 2100 kNN points, above the dense walk-power cutoff: ell >= 2 multiplies sparsely."""
     cloud = PointCloud(np.random.default_rng(11).standard_normal((2100, 2)))
     walk = lazy_walk_matrix(build_knn_kernel_graph(cloud, 10, 1.0))
-    assert walk.n > spectral._DENSE_POWER_MAX_N
+    assert walk.shape[0] > spectral._DENSE_POWER_MAX_N
     return walk
 
 
 def _power_column(walk, ell: int, i: int) -> np.ndarray:
     """P^ell[:, i] as ell matvecs on e_i (P is symmetric)."""
-    col = np.zeros(walk.n)
+    col = np.zeros(walk.shape[0])
     col[i] = 1.0
     for _ in range(ell):
-        col = walk.matrix @ col
+        col = walk @ col
     return col
 
 
 def test_walk_matrix_path3_entries(path3):
     """Hand-checked: degrees [1,2,1], d_max 2."""
     walk = lazy_walk_matrix(path3)
-    assert walk.d_max == 2.0
+    assert isinstance(walk, sp.csr_matrix)
     expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-    assert np.allclose(walk.matrix.toarray(), expected)
+    assert np.allclose(walk.toarray(), expected)
 
 
 def test_walk_matrix_rows_sum_to_one(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
-    dense = walk.matrix.toarray()
+    dense = walk.toarray()
     assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-14)
     assert np.allclose(dense, dense.T)
     assert np.all(dense >= 0.0)
@@ -74,16 +73,16 @@ def test_spectrum_inside_unit_interval():
     assert values[0] <= 1.0 + 1e-9 and values[-1] >= -1.0 - 1e-9
     assert np.all(np.diff(values) <= 1e-12)  # descending
     # reconstruction
-    dense = lazy_walk_matrix(g).matrix.toarray()
+    dense = lazy_walk_matrix(g).toarray()
     assert np.allclose(vectors @ np.diag(values) @ vectors.T, dense, atol=1e-10)
 
 
 def test_walk_powers_fix_the_uniform_vector(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
-    ones = np.ones(walk.n)
+    ones = np.ones(walk.shape[0])
     vec = ones.copy()
     for _ in range(8):
-        vec = walk.matrix @ vec
+        vec = walk @ vec
         assert np.max(np.abs(vec - ones)) < 1e-10
 
 
@@ -91,9 +90,9 @@ def test_normalized_columns_match_matrix_power(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
     for ell in (1, 2, 5):
         cols = normalized_columns(walk, ell)
-        power = np.linalg.matrix_power(walk.matrix.toarray(), ell)
+        power = np.linalg.matrix_power(walk.toarray(), ell)
         assert np.allclose(cols.matrix.toarray(), power, atol=1e-12)
-        for i in range(walk.n):
+        for i in range(walk.shape[0]):
             col = cols.column(i)
             assert abs(np.linalg.norm(col) - 1.0) < 1e-12
             assert np.allclose(col * cols.column_norms[i], power[:, i], atol=1e-12)
@@ -110,11 +109,11 @@ def test_normalized_columns_sparse_path_agrees(large_knn_walk):
 
 def _with_stored_zero_diagonal(walk):
     """The same P with the zero diagonal entries of its max-degree vertices stored explicitly."""
-    coo = walk.matrix.tocoo()
-    hubs = np.flatnonzero(walk.matrix.diagonal() == 0)
+    coo = walk.tocoo()
+    hubs = np.flatnonzero(walk.diagonal() == 0)
     rows, cols = np.concatenate([coo.row, hubs]), np.concatenate([coo.col, hubs])
     data = np.concatenate([coo.data, np.zeros(len(hubs))])
-    return TransitionMatrix(walk.n, sp.csr_matrix((data, (rows, cols)), shape=coo.shape), walk.d_max)
+    return sp.csr_matrix((data, (rows, cols)), shape=coo.shape)
 
 
 @pytest.mark.parametrize("case", ["knn", "star", "stored-zero"])
@@ -127,18 +126,18 @@ def test_ell_one_columns_equal_dense_round_trip(star4, case):
         walk = lazy_walk_matrix(star4)  # the centre has degree d_max: P[0, 0] == 0
         if case == "stored-zero":
             walk = _with_stored_zero_diagonal(walk)
-            assert np.any(walk.matrix.data == 0)
-    assert np.any(walk.matrix.diagonal() == 0)
-    stored_before = walk.matrix.data.copy()
+            assert np.any(walk.data == 0)
+    assert np.any(walk.diagonal() == 0)
+    stored_before = walk.data.copy()
     cols = normalized_columns(walk, 1)
-    want = sp.csc_matrix(np.linalg.matrix_power(walk.matrix.toarray(), 1))
+    want = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), 1))
     want_norms = np.sqrt(np.asarray(want.multiply(want).sum(axis=0)).ravel())
     for name in ("indptr", "indices", "data"):
         got_array, want_array = getattr(cols.matrix, name), getattr(want, name)
         assert got_array.dtype == want_array.dtype
         assert got_array.tobytes() == want_array.tobytes()
     assert cols.column_norms.tobytes() == want_norms.tobytes()
-    assert np.array_equal(walk.matrix.data, stored_before)  # P itself is left as it was
+    assert np.array_equal(walk.data, stored_before)  # P itself is left as it was
 
 
 @pytest.mark.parametrize("case", ["dense-power", "sparse-power"])
@@ -146,7 +145,7 @@ def test_column_is_the_normalized_power_column(case, large_knn_walk):
     """column(i) equals P^ell[:, i] / norm_i on both walk-power paths, picked by graph size."""
     if case == "dense-power":
         walk = lazy_walk_matrix(generate_sbm([12, 9, 6], 0.4, 0.05, seed=2))
-        sample = range(walk.n)
+        sample = range(walk.shape[0])
     else:
         walk, sample = large_knn_walk, (0, 1049, 2099)
     cols = normalized_columns(walk, 3)
@@ -162,13 +161,13 @@ def test_normalized_columns_helpers(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
     cols = normalized_columns(walk, 2)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(walk.n)
-    manual = np.array([cols.column(i) @ x for i in range(walk.n)])
+    x = rng.standard_normal(walk.shape[0])
+    manual = np.array([cols.column(i) @ x for i in range(walk.shape[0])])
     assert np.allclose(cols.alignments(x), manual, atol=1e-12)
-    coeffs = rng.standard_normal(walk.n)
-    manual_combo = sum(coeffs[i] * cols.column(i) for i in range(walk.n))
+    coeffs = rng.standard_normal(walk.shape[0])
+    manual_combo = sum(coeffs[i] * cols.column(i) for i in range(walk.shape[0]))
     assert np.allclose(cols.combine(coeffs), manual_combo, atol=1e-12)
-    assert np.allclose(cols.target, 1.0 / np.sqrt(walk.n))
+    assert np.allclose(cols.target, 1.0 / np.sqrt(walk.shape[0]))
     with pytest.raises(ValueError):
         normalized_columns(walk, 0)
 
@@ -176,15 +175,15 @@ def test_normalized_columns_helpers(two_triangles):
 def test_top_eigenvectors_lanczos_path():
     g = generate_sbm([240, 230, 230], 0.1, 0.005, seed=3)
     walk = lazy_walk_matrix(g)
-    assert walk.n > spectral._DENSE_EIG_MAX_N  # past the dense cutoff: Lanczos
+    assert walk.shape[0] > spectral._DENSE_EIG_MAX_N  # past the dense cutoff: Lanczos
     vecs = top_eigenvectors(walk, 3)
     assert vecs.shape == (700, 3)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-8)
     rhos = []
     for j in range(3):
         u = vecs[:, j]
-        rhos.append(u @ (walk.matrix @ u))
-        assert np.linalg.norm(walk.matrix @ u - rhos[-1] * u) < 1e-8
+        rhos.append(u @ (walk @ u))
+        assert np.linalg.norm(walk @ u - rhos[-1] * u) < 1e-8
     # the top three, descending: the stationary 1, then the two block modes
     assert rhos[0] == pytest.approx(1.0, abs=1e-12) and rhos[0] > rhos[1] > rhos[2] > 0.5
     # repeated calls reproduce bit for bit (fixed start vector)
