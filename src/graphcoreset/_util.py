@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import tempfile
+import types
 
 
 def has_type(value, kind) -> bool:
     """isinstance(value, kind) for JSON-like values, except that a bool is no
-    int and an int is also a float."""
+    int and an int is also a float; a kind list[item] also checks each item."""
+    if isinstance(kind, types.GenericAlias):  # list[item]
+        return isinstance(value, list) and all(has_type(v, kind.__args__[0]) for v in value)
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, kind) or (isinstance(value, int) and isinstance(0.0, kind))

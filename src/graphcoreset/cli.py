@@ -79,11 +79,11 @@ def _parse_means(text: str) -> list[list[float]]:
 
 _PARAMETERS = {
     "generate": {
-        "sbm": {"sizes": list, "p_in": float, "p_out": float},
+        "sbm": {"sizes": list[int], "p_in": float, "p_out": float},
         "powerlaw-tree": {"n": int, "exponent": float},
         "random": {"n": int, "edge_probability": float},
-        "gaussian-mixture": {"means": list, "fractions": list, "covariance_scale": float,
-                             "n": int},
+        "gaussian-mixture": {"means": list[list[float]], "fractions": list[float],
+                             "covariance_scale": float, "n": int},
         "knn-kernel": {"cloud": str, "k_neighbors": int, "bandwidth": float},
     },
     "select": {"graph": str, "costs": str | None, "uniform_costs": int | None, "kappa": float,
@@ -256,7 +256,7 @@ def _execute_eval(params: dict):
     else:
         raise ValueError(f"unknown function kind {kind!r}")
     row = ExperimentResult(method=kind, K=len(coreset.indices), err=err, abs_err=abs_err,
-                           coreset_cost=0.0, bound_rhs=bound_rhs)
+                           coreset_cost=coreset.total_cost, bound_rhs=bound_rhs)
     results_to_csv([row], params["out"])
     lines = ["estimate " + fmt_float(estimate), "exact_mean " + fmt_float(truth),
              "abs_err " + fmt_float(abs_err)]
@@ -315,7 +315,8 @@ def _load_manifest(path: str) -> dict:
     for key, kind in types.items():
         if not has_type(params[key], kind):
             raise ValueError(f"manifest parameter {key} must be "
-                             f"{getattr(kind, '__name__', kind)}, got {params[key]!r}")
+                             f"{kind.__name__ if isinstance(kind, type) else kind}, "
+                             f"got {params[key]!r}")
     outputs = manifest.get("output_paths")
     if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
         raise ValueError("manifest output_paths must be a list of paths")

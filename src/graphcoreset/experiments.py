@@ -57,13 +57,15 @@ from ._util import atomic_write_text, has_type
 class _Instance:
     """One graph of a study with what its methods share across K and seeds.
 
-    error maps a coreset to the squared error of its estimate. grids holds
-    each greedy method's budget grid, ranking the betweenness order, basis
-    the walk's top eigenvectors, and cloud the points k-means clusters (None
-    clusters the spectral embedding instead).
+    costs holds the placement cost of every vertex and error maps a coreset
+    to the squared error of its estimate. grids holds each greedy method's
+    budget grid, ranking the betweenness order, basis the walk's top
+    eigenvectors, and cloud the points k-means clusters (None clusters the
+    spectral embedding instead).
     """
 
     graph: Graph
+    costs: np.ndarray
     error: Callable
     grids: dict
     ranking: list | None
@@ -81,7 +83,7 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Cal
     ranking = betweenness_coreset(graph, k_max).indices if "betweenness" in methods else None
     clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
     basis = top_eigenvectors(walk, k_max) if clusters else None
-    return _Instance(graph, error, grids, ranking, basis, cloud)
+    return _Instance(graph, costs.costs, error, grids, ranking, basis, cloud)
 
 
 def _kmeans(inst: _Instance, K: int, seed: int) -> Coreset:
@@ -116,7 +118,9 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
                 coreset = inst.grids[method][K]
             else:
                 coreset = _BASELINES[method](inst, K, seed)
-            out.append((inst.error(coreset), coreset.total_cost))
+            # priced as the greedy finish prices its own support
+            idx = np.array(coreset.indices, dtype=np.int64)
+            out.append((inst.error(coreset), float(inst.costs[idx].sum())))
         per_seed.append(out)
     medians = np.median(np.array(per_seed), axis=0)
     return [ExperimentResult(method=method, K=K, err=float(err), abs_err=float(np.sqrt(err)),

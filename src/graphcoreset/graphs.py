@@ -6,7 +6,6 @@ self loops. All generators draw from numpy's seeded Generator so identical
 arguments reproduce identical objects.
 """
 
-import csv
 import io
 import json
 import warnings
@@ -111,8 +110,10 @@ class Graph:
         if not isinstance(edges, list):
             raise ValueError("graph needs a list of edges")
         table = _number_array(edges, np.float64)
-        if edges and (table is None or table.ndim != 2 or table.shape[1] != 3):
-            raise ValueError("graph edges must be [u, v, w] triples")
+        # np.array also converts numeric strings and booleans; JSON numbers are int or float
+        if edges and (table is None or table.ndim != 2 or table.shape[1] != 3
+                      or not {type(x) for edge in edges for x in edge} <= {int, float}):
+            raise ValueError("graph edges must be [u, v, w] triples of numbers")
         table = table.reshape(-1, 3)
         ends = table[:, :2]
         if np.any(ends != np.floor(ends)):
@@ -123,7 +124,8 @@ class Graph:
         if "labels" in data:
             raw = data["labels"]
             labels = _number_array(raw, None) if isinstance(raw, list) else None
-            if labels is None or labels.ndim != 1 or labels.dtype.kind not in "iu":
+            if (labels is None or labels.ndim != 1 or labels.dtype.kind not in "iu"
+                    or not {type(x) for x in raw} <= {int}):
                 raise ValueError("graph labels must be a list of integers")
         return cls(n, ends.astype(np.int64), table[:, 2], labels)
 
@@ -167,6 +169,10 @@ class PointCloud:
         self.coords = np.asarray(self.coords, dtype=np.float64)
         if self.coords.ndim != 2:
             raise ValueError("coords must be a 2-d array (n points x d dims)")
+        if self.coords.shape[0] < 1 or self.coords.shape[1] < 1:
+            raise ValueError("a point cloud needs at least one point and one coordinate")
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("point coordinates must be finite")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
             if len(self.labels) != len(self.coords):
@@ -182,40 +188,39 @@ class PointCloud:
 
     def save_csv(self, path: str) -> None:
         """Header x0..x{d-1}[,label], one row per point, 17-digit reals."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = [f"x{i}" for i in range(self.dim)]
+        names = [f"x{i}" for i in range(self.dim)]
+        columns, formats = [self.coords.astype(object)], ["%.17g"] * self.dim
         if self.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(self.n):
-            row = ["%.17g" % x for x in self.coords[i]]
-            if self.labels is not None:
-                row.append(str(int(self.labels[i])))
-            writer.writerow(row)
+            names.append("label")
+            columns.append(self.labels.astype(object))  # Python ints: every label stays exact
+            formats.append("%d")
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack(columns), fmt=formats, delimiter=",",
+                   header=",".join(names), comments="")
         atomic_write_text(path, buf.getvalue())
 
     @classmethod
     def load_csv(cls, path: str) -> "PointCloud":
+        """Inverse of save_csv; blank lines are skipped and fields may be quoted.
+        Raises ValueError on a ragged row, a non-numeric field or a label that
+        is not an integer."""
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header:
-                raise ValueError(f"{path}: empty point cloud file")
-            labeled = header[-1] == "label"
-            dim = len(header) - (1 if labeled else 0)
-            coords, labels = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-                coords.append([float(x) for x in row[:dim]])
-                if labeled:
-                    labels.append(int(row[-1]))
-        if not coords:
+            header = handle.readline().rstrip("\r\n").split(",")
+            body = handle.read()
+        if header == [""]:
+            raise ValueError(f"{path}: empty point cloud file")
+        if not body.strip():
             raise ValueError(f"{path}: no points")
-        return cls(np.array(coords), np.array(labels) if labeled else None)
+        labeled = header[-1] == "label"
+        fields = [("coords", np.float64, (len(header) - labeled,))]
+        if labeled:
+            fields.append(("label", np.int64))
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=fields, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(table["coords"], table["label"] if labeled else None)
 
 
 @dataclass
@@ -425,12 +430,10 @@ def load_edge_list(path: str, weighted: bool = False) -> Graph:
 
     Vertex ids are compacted to 0..n-1 in order of first appearance.
     Self loops are dropped with a warning that reports the count. Duplicate
-    edges merge: weights sum in weighted mode, collapse to a single unit
-    edge otherwise.
+    edges merge: weights sum in line order in weighted mode, collapse to a
+    single unit edge otherwise.
     """
-    ids: dict[str, int] = {}
-    pair_weight: dict[tuple[int, int], float] = {}
-    loops = 0
+    tokens, weights = [], []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -445,38 +448,34 @@ def load_edge_list(path: str, weighted: bool = False) -> Graph:
                 raise ValueError(f"{path}: line {lineno}: bad weight {parts[2]!r}")
             if weight <= 0 or not np.isfinite(weight):
                 raise ValueError(f"{path}: line {lineno}: weight must be positive")
-            ends = []
-            for token in parts[:2]:
-                if token not in ids:
-                    ids[token] = len(ids)
-                ends.append(ids[token])
-            u, v = ends
-            if u == v:
-                loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in pair_weight:
-                if weighted:
-                    pair_weight[key] += weight
-            else:
-                pair_weight[key] = weight
-    if loops:
-        warnings.warn(f"{path}: dropped {loops} self-loop line(s)")
-    if not pair_weight:
+            tokens += parts[:2]
+            weights.append(weight)
+    # unique sorts the ids; rank them by first appearance instead
+    _, first, inverse = np.unique(np.array(tokens), return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    u, v = rank[inverse[0::2]], rank[inverse[1::2]]
+    loop = u == v
+    if loop.any():
+        warnings.warn(f"{path}: dropped {int(loop.sum())} self-loop line(s)")
+    if loop.all():  # also when the file holds no edge line at all
         raise ValueError(f"{path}: no edges found")
-    edges = np.array(sorted(pair_weight), dtype=np.int64)
-    weights = np.array([pair_weight[(u, v)] for u, v in edges])
-    return Graph(len(ids), edges, weights)
+    n = len(first)
+    u, v = u[~loop], v[~loop]
+    keys, pair = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    if weighted:
+        # add.at sums each pair's weights in line order, as repeated += would
+        merged = np.zeros(len(keys))
+        np.add.at(merged, pair, np.array(weights)[~loop])
+    else:
+        merged = np.ones(len(keys))
+    return Graph(n, np.column_stack([keys // n, keys % n]), merged)
 
 
-def save_edge_list(graph: Graph, path: str, weighted: bool | None = None) -> None:
+def save_edge_list(graph: Graph, path: str) -> None:
     """Write the canonical edge list; weights included unless all are 1."""
-    if weighted is None:
-        weighted = not np.all(graph.weights == 1.0)
-    lines = []
-    for (u, v), w in zip(graph.edges, graph.weights):
-        if weighted:
-            lines.append(f"{u} {v} {'%.17g' % w}")
-        else:
-            lines.append(f"{u} {v}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    if np.all(graph.weights == 1.0):
+        np.savetxt(buf, graph.edges, fmt="%d %d")
+    else:
+        np.savetxt(buf, np.column_stack([graph.edges, graph.weights]), fmt="%d %d %.17g")
+    atomic_write_text(path, buf.getvalue())

@@ -143,7 +143,7 @@ class Coreset:
         if not isinstance(trajectory, list):
             raise ValueError("coreset trajectory must be a list")
         try:
-            return cls(
+            coreset = cls(
                 indices=list(indices),
                 weights=np.array(weights, dtype=np.float64),
                 beta=float(data.get("beta", 1.0)),
@@ -154,6 +154,10 @@ class Coreset:
             )
         except OverflowError:
             raise ValueError("coreset holds a number too large for a float") from None
+        if not (np.isfinite(coreset.weights).all() and math.isfinite(coreset.beta)
+                and math.isfinite(coreset.total_cost)):
+            raise ValueError("coreset weights, beta and total_cost must be finite")
+        return coreset
 
     def save_json(self, path: str) -> None:
         dump_json(self.to_dict(), path)
@@ -216,8 +220,10 @@ def select_coreset(
 ) -> Coreset:
     """Run the greedy geodesic selection loop.
 
-    Each round takes the best single geodesic step, which may re-select an
-    already-chosen vertex; only new vertices consume budget. The run ends
+    Each round scores every vertex with one geodesic formula, which from the
+    zero start iterate reduces to plain alignment with the target, and takes
+    the best single geodesic step, which may re-select an already-chosen
+    vertex; only new vertices consume budget. The run ends
     with status "ok" when the step demands a new vertex beyond the budget,
     "converged" when the residual reaches _RESIDUAL_TOL or stops moving at
     float resolution, and "stalled" when no vertex offers a positive
@@ -246,16 +252,13 @@ def select_coreset(
     res_after = 1.0
 
     for k in range(64 * config.budget + 64):
-        if k == 0:
-            proj = None
-            scores = base.copy()
-        else:
-            proj = np.clip(columns.alignments(iterate), -1.0, 1.0)
-            res = max(1.0 - align * align, 0.0)
-            denom = math.sqrt(res) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
-            usable = denom > _TINY
-            scores = np.full(n, -np.inf)
-            scores[usable] = (base[usable] - align * proj[usable]) / denom[usable]
+        # res_after is the current residual; from the zero iterate of round 0,
+        # proj is 0 and denom 1, so the scores are base itself
+        proj = np.clip(columns.alignments(iterate), -1.0, 1.0)
+        denom = math.sqrt(res_after) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
+        usable = denom > _TINY
+        scores = np.full(n, -np.inf)
+        scores[usable] = (base[usable] - align * proj[usable]) / denom[usable]
 
         v_best = int(np.argmax(scores))
         s_best = float(scores[v_best])

@@ -2,11 +2,11 @@
 
 The walk matrix P = (W - D)/d_max + I is symmetric, doubly stochastic, and
 has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a CSR matrix.
-The walk power P^ell is P itself at ell = 1; for ell >= 2 it is a dense BLAS
-matrix power on graphs of at most 2048 vertices and repeated sparse
-multiplication on larger ones. The path follows from n alone; no caller
-chooses it. NormalizedColumns derives the uniform target 1/sqrt(n) from n
-as well. Dense eigendecompositions appear only in the synthesis and
+The walk power P^ell is a dense BLAS matrix power for ell >= 2 on graphs of
+at most 2048 vertices and repeated sparse multiplication otherwise, which at
+ell = 1 is no multiplication at all. The path follows from n and ell alone;
+no caller chooses it. NormalizedColumns derives the uniform target
+1/sqrt(n) from n as well. Dense eigendecompositions appear only in the synthesis and
 diagnostic paths, never in column construction.
 """
 
@@ -81,25 +81,22 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
 
     The result carries ell: the selection and the error bound work from these
     columns and take no ell of their own.
-    At ell = 1 the power is P, copied to CSC without its explicit zeros: the
-    same arrays a dense round trip would give, without densifying. For
-    ell >= 2, graphs of at most _DENSE_POWER_MAX_N vertices go through a
-    dense BLAS matrix power (repeated squaring, so large ell stays cheap);
-    larger graphs build the power by sequential sparse multiplication to
-    avoid densifying them.
+    For ell >= 2, graphs of at most _DENSE_POWER_MAX_N vertices go through a
+    dense BLAS matrix power (repeated squaring, so large ell stays cheap).
+    Every other case multiplies P by itself ell - 1 times sparsely, so ell = 1
+    is P itself, and copies the power to CSC without explicit zeros: the same
+    arrays a dense round trip would give, without densifying.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    if ell == 1:
-        power = sp.csc_matrix(walk, copy=True)
-        power.eliminate_zeros()
-    elif walk.shape[0] <= _DENSE_POWER_MAX_N:
+    if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
         power = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), ell))
     else:
         power = walk
         for _ in range(ell - 1):
             power = power @ walk
-        power = sp.csc_matrix(power)
+        power = sp.csc_matrix(power, copy=True)
+        power.eliminate_zeros()
     norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
     if np.any(norms <= 0):
         raise ValueError("walk power has a zero column")

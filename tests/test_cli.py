@@ -137,12 +137,17 @@ def test_select_validation_and_io(sbm_file):
     {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, "a"]},
     {"n": 2, "edges": [[0, 1, 1.0]], "labels": [[0], 1]},
     {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0]},
+    {"n": 2, "edges": [[0, "1", "0.5"]]},
+    {"n": 2, "edges": [[0, True, 1.0]]},
+    {"n": 2, "edges": [[0, 1, True]]},
+    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, True]},
     None,
 ], ids=["no-n", "edge-without-weight", "edges-not-a-list", "not-an-object", "fractional-n",
         "fractional-endpoint", "empty-file", "truncated", "boolean-n", "pairs-not-triples",
         "four-entries", "nested-endpoint", "object-weight", "null-endpoint", "huge-endpoint",
         "endpoint-past-n", "negative-weight", "null-labels", "fractional-label", "string-label",
-        "nested-label", "short-labels", "directory"])
+        "nested-label", "short-labels", "string-entries", "boolean-endpoint", "boolean-weight",
+        "boolean-label", "directory"])
 def test_select_rejects_malformed_graph(workdir, capsys, content):
     """Graph.from_dict raises ValueError (exit 2); only I/O failures exit 3."""
     if content is None:
@@ -207,6 +212,42 @@ def test_baseline_validation(sbm_file):
     assert run_cli("baseline", "--method", "spectral", "--k", "2", "-o", "x.json") == 2
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "x0,x1,label\n",
+    "x0,x1,label\n0,0,0\n1,1\n2,2,1\n",
+    "x0,x1,label\n0,0,0\n1,one,1\n2,2,1\n",
+    "x0,x1,label\n0,0,0\n1,1,0.0\n2,2,1\n",
+    "x0,x1,label\n0,0,0\n1,1,2.5\n2,2,1\n",
+    "x0,x1,label\n0,0,0\n1,nan,1\n2,2,1\n",
+    "x0,x1,label\n0,0,0\n1,inf,1\n2,2,1\n",
+    "label\n0\n1\n0\n",
+], ids=["empty", "header-only", "ragged-row", "non-numeric", "float-label",
+        "fractional-label", "nan", "inf", "label-only"])
+@pytest.mark.parametrize("command", [
+    ["generate", "--model", "knn-kernel", "--cloud", "bad.csv", "--k-neighbors", "1",
+     "-o", "g.json"],
+    ["baseline", "--method", "kmeans", "--cloud", "bad.csv", "--k", "2", "-o", "km.json"],
+], ids=["knn-kernel", "kmeans"])
+def test_point_cloud_commands_reject_malformed_csv(workdir, capsys, text, command):
+    """Every malformed point-cloud file is a ValueError (exit 2), never a traceback."""
+    Path("bad.csv").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eval_reports_the_coreset_cost(sbm_file):
+    run_cli("select", "--graph", sbm_file, "--uniform-costs", "8", "--kappa", "0.8",
+            "--k", "4", "-o", "cs.json")
+    assert run_cli("eval", "--graph", sbm_file, "--coreset", "cs.json",
+                   "--function", "indicator", "-o", "ev.csv") == 0
+    total_cost = Coreset.load_json("cs.json").total_cost
+    assert total_cost > 0.0
+    assert results_from_csv("ev.csv")[0].coreset_cost == total_cost
+
+
 def test_eval_indicator_row(sbm_file):
     run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json")
     assert run_cli("eval", "--graph", sbm_file, "--coreset", "cs.json",
@@ -251,9 +292,13 @@ def test_eval_average_distance(sbm_file):
     ({"indices": [0.5], "weights": [1.0]}, "indicator"),
     ({"indices": [True], "weights": [1.0]}, "indicator"),
     ({"indices": [0], "weights": [10**400]}, "indicator"),
+    ({"indices": [0, 1], "weights": [float("nan"), 1.0]}, "indicator"),
+    ({"indices": [0, 1], "weights": [float("inf"), 1.0]}, "indicator"),
+    ({"indices": [0], "weights": [1.0], "beta": float("nan")}, "indicator"),
 ], ids=["index-past-n", "negative-index", "no-weights", "length-mismatch", "indices-not-a-list",
         "not-an-object", "empty-record", "number-trajectory", "nested-index", "list-beta",
-        "nested-weight", "fractional-index", "boolean-index", "huge-weight"])
+        "nested-weight", "fractional-index", "boolean-index", "huge-weight", "nan-weight",
+        "infinite-weight", "nan-beta"])
 def test_eval_rejects_malformed_coreset(sbm_file, capsys, coreset, function):
     write_json("bad.json", coreset)
     capsys.readouterr()
@@ -332,12 +377,25 @@ def test_replay_missing_manifest(workdir):
     lambda m: dict(m, command="experiment", parameters={
         "name": "sbm-indicator", "config": None, "out_dir": "exp",
         "overrides": [["n", 60], ["seeds", [0]], ["k_grid", [2]]]}),
+    lambda m: dict(m, command="generate", parameters={
+        "model": "sbm", "seed": 3, "out": "g2.json", "sizes": [[20], [20]], "p_in": 0.4,
+        "p_out": 0.05}),
+    lambda m: dict(m, command="generate", parameters={
+        "model": "sbm", "seed": 3, "out": "g2.json", "sizes": [20.7, 20], "p_in": 0.4,
+        "p_out": 0.05}),
+    lambda m: dict(m, command="generate", parameters={
+        "model": "sbm", "seed": 3, "out": "g2.json", "sizes": [True, 20], "p_in": 0.4,
+        "p_out": 0.05}),
+    lambda m: dict(m, command="generate", parameters={
+        "model": "gaussian-mixture", "seed": 3, "out": "c.csv", "means": [[0.0], [5.0]],
+        "fractions": ["0.5", "0.5"], "covariance_scale": 1.0, "n": 10}),
 ], ids=["not-an-object", "command-only", "no-command", "list-command", "unknown-command",
         "no-parameters", "list-parameters", "no-output-paths", "string-output-paths",
         "number-output-path", "no-input-hashes", "list-input-hashes", "select-empty-parameters",
         "generate-sbm-no-sizes", "generate-unknown-model", "generate-list-model",
         "experiment-no-out-dir", "list-k", "string-k", "number-graph", "generate-string-sizes",
-        "experiment-list-overrides"])
+        "experiment-list-overrides", "generate-nested-sizes", "generate-fractional-size",
+        "generate-boolean-size", "generate-string-fraction"])
 def test_replay_rejects_malformed_manifest(sbm_file, capsys, change):
     """A manifest field of the wrong type, or parameters missing a key the command
     records or holding a value of another type, is a ValueError (exit 2), never a

@@ -6,7 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphcoreset import generate_random_graph, results_from_csv, save_edge_list
+from graphcoreset import (
+    build_knn_kernel_graph,
+    generate_gaussian_mixture,
+    generate_random_graph,
+    kmeans_coreset,
+    lazy_walk_matrix,
+    random_sampling,
+    results_from_csv,
+    sample_costs_uniform,
+    save_edge_list,
+    spectral_clustering_coreset,
+    top_eigenvectors,
+)
 from graphcoreset.evaluate import CostReport
 from graphcoreset.experiments import (
     ClusterIndicatorConfig,
@@ -81,6 +93,29 @@ def test_run_cluster_indicator_tiny():
     # the cost-aware rows carry the median coreset cost
     cost_rows = [r for r in rows if r.method == "scgiga-cost"]
     assert all(r.coreset_cost > 0.0 for r in cost_rows)
+
+
+def test_cluster_indicator_prices_baseline_rows():
+    """Each baseline row's cost is the median over seeds of its vertices' summed costs."""
+    cfg = ClusterIndicatorConfig(n=120, k_neighbors=5, k_grid=(2, 4), seeds=(0, 1, 2))
+    rows, _ = run_cluster_indicator(cfg)
+    cost = {(r.method, r.K): r.coreset_cost for r in rows}
+    per_seed = {}
+    for seed in cfg.seeds:
+        cloud = generate_gaussian_mixture(cfg.component_means, cfg.component_fractions,
+                                          cfg.covariance_scale, cfg.n, seed=seed)
+        graph = build_knn_kernel_graph(cloud, cfg.k_neighbors, cfg.bandwidth)
+        costs = sample_costs_uniform(cfg.n, seed=seed + cfg.cost_seed_offset).costs
+        basis = top_eigenvectors(lazy_walk_matrix(graph), max(cfg.k_grid))
+        for K in cfg.k_grid:
+            for method, coreset in (
+                    ("random", random_sampling(cfg.n, K, seed * 1000 + K)),
+                    ("kmeans", kmeans_coreset(cloud, K, seed * 131 + K)),
+                    ("spectral", spectral_clustering_coreset(graph, K, seed * 55 + K,
+                                                             basis=basis))):
+                per_seed.setdefault((method, K), []).append(costs[coreset.indices].sum())
+    for key, values in per_seed.items():
+        assert cost[key] == float(np.median(values)) > 0.0
 
 
 def test_run_shortest_path_tiny():

@@ -1,6 +1,9 @@
 """Containers, generators, and edge-list ingestion."""
 
+import csv
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +120,104 @@ def test_point_cloud_unlabeled_round_trip(tmp_path):
     back = PointCloud.load_csv(path)
     assert back.labels is None
     assert np.array_equal(back.coords, cloud.coords)
+
+
+@pytest.mark.parametrize("coords", [
+    np.empty((0, 2)), np.empty((3, 0)), np.array([[0.0, np.nan]]), np.array([[np.inf], [0.0]]),
+], ids=["no-points", "no-coordinates", "nan", "inf"])
+def test_point_cloud_rejects_degenerate_coordinates(coords):
+    with pytest.raises(ValueError):
+        PointCloud(coords)
+
+
+def reference_save_csv(cloud, path):
+    """The csv.writer row loop that PointCloud.save_csv must reproduce byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = [f"x{i}" for i in range(cloud.dim)]
+    if cloud.labels is not None:
+        header.append("label")
+    writer.writerow(header)
+    for i in range(cloud.n):
+        row = ["%.17g" % x for x in cloud.coords[i]]
+        if cloud.labels is not None:
+            row.append(str(int(cloud.labels[i])))
+        writer.writerow(row)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+
+
+def reference_load_csv(path):
+    """The csv.reader row loop that PointCloud.load_csv must agree with on valid files."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        labeled = header[-1] == "label"
+        dim = len(header) - (1 if labeled else 0)
+        coords, labels = [], []
+        for row in reader:
+            if not row:
+                continue
+            assert len(row) == len(header)
+            coords.append([float(x) for x in row[:dim]])
+            if labeled:
+                labels.append(int(row[-1]))
+    return np.array(coords), (np.array(labels) if labeled else None)
+
+
+def test_point_cloud_save_csv_keeps_large_labels_exact(tmp_path):
+    """Labels past 2**53, which a float column would round, keep every digit."""
+    cloud = PointCloud(np.array([[0.1, -2.0], [1e300, 5e-324]]),
+                       np.array([2**53 + 1, -(2**62) - 1]))
+    cloud.save_csv(str(tmp_path / "got.csv"))
+    reference_save_csv(cloud, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.array_equal(PointCloud.load_csv(str(tmp_path / "got.csv")).labels, cloud.labels)
+
+
+def test_point_cloud_csv_matches_reference_rows(tmp_path):
+    """save_csv writes the old writer's bytes; load_csv reads the old reader's arrays,
+    also from files with blank lines, quoted fields, CRLF endings and signed labels."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    spellings = st.sampled_from(["%.17g", "%r", "%.3f", "%e", "%+g"])
+
+    @hypothesis.settings(max_examples=80)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8))
+        dim = data.draw(st.integers(1, 3))
+        coords = np.array(data.draw(st.lists(st.lists(reals, min_size=dim, max_size=dim),
+                                             min_size=n, max_size=n)))
+        labels = (np.array(data.draw(st.lists(st.integers(-2**62, 2**62), min_size=n,
+                                              max_size=n)))
+                  if data.draw(st.booleans()) else None)
+        cloud = PointCloud(coords.reshape(n, dim), labels)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cloud.save_csv(str(got))
+        reference_save_csv(cloud, want)
+        assert got.read_bytes() == want.read_bytes()
+
+        # the same points in other valid spellings
+        quote = data.draw(st.booleans())
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [",".join([f"x{i}" for i in range(dim)] + ["label"] * (labels is not None))]
+        for i in range(n):
+            fields = [data.draw(spellings) % x for x in cloud.coords[i].tolist()]
+            if labels is not None:
+                fields.append(data.draw(st.sampled_from(["%d", "%+d"])) % int(labels[i]))
+            lines.append(",".join(f'"{f}"' if quote else f for f in fields))
+            lines += [""] * data.draw(st.integers(0, 2))
+        got.write_bytes((end.join(lines) + end).encode())
+        back = PointCloud.load_csv(str(got))
+        want_coords, want_labels = reference_load_csv(got)
+        assert back.coords.tobytes() == want_coords.tobytes()
+        if labels is None:
+            assert back.labels is None and want_labels is None
+        else:
+            assert np.array_equal(back.labels, want_labels)
+
+    check()
 
 
 def test_cost_vector_validation_and_io(tmp_path):
@@ -358,6 +459,99 @@ def test_load_edge_list_errors(tmp_path):
     neg.write_text("0 1 -2\n")
     with pytest.raises(ValueError, match="positive"):
         load_edge_list(str(neg), weighted=True)
+
+
+def reference_load_edge_list(path, weighted=False):
+    """The dict loop that load_edge_list must reproduce bit for bit."""
+    ids, pair_weight, loops = {}, {}, 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}: line {lineno}: expected 'u v' or 'u v w'")
+            weight = float(parts[2]) if (weighted and len(parts) == 3) else 1.0
+            u, v = [ids.setdefault(token, len(ids)) for token in parts[:2]]
+            if u == v:
+                loops += 1
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in pair_weight:
+                if weighted:
+                    pair_weight[key] += weight
+            else:
+                pair_weight[key] = weight
+    if loops:
+        warnings.warn(f"{path}: dropped {loops} self-loop line(s)")
+    if not pair_weight:
+        raise ValueError(f"{path}: no edges found")
+    edges = np.array(sorted(pair_weight), dtype=np.int64)
+    weights = np.array([pair_weight[(u, v)] for u, v in edges])
+    return Graph(len(ids), edges, weights)
+
+
+def reference_save_edge_list(graph, path):
+    """The per-edge f-string loop that save_edge_list must reproduce byte for byte."""
+    weighted = not np.all(graph.weights == 1.0)
+    lines = [f"{u} {v} {'%.17g' % w}" if weighted else f"{u} {v}"
+             for (u, v), w in zip(graph.edges, graph.weights)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _outcome(load, path, weighted):
+    """(graph or error message, warning messages) of one load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path, weighted=weighted)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def test_load_edge_list_matches_reference_loop(tmp_path):
+    """String ids, duplicates in both orientations, self loops, comments, blank lines
+    and mixed 2- and 3-token lines load to the dict loop's graph in both modes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ids = st.sampled_from(["0", "1", "2", "10", "01", "a", "b", "node-7", "x\u00e9", "9"])
+    weights = st.sampled_from(["0.1", "0.2", "1", "2.5", "1e-300", "1e300", "3.14159", "7"])
+    lines = st.one_of(
+        st.tuples(ids, ids).map(" ".join),
+        st.tuples(ids, ids, weights).map(" ".join),
+        st.tuples(ids, ids, weights).map("\t".join),
+        st.sampled_from(["", "# comment", "  # indented comment", "   "]),
+    )
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(st.lists(lines, max_size=30))
+    def check(body):
+        path = tmp_path / "edges.txt"
+        path.write_text("\n".join(body) + "\n", encoding="utf-8")
+        for weighted in (False, True):
+            got, got_warnings = _outcome(load_edge_list, str(path), weighted)
+            want, want_warnings = _outcome(reference_load_edge_list, str(path), weighted)
+            assert got_warnings == want_warnings
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.n == want.n
+            assert np.array_equal(got.edges, want.edges)
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("weights", [
+    np.ones(5), np.array([0.5, 1.0, 2.0, 1e-300, 1e300]), np.array([1 / 3, 0.1, 7.0, 1.0, 5e-324]),
+], ids=["unit", "mixed", "awkward"])
+def test_save_edge_list_matches_reference_loop(tmp_path, weights):
+    graph = Graph(2**40, np.array([[0, 1], [1, 2], [2, 3], [0, 3], [5, 2**40 - 1]]), weights)
+    save_edge_list(graph, str(tmp_path / "got.txt"))
+    reference_save_edge_list(graph, tmp_path / "want.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
 def test_save_edge_list_round_trip(tmp_path):

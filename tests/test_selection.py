@@ -198,6 +198,27 @@ def geodesic_scores(cols: NormalizedColumns, iterate) -> np.ndarray:
     return scores
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.6])
+def test_first_round_scores_are_the_plain_alignments(kappa):
+    """From the zero iterate the geodesic score formula gives each column's alignment
+    with the target exactly, and the first step moves all the way onto its column."""
+    g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
+    cols = columns_for(g, 2)
+    costs = sample_costs_uniform(g.n, seed=3)
+    snapshots = []
+    select_coreset(cols, costs, SelectionConfig(budget=1, kappa=kappa),
+                   observer=snapshots.append)
+    first = snapshots[0].trajectory[0]
+    base = cols.alignments(cols.target)
+    slack = np.flatnonzero(base >= kappa * base.max())
+    assert first.slack_set_size == len(slack)
+    assert first.vertex == (int(np.argmax(base)) if kappa == 1.0
+                            else int(slack[np.argmin(costs.costs[slack])]))
+    assert first.alignment == base[first.vertex]
+    assert first.delta == 1.0
+    assert np.array_equal(snapshots[0].coefficients, np.eye(g.n)[first.vertex])
+
+
 def test_slack_set_membership_and_cheapest_pick():
     g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
     cols = columns_for(g, 1)

@@ -101,6 +101,10 @@ def test_normalized_columns_match_matrix_power(two_triangles):
 def test_normalized_columns_sparse_path_agrees(large_knn_walk):
     """Past the cutoff the sequential sparse product gives the columns and norms of ell matvecs."""
     cols = normalized_columns(large_knn_walk, 3)
+    # scipy's product stores no zeros, so the CSC copy is the product's own conversion
+    want = sp.csc_matrix(large_knn_walk @ large_knn_walk @ large_knn_walk)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(cols.matrix, name).tobytes() == getattr(want, name).tobytes()
     for i in (0, 1049, 2099):
         want = _power_column(large_knn_walk, 3, i)
         assert np.allclose(cols.matrix[:, [i]].toarray().ravel(), want, rtol=0, atol=1e-14)
