@@ -18,6 +18,8 @@ def random_sampling(n: int, k: int, seed: int) -> Coreset:
     """k distinct vertices uniformly at random, weight 1/k each."""
     if not (1 <= k <= n):
         raise ValueError("k must be in 1..n")
+    if n >= 2**63:
+        raise ValueError("n must fit in int64")
     picks = np.random.default_rng(seed).choice(n, size=k, replace=False)
     return Coreset([int(i) for i in picks], np.full(k, 1.0 / k), method="random")
 

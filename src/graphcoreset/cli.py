@@ -1,10 +1,10 @@
 """Command-line surface: reproducible generation, selection, and experiments.
 
 Every command resolves its flags into a flat parameter mapping, executes, and
-writes a manifest recording the command, parameters, seed, input-file hashes,
-and output paths. `replay` re-executes a manifest; because all randomness is
-seeded and all writes are atomic and wall-clock free, a replay reproduces the
-recorded outputs byte for byte.
+writes a manifest recording the command, parameters, input-file hashes, and
+output paths; a command's seed is one of its parameters. `replay` re-executes
+a manifest; because all randomness is seeded and all writes are atomic and
+wall-clock free, a replay reproduces the recorded outputs byte for byte.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical failure.
 """
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from ._util import dump_json, fmt_float, has_type, sha256_file
+from ._util import check_fields, dump_json, fmt_float, read_json, sha256_file
 from .baselines import (
     betweenness_coreset,
     kmeans_coreset,
@@ -95,6 +95,9 @@ _PARAMETERS = {
              "ell": int, "function_seed": int, "out": str},
     "replay": {"manifest": str, "verify": bool},
 }
+# the type of each manifest field; replay reads no other
+_MANIFEST_FIELDS = {"command": str, "parameters": dict, "input_hashes": dict,
+                    "output_paths": list[str]}
 # generate flags given as text and parsed into lists
 _GENERATE_PARSERS = {"sizes": _parse_ints, "means": _parse_means, "fractions": _parse_floats}
 
@@ -206,11 +209,7 @@ def _execute_experiment(params: dict):
     inputs = []
     if params.get("config"):
         inputs.append(params["config"])
-        with open(params["config"], "r", encoding="utf-8") as handle:
-            file_conf = json.load(handle)
-        if not isinstance(file_conf, dict):
-            raise ValueError("experiment config must be a JSON object")
-        merged = dict(file_conf)
+        merged = dict(check_fields(read_json(params["config"]), {}, "experiment config"))
         merged.update(overrides)
         overrides = merged
     config = experiments.config_from_mapping(name, overrides)
@@ -285,7 +284,6 @@ def _run_and_record(command: str, params: dict) -> list[str]:
     manifest = {
         "command": command,
         "parameters": params,
-        "seed": params.get("seed", 0),
         "input_hashes": {path: sha256_file(path) for path in inputs},
         "output_paths": outputs,
     }
@@ -296,32 +294,11 @@ def _run_and_record(command: str, params: dict) -> list[str]:
 def _load_manifest(path: str) -> dict:
     """Read a manifest; raises ValueError unless each field has the type it is written with
     and the parameters hold every key their command records, each of its type."""
-    with open(path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest must be a JSON object")
-    command = manifest.get("command")
-    if not isinstance(command, str):
-        raise ValueError("manifest needs a command name")
+    manifest = check_fields(read_json(path), _MANIFEST_FIELDS, "manifest")
+    command, params = manifest["command"], manifest["parameters"]
     if command not in _EXECUTORS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    params = manifest.get("parameters")
-    if not isinstance(params, dict):
-        raise ValueError("manifest parameters must be an object")
-    types = _parameter_types(command, params.get("model"))
-    missing = [key for key in types if key not in params]
-    if missing:
-        raise ValueError(f"manifest parameters lack {', '.join(missing)}")
-    for key, kind in types.items():
-        if not has_type(params[key], kind):
-            raise ValueError(f"manifest parameter {key} must be "
-                             f"{kind.__name__ if isinstance(kind, type) else kind}, "
-                             f"got {params[key]!r}")
-    outputs = manifest.get("output_paths")
-    if not isinstance(outputs, list) or not all(isinstance(p, str) for p in outputs):
-        raise ValueError("manifest output_paths must be a list of paths")
-    if not isinstance(manifest.get("input_hashes"), dict):
-        raise ValueError("manifest input_hashes must be an object")
+    check_fields(params, _parameter_types(command, params.get("model")), "manifest parameter")
     return manifest
 
 

@@ -45,7 +45,7 @@ from .graphs import (
 )
 from .selection import Coreset, select_coreset_grid
 from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns, top_eigenvectors
-from ._util import atomic_write_text, has_type
+from ._util import atomic_write_text, check_fields
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,8 @@ class SbmIndicatorConfig:
     seeds: tuple = tuple(range(10))
 
     def block_sizes(self) -> list[int]:
+        if not (self.n < 2**63 and np.all(np.isfinite(self.block_fractions))):
+            raise ValueError("sbm n must fit in int64 and block fractions must be finite")
         sizes = [int(round(f * self.n)) for f in self.block_fractions[:-1]]
         sizes.append(self.n - sum(sizes))
         return sizes
@@ -347,34 +349,30 @@ def experiment_names() -> list[str]:
 def config_from_mapping(name: str, overrides: dict):
     """Build an experiment config from a flat key-value mapping.
 
-    Unknown keys are rejected, and so is a value not shaped like its
-    field's default (see _fits); list values are frozen to tuples so configs
+    Unknown keys are rejected, and so is a value of another type than its
+    field's default (see _kind); list values are frozen to tuples so configs
     stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
     config_cls = EXPERIMENTS[name][0]
-    defaults = {f.name: f.default for f in fields(config_cls)}
-    unknown = set(overrides) - set(defaults)
+    kinds = {f.name: _kind(f.default) for f in fields(config_cls)}
+    unknown = set(overrides) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
     if name == "ell-sweep" and "ell" in overrides:
         # run_ell_sweep replaces ell with each entry of ells
         raise ValueError("ell-sweep runs every walk power in ells; set ells, not ell")
-    for key, value in overrides.items():
-        if not _fits(value, defaults[key]):
-            raise ValueError(f"config key {key!r} of {name} needs a value shaped like "
-                             f"its default {defaults[key]!r}, got {value!r}")
+    check_fields(overrides, kinds, f"{name} config", optional=kinds)
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
 
 
-def _fits(value, default) -> bool:
-    """Whether value is shaped like default: a list or tuple for a tuple, each
-    item shaped like the default's first; otherwise of the default's type, as
-    has_type reads it (a bool is no int, an int is also a float)."""
+def _kind(default):
+    """The type has_type checks a config value against: list[item] for a
+    tuple, item from its first entry; otherwise the default's own type."""
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
-    return has_type(value, type(default))
+        return list[_kind(default[0])]
+    return type(default)
 
 
 def _freeze(value):

@@ -7,7 +7,7 @@ arguments reproduce identical objects.
 """
 
 import io
-import json
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -16,8 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from ._util import atomic_write_text, dump_json, has_type
+from ._util import atomic_write_text, check_fields, dump_json, read_json
 
+# the type of each graph field; the edge table's numbers are checked as an array
+_GRAPH_FIELDS = {"n": int, "edges": list, "labels": list[int]}
 # One edge of Graph.to_dict() as json.dumps(indent=2) lays it out; floats
 # take repr(), which is what the json encoder writes for finite values.
 _EDGE_JSON = "    [\n      %d,\n      %d,\n      %r\n    ]"
@@ -101,14 +103,10 @@ class Graph:
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
         """Inverse of to_dict; raises ValueError on any malformed field."""
-        if not isinstance(data, dict):
-            raise ValueError("graph must be a JSON object")
-        n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("graph needs an integer n")
-        edges = data.get("edges")
-        if not isinstance(edges, list):
-            raise ValueError("graph needs a list of edges")
+        check_fields(data, _GRAPH_FIELDS, "graph", optional=("labels",))
+        n, edges = data["n"], data["edges"]
+        if n >= 2**63:
+            raise ValueError("graph n must fit in int64")
         table = _number_array(edges, np.float64)
         # np.array also converts numeric strings and booleans; JSON numbers are int or float
         if edges and (table is None or table.ndim != 2 or table.shape[1] != 3
@@ -122,11 +120,9 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         labels = None
         if "labels" in data:
-            raw = data["labels"]
-            labels = _number_array(raw, None) if isinstance(raw, list) else None
-            if (labels is None or labels.ndim != 1 or labels.dtype.kind not in "iu"
-                    or not {type(x) for x in raw} <= {int}):
-                raise ValueError("graph labels must be a list of integers")
+            labels = _number_array(data["labels"], np.int64)
+            if labels is None:
+                raise ValueError("graph labels must fit in int64")
         return cls(n, ends.astype(np.int64), table[:, 2], labels)
 
     def save_json(self, path: str) -> None:
@@ -146,8 +142,7 @@ class Graph:
 
     @classmethod
     def load_json(cls, path: str) -> "Graph":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_json(path))
 
 
 def _number_array(values: list, dtype) -> np.ndarray | None:
@@ -202,8 +197,8 @@ class PointCloud:
     @classmethod
     def load_csv(cls, path: str) -> "PointCloud":
         """Inverse of save_csv; blank lines are skipped and fields may be quoted.
-        Raises ValueError on a ragged row, a non-numeric field or a label that
-        is not an integer."""
+        Raises ValueError, naming the file line, on a ragged row, a non-numeric
+        field or a label that is not an integer."""
         with open(path, "r", encoding="utf-8", newline="") as handle:
             header = handle.readline().rstrip("\r\n").split(",")
             body = handle.read()
@@ -215,11 +210,27 @@ class PointCloud:
         fields = [("coords", np.float64, (len(header) - labeled,))]
         if labeled:
             fields.append(("label", np.int64))
+
+        def rows(text: str) -> np.ndarray:
+            return np.loadtxt(io.StringIO(text), dtype=fields, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
+
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=fields, delimiter=",", comments=None,
-                               quotechar='"', ndmin=1)
+            table = rows(body)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            # numpy counts rows from the first data line: name the first file
+            # line that fails on its own instead
+            error, where = exc, ""
+            for lineno, line in enumerate(body.split("\n"), start=2):
+                if not line.strip():
+                    continue
+                try:
+                    rows(line)
+                except ValueError as line_exc:
+                    error, where = line_exc, f" line {lineno}:"
+                    break
+            message = re.sub(r" at row \d+(; use `usecols`.*)?", "", str(error))
+            raise ValueError(f"{path}:{where} {message}") from None
         return cls(table["coords"], table["label"] if labeled else None)
 
 
@@ -244,19 +255,7 @@ class CostVector:
     @classmethod
     def load_json(cls, path: str) -> "CostVector":
         """Read {"costs": [numbers]}; raises ValueError on any malformed field."""
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError("costs file must be a JSON object")
-        costs = data.get("costs")
-        if not isinstance(costs, list):
-            raise ValueError("costs file needs a list of costs")
-        if not all(has_type(c, float) for c in costs):
-            raise ValueError("costs must be numbers")
-        values = _number_array(costs, np.float64)
-        if values is None:
-            raise ValueError("costs must fit in a float")
-        return cls(values)
+        return cls(check_fields(read_json(path), {"costs": list[float]}, "costs file")["costs"])
 
     @classmethod
     def zeros(cls, n: int) -> "CostVector":
@@ -280,12 +279,12 @@ def generate_gaussian_mixture(means, fractions, covariance_scale: float, n: int,
     fractions = np.asarray(fractions, dtype=np.float64)
     if means.ndim != 2 or len(means) != len(fractions):
         raise ValueError("means must be (c, d) with one fraction per component")
-    if np.any(fractions <= 0) or abs(fractions.sum() - 1.0) > 1e-9:
+    if not (np.all(fractions > 0) and abs(fractions.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("fractions must be positive and sum to 1")
     if covariance_scale <= 0:
         raise ValueError("covariance_scale must be positive")
-    if n < len(fractions):
-        raise ValueError("need at least one point per component")
+    if not len(fractions) <= n < 2**63:
+        raise ValueError("need at least one point per component and n within int64")
     counts = np.floor(fractions * n).astype(int)
     counts[-1] = n - counts[:-1].sum()
     if np.any(counts < 1):

@@ -15,14 +15,13 @@ those estimates approximate the all-ones vector divided by n. Coreset is the
 one weighted-vertex-set type of the package; the baselines return it too.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dump_json, has_type
+from ._util import check_fields, dump_json, read_json
 from .graphs import CostVector
 from .spectral import NormalizedColumns
 
@@ -32,6 +31,10 @@ _RESIDUAL_TOL = 1e-12
 # the type of each trajectory field, as has_type reads it
 _RECORD_FIELDS = {"k": int, "vertex": int, "alignment": float, "delta": float, "J": float,
                   "slack_set_size": int}
+# the type of each coreset field; a file needs only indices and weights
+_CORESET_FIELDS = {"indices": list[int], "weights": list[float], "beta": float,
+                   "total_cost": float, "trajectory": list, "status": str, "method": str}
+_CORESET_OPTIONAL = ("beta", "total_cost", "trajectory", "status", "method")
 
 
 @dataclass
@@ -80,10 +83,7 @@ class IterationRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "IterationRecord":
         """Inverse of to_dict; raises ValueError on a missing or mistyped field."""
-        if not isinstance(data, dict) or not all(
-                has_type(data.get(key), kind) for key, kind in _RECORD_FIELDS.items()):
-            raise ValueError("coreset trajectory entries need integer k, vertex and "
-                             "slack_set_size and numeric alignment, delta and J")
+        check_fields(data, _RECORD_FIELDS, "coreset trajectory entry")
         return cls(
             data["k"], data["vertex"], float(data["alignment"]),
             float(data["delta"]), float(data["J"]), data["slack_set_size"],
@@ -124,36 +124,25 @@ class Coreset:
     def from_dict(cls, data: dict) -> "Coreset":
         """Inverse of to_dict; only indices and weights are required. Raises
         ValueError on any malformed field."""
-        if not isinstance(data, dict):
-            raise ValueError("coreset must be a JSON object")
-        indices, weights = data.get("indices"), data.get("weights")
-        if not isinstance(indices, list) or not all(has_type(i, int) for i in indices):
-            raise ValueError("coreset needs a list of integer indices")
-        if not isinstance(weights, list) or not all(has_type(w, float) for w in weights):
-            raise ValueError("coreset needs a list of numeric weights")
+        check_fields(data, _CORESET_FIELDS, "coreset", optional=_CORESET_OPTIONAL)
+        indices, weights = data["indices"], data["weights"]
         if len(indices) != len(weights):
             raise ValueError("coreset indices and weights differ in length")
-        for key in ("beta", "total_cost"):
-            if not has_type(data.get(key, 0.0), float):
-                raise ValueError(f"coreset {key} must be a number")
-        for key in ("status", "method"):
-            if not isinstance(data.get(key, ""), str):
-                raise ValueError(f"coreset {key} must be a string")
-        trajectory = data.get("trajectory", [])
-        if not isinstance(trajectory, list):
-            raise ValueError("coreset trajectory must be a list")
+        if len(set(indices)) != len(indices):
+            raise ValueError("coreset indices must be distinct")
         try:
-            coreset = cls(
-                indices=list(indices),
-                weights=np.array(weights, dtype=np.float64),
-                beta=float(data.get("beta", 1.0)),
-                total_cost=float(data.get("total_cost", 0.0)),
-                trajectory=[IterationRecord.from_dict(r) for r in trajectory],
-                status=data.get("status", "ok"),
-                method=data.get("method", "scgiga"),
-            )
+            indices = np.array(indices, dtype=np.int64).tolist()
         except OverflowError:
-            raise ValueError("coreset holds a number too large for a float") from None
+            raise ValueError("coreset indices must fit in int64") from None
+        coreset = cls(
+            indices=indices,
+            weights=np.array(weights, dtype=np.float64),
+            beta=float(data.get("beta", 1.0)),
+            total_cost=float(data.get("total_cost", 0.0)),
+            trajectory=[IterationRecord.from_dict(r) for r in data.get("trajectory", [])],
+            status=data.get("status", "ok"),
+            method=data.get("method", "scgiga"),
+        )
         if not (np.isfinite(coreset.weights).all() and math.isfinite(coreset.beta)
                 and math.isfinite(coreset.total_cost)):
             raise ValueError("coreset weights, beta and total_cost must be finite")
@@ -164,8 +153,7 @@ class Coreset:
 
     @classmethod
     def load_json(cls, path: str) -> "Coreset":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_json(path))
 
 
 def beta_star(p_w_norm: float, alignment: float, n: int) -> float:
@@ -227,11 +215,12 @@ def select_coreset(
     with status "ok" when the step demands a new vertex beyond the budget,
     "converged" when the residual reaches _RESIDUAL_TOL or stops moving at
     float resolution, and "stalled" when no vertex offers a positive
-    direction. A hard iteration cap (unreachable in practice) guarantees
-    termination with status "capped". observer, when given, is called after
-    each round with that round's Coreset: the weights and cost of the
-    support so far, coefficients and trajectory copied, status "converged"
-    when the run stops on that round and "ok" otherwise.
+    direction. A hard cap of 64 * min(budget, n) + 64 rounds guarantees
+    termination with status "capped"; every budget from n up runs alike.
+    observer, when given, is called after each round with that round's
+    Coreset: the weights and cost of the support so far, coefficients and
+    trajectory copied, status "converged" when the run stops on that round
+    and "ok" otherwise.
     """
     n = columns.n
     if n == 0:
@@ -251,7 +240,7 @@ def select_coreset(
     status = "capped"
     res_after = 1.0
 
-    for k in range(64 * config.budget + 64):
+    for k in range(64 * min(config.budget, n) + 64):
         # res_after is the current residual; from the zero iterate of round 0,
         # proj is 0 and denom 1, so the scores are base itself
         proj = np.clip(columns.alignments(iterate), -1.0, 1.0)

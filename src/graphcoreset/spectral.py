@@ -29,12 +29,13 @@ def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
     if graph.m == 0:
         raise ValueError("graph has no edges, d_max would be zero")
     adjacency = graph.adjacency()
-    degrees = graph.degrees()
-    d_max = float(degrees.max())
-    matrix = adjacency / d_max + sp.diags(1.0 - degrees / d_max)
-    matrix = sp.csr_matrix(matrix)
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):  # the row check reports both
+        degrees = graph.degrees()
+        d_max = float(degrees.max())
+        matrix = adjacency / d_max + sp.diags(1.0 - degrees / d_max)
+        matrix = sp.csr_matrix(matrix)
+        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    if not np.max(np.abs(row_sums - 1.0)) <= 1e-12:  # a NaN row fails too
         raise ValueError("walk matrix rows failed to normalize")
     return matrix
 
@@ -89,17 +90,19 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
-        power = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), ell))
-    else:
-        power = walk
-        for _ in range(ell - 1):
-            power = power @ walk
-        power = sp.csc_matrix(power, copy=True)
-        power.eliminate_zeros()
-    norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
-    if np.any(norms <= 0):
-        raise ValueError("walk power has a zero column")
+    # rounding can carry a huge power past float range; the norm check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
+            power = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), ell))
+        else:
+            power = walk
+            for _ in range(ell - 1):
+                power = power @ walk
+            power = sp.csc_matrix(power, copy=True)
+            power.eliminate_zeros()
+        norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
+    if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
+        raise ValueError("walk power has a zero or non-finite column")
     return NormalizedColumns(ell, power, norms)
 
 

@@ -141,13 +141,14 @@ def test_select_validation_and_io(sbm_file):
     {"n": 2, "edges": [[0, True, 1.0]]},
     {"n": 2, "edges": [[0, 1, True]]},
     {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, True]},
+    {"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
     None,
 ], ids=["no-n", "edge-without-weight", "edges-not-a-list", "not-an-object", "fractional-n",
         "fractional-endpoint", "empty-file", "truncated", "boolean-n", "pairs-not-triples",
         "four-entries", "nested-endpoint", "object-weight", "null-endpoint", "huge-endpoint",
         "endpoint-past-n", "negative-weight", "null-labels", "fractional-label", "string-label",
         "nested-label", "short-labels", "string-entries", "boolean-endpoint", "boolean-weight",
-        "boolean-label", "directory"])
+        "boolean-label", "overflowing-degree", "directory"])
 def test_select_rejects_malformed_graph(workdir, capsys, content):
     """Graph.from_dict raises ValueError (exit 2); only I/O failures exit 3."""
     if content is None:
@@ -210,6 +211,9 @@ def test_baseline_validation(sbm_file):
     assert run_cli("baseline", "--method", "kmeans", "--k", "2", "-o", "x.json") == 2
     assert run_cli("baseline", "--method", "random", "--k", "2", "-o", "x.json") == 2
     assert run_cli("baseline", "--method", "spectral", "--k", "2", "-o", "x.json") == 2
+    # numpy's sampler takes no n from 2**63 up
+    assert run_cli("baseline", "--method", "random", "--n", "99999999999999999999999",
+                   "--k", "2", "-o", "x.json") == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -236,6 +240,20 @@ def test_point_cloud_commands_reject_malformed_csv(workdir, capsys, text, comman
     assert run_cli(*command) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x0,x1,label\n0,0,0\n1_0,1,1\n2,2,1\n", 3),
+    ("x0,x1,label\n0,0,0\n\n1,1\n2,2,1\n", 4),
+], ids=["bad-field", "short-row-after-blank-line"])
+def test_point_cloud_errors_name_the_file_line(workdir, capsys, text, line):
+    """The error names the 1-based line of the file, not numpy's row count."""
+    Path("bad.csv").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("baseline", "--method", "kmeans", "--cloud", "bad.csv", "--k", "2",
+                   "-o", "km.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad.csv: line {line}: ") and "row" not in err
 
 
 def test_eval_reports_the_coreset_cost(sbm_file):
@@ -295,10 +313,12 @@ def test_eval_average_distance(sbm_file):
     ({"indices": [0, 1], "weights": [float("nan"), 1.0]}, "indicator"),
     ({"indices": [0, 1], "weights": [float("inf"), 1.0]}, "indicator"),
     ({"indices": [0], "weights": [1.0], "beta": float("nan")}, "indicator"),
+    ({"indices": [0, 0], "weights": [0.5, 0.5]}, "indicator"),
+    ({"indices": [10**29], "weights": [1.0]}, "indicator"),
 ], ids=["index-past-n", "negative-index", "no-weights", "length-mismatch", "indices-not-a-list",
         "not-an-object", "empty-record", "number-trajectory", "nested-index", "list-beta",
         "nested-weight", "fractional-index", "boolean-index", "huge-weight", "nan-weight",
-        "infinite-weight", "nan-beta"])
+        "infinite-weight", "nan-beta", "duplicate-index", "huge-index"])
 def test_eval_rejects_malformed_coreset(sbm_file, capsys, coreset, function):
     write_json("bad.json", coreset)
     capsys.readouterr()
@@ -327,11 +347,13 @@ def test_replay_reproduces_bytes(sbm_file):
 
 
 def test_replay_accepts_unread_parameter_keys(sbm_file):
-    """Keys a command no longer records, such as select's old tol, still replay."""
+    """Keys no longer recorded, such as select's old tol and the old top-level
+    seed, still replay."""
     run_cli("select", "--graph", sbm_file, "--k", "5", "-o", "cs.json")
     manifest = read_json("cs.json.manifest.json")
-    assert "tol" not in manifest["parameters"]
+    assert "tol" not in manifest["parameters"] and "seed" not in manifest
     manifest["parameters"]["tol"] = 1e-12
+    manifest["seed"] = 0
     write_json("cs.json.manifest.json", manifest)
     assert run_cli("replay", "cs.json.manifest.json", "--verify") == 0
 

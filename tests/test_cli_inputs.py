@@ -1,0 +1,148 @@
+"""Every JSON file the CLI reads, broken in any one place, ends in exit 0, 2 or 3.
+
+The inputs are the graph and the costs of `select`, the coreset of `eval`,
+the manifest of `replay` and the config of `experiment`. Each case runs
+`main` in process, so an exception that escapes it fails the test.
+"""
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from graphcoreset.cli import main
+
+INPUT = "input.json"
+# the command that reads each kind of input from INPUT
+COMMANDS = {
+    "graph": ["select", "--graph", INPUT, "--k", "2", "-o", "cs.json"],
+    "costs": ["select", "--graph", "g.json", "--costs", INPUT, "--k", "2", "-o", "cs.json"],
+    "coreset": ["eval", "--graph", "g.json", "--coreset", INPUT, "--function", "indicator",
+                "-o", "ev.csv"],
+    "manifest": ["replay", INPUT, "--verify"],
+    "config": ["experiment", "--name", "sbm-indicator", "--config", INPUT, "--out-dir", "exp"],
+}
+# the replacement values of a field; DELETE drops the field instead
+DELETE = object()
+VALUES = [DELETE, None, True, -1, 0.5, 2**63, 10**400, float("nan"), float("inf"),
+          float("-inf"), "", "1", [], {}, [[0, [1.5]]]]
+
+
+@pytest.fixture
+def valid(tmp_path, monkeypatch):
+    """A working directory holding g.json and one valid file of each kind, by name."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--model", "sbm", "--sizes", "8,8", "--p-in", "0.5",
+                 "--p-out", "0.1", "--seed", "3", "-o", "g.json"]) == 0
+    assert main(["select", "--graph", "g.json", "--k", "3", "-o", "cs.json"]) == 0
+    assert main(["generate", "--model", "gaussian-mixture", "--means", "0,0;4,4",
+                 "--fractions", "0.5,0.5", "--n", "12", "--seed", "1", "-o", "c.csv"]) == 0
+
+    def load(path):
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+
+    return {
+        "graph": load("g.json"),
+        "costs": {"costs": [0.5] * 16},
+        "coreset": load("cs.json"),
+        "manifest": load("cs.json.manifest.json"),
+        "manifest-generate": load("c.csv.manifest.json"),
+        "config": {"n": 24, "block_fractions": [0.5, 0.5], "ell": 2, "k_grid": [2],
+                   "seeds": [0]},
+    }
+
+
+def run(kind: str, text: str | None) -> int:
+    """main on INPUT holding text (None: no file); the exit must be 0, 2 or 3."""
+    if text is not None:
+        Path(INPUT).write_text(text, encoding="utf-8")
+    elif os.path.isfile(INPUT):
+        os.remove(INPUT)
+    code = main(COMMANDS[kind.split("-")[0]])
+    assert code in (0, 2, 3)
+    return code
+
+
+@pytest.mark.parametrize("kind", list(COMMANDS))
+@pytest.mark.parametrize("case, want", [
+    ("valid", 0), ("empty", 2), ("truncated", 2), ("null", 2), ("list", 2), ("deep", 2),
+    ("missing", 3), ("directory", 3),
+])
+def test_broken_json_input(valid, capsys, kind, case, want):
+    text = json.dumps(valid[kind])
+    if case == "directory":
+        os.mkdir(INPUT)
+    texts = {"valid": text, "empty": "", "truncated": text[:len(text) // 2], "null": "null",
+             "list": "[]", "deep": "[" * 100000, "missing": None, "directory": None}
+    capsys.readouterr()
+    assert run(kind, texts[case]) == want
+    err = capsys.readouterr().err
+    assert err.startswith({0: "", 2: "error: ", 3: "io error: "}[want])
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("graph", ("n",), 10**400),
+    ("manifest-generate", ("parameters", "n"), 10**400),
+    ("manifest-generate", ("parameters", "means", 0, 0), 10**400),
+    ("manifest-generate", ("parameters", "fractions", 0), float("nan")),
+    ("config", ("n",), 10**400),
+    ("config", ("block_fractions", 0), float("inf")),
+    ("config", ("ell",), 10**400),
+], ids=["graph-huge-n", "generate-huge-n", "generate-huge-mean", "generate-nan-fraction",
+        "config-huge-n", "config-infinite-fraction", "config-huge-ell"])
+def test_broken_field(valid, capsys, kind, path, value):
+    """Single fields that once escaped main as an OverflowError or a RuntimeWarning."""
+    capsys.readouterr()
+    assert run(kind, json.dumps(_changed(valid[kind], path, value))) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _paths(doc, prefix=()):
+    """The path (keys and list positions) of every value below the root."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _changed(doc, path, value):
+    """A copy of doc with the value at path replaced, or dropped for DELETE."""
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copy
+
+
+def test_any_one_broken_field(valid):
+    """One field at any depth deleted or replaced, or the text cut anywhere.
+
+    A config key deleted at the top level falls back to its default, which is
+    a valid but full-size study, so the config's top-level keys are only
+    replaced."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(sorted(valid)))
+        text = json.dumps(valid[kind])
+        if data.draw(st.booleans()):
+            run(kind, text[:data.draw(st.integers(0, len(text) - 1))])
+            return
+        path = data.draw(st.sampled_from(list(_paths(valid[kind]))))
+        value = data.draw(st.sampled_from(VALUES))
+        if kind == "config" and len(path) == 1 and value is DELETE:
+            value = None
+        run(kind, json.dumps(_changed(valid[kind], path, value)))
+
+    check()

@@ -317,6 +317,21 @@ def test_grid_matches_independent_runs():
             assert len(grid[b].trajectory) == len(solo.trajectory)
 
 
+def test_grid_matches_independent_runs_past_n():
+    """Budgets from n up end at the same round cap, so the grid still matches
+    an independent run at each of them."""
+    g = generate_sbm([8, 8], 0.5, 0.1, seed=3)
+    cols = columns_for(g, 1)
+    costs = CostVector.zeros(g.n)
+    budgets = [g.n, g.n + 4]
+    grid = select_coreset_grid(cols, costs, 1.0, budgets)
+    for b in budgets:
+        solo = select_coreset(cols, costs, SelectionConfig(budget=b))
+        assert solo.status == grid[b].status == "capped"
+        assert len(grid[b].trajectory) == len(solo.trajectory) == 64 * g.n + 64
+        assert np.array_equal(grid[b].weights, solo.weights)
+
+
 def test_grid_validation(edge2):
     with pytest.raises(ValueError):
         select_coreset_grid(edge2, CostVector.zeros(2), 1.0, [0, 1])
