@@ -45,9 +45,7 @@ from .selection import (
     Coreset,
     IterationRecord,
     SelectionConfig,
-    beta_star,
     cost_penalty_bound,
-    residual,
     select_coreset,
     select_coreset_grid,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "SelectionConfig",
     "avg_shortest_path_estimate",
     "avg_shortest_path_true",
-    "beta_star",
     "betweenness_coreset",
     "betweenness_scores",
     "bound_check",
@@ -97,7 +94,6 @@ __all__ = [
     "load_edge_list",
     "normalized_columns",
     "random_sampling",
-    "residual",
     "results_from_csv",
     "results_to_csv",
     "sample_costs_uniform",

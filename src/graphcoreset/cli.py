@@ -318,11 +318,17 @@ def _execute_replay(params: dict):
                 before[path] = handle.read()
     lines = _run_and_record(command, manifest["parameters"])
     if params.get("verify"):
-        for path in manifest["output_paths"]:
+        changed = []
+        for path, recorded in before.items():
             with open(path, "rb") as handle:
-                after = handle.read()
-            if after != before[path]:
-                raise ValueError(f"replay produced different bytes for {path}")
+                if handle.read() != recorded:
+                    changed.append(path)
+        if changed:
+            # a failed verify leaves the outputs it checked as it found them
+            for path in changed:
+                with open(path, "wb") as handle:
+                    handle.write(before[path])
+            raise ValueError(f"replay produced different bytes for {changed[0]}")
         lines = lines + [f"verified {len(before)} outputs byte-identical"]
     return lines
 

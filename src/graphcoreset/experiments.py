@@ -349,9 +349,9 @@ def experiment_names() -> list[str]:
 def config_from_mapping(name: str, overrides: dict):
     """Build an experiment config from a flat key-value mapping.
 
-    Unknown keys are rejected, and so is a value of another type than its
-    field's default (see _kind); list values are frozen to tuples so configs
-    stay hashable.
+    Unknown keys are rejected, and so are a value of another type than its
+    field's default (see _kind) and an empty list; list values are frozen to
+    tuples so configs stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
@@ -364,6 +364,9 @@ def config_from_mapping(name: str, overrides: dict):
         # run_ell_sweep replaces ell with each entry of ells
         raise ValueError("ell-sweep runs every walk power in ells; set ells, not ell")
     check_fields(overrides, kinds, f"{name} config", optional=kinds)
+    for key, value in overrides.items():
+        if isinstance(value, (list, tuple)) and not value:
+            raise ValueError(f"{name} config {key} must not be empty")
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
 
 

@@ -95,9 +95,8 @@ class Coreset:
     """Selected vertices with estimator weights and the selection trace.
 
     indices are in first-selection order; weights align with indices and are
-    the final estimator weights (beta already applied). coefficients is the
-    full-length unit-sphere weight vector; it is not serialized. A baseline
-    scheme leaves beta at 1 and the trajectory empty.
+    the final estimator weights (beta already applied). A baseline scheme
+    leaves beta at 1 and the trajectory empty.
     """
 
     indices: list
@@ -105,7 +104,6 @@ class Coreset:
     beta: float = 1.0
     total_cost: float = 0.0
     trajectory: list = field(default_factory=list)
-    coefficients: np.ndarray | None = None
     status: str = "ok"
     method: str = "scgiga"
 
@@ -156,29 +154,6 @@ class Coreset:
         return cls.from_dict(read_json(path))
 
 
-def beta_star(p_w_norm: float, alignment: float, n: int) -> float:
-    """Optimal non-negative scale onto the span of the iterate.
-
-    Minimizes ||beta * P(w) - uniform|| over beta >= 0 for an iterate with
-    norm p_w_norm and cosine `alignment` against the unit uniform direction.
-    """
-    if p_w_norm <= 0:
-        raise ValueError("iterate norm must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (1.0 / math.sqrt(n)) / p_w_norm * max(0.0, alignment)
-
-
-def residual(columns: NormalizedColumns, coefficients: np.ndarray) -> float:
-    """Residual J = 1 - <P(w), target>^2 for a unit-norm combination."""
-    combined = columns.combine(np.asarray(coefficients, dtype=np.float64))
-    norm = float(np.linalg.norm(combined))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"combination is not unit norm (got {norm})")
-    alignment = float(combined @ columns.target)
-    return max(0.0, 1.0 - alignment * alignment)
-
-
 def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm: float, n: int) -> float:
     """Largest cost-penalty weight that keeps a kappa-optimal alignment.
 
@@ -200,28 +175,38 @@ def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm:
     return (1.0 - kappa) / (c_max * min_column_norm * math.sqrt(n))
 
 
-def select_coreset(
-    columns: NormalizedColumns,
-    costs: CostVector,
-    config: SelectionConfig,
-    observer=None,
-) -> Coreset:
-    """Run the greedy geodesic selection loop.
+def select_coreset(columns: NormalizedColumns, costs: CostVector,
+                   config: SelectionConfig) -> Coreset:
+    """One greedy run at config's budget and slack (see select_coreset_grid)."""
+    return select_coreset_grid(columns, costs, config.kappa, [config.budget])[config.budget]
+
+
+def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: float,
+                        budgets) -> dict:
+    """Run the greedy geodesic selection loop once; a coreset per budget.
 
     Each round scores every vertex with one geodesic formula, which from the
     zero start iterate reduces to plain alignment with the target, and takes
     the best single geodesic step, which may re-select an already-chosen
-    vertex; only new vertices consume budget. The run ends
-    with status "ok" when the step demands a new vertex beyond the budget,
-    "converged" when the residual reaches _RESIDUAL_TOL or stops moving at
-    float resolution, and "stalled" when no vertex offers a positive
-    direction. A hard cap of 64 * min(budget, n) + 64 rounds guarantees
-    termination with status "capped"; every budget from n up runs alike.
-    observer, when given, is called after each round with that round's
-    Coreset: the weights and cost of the support so far, coefficients and
-    trajectory copied, status "converged" when the run stops on that round
-    and "ok" otherwise.
+    vertex; only new vertices consume budget. A budget's run ends with status
+    "ok" when the step demands a new vertex beyond that budget, "converged"
+    when the residual reaches _RESIDUAL_TOL or stops moving at float
+    resolution, and "stalled" when no vertex offers a positive direction. A
+    hard cap of 64 * min(budget, n) + 64 rounds guarantees termination with
+    status "capped"; every budget from n up runs alike.
+
+    The greedy choices do not depend on the budget until the budget blocks a
+    placement, so one run at the largest budget serves every budget exactly:
+    a budget-b coreset is the state just before the (b+1)-th distinct vertex
+    would be placed or at b's own round cap, whichever comes first; a budget
+    that neither reached gets the final state. Steps are geodesic with no
+    correction, so the trajectory's (vertex, delta) pairs are a complete
+    record of the run.
     """
+    budgets = sorted(set(int(b) for b in budgets))
+    if not budgets or budgets[0] < 1:
+        raise ValueError("budgets must be a non-empty list of positive integers")
+    config = SelectionConfig(budgets[-1], kappa)
     n = columns.n
     if n == 0:
         raise ValueError("empty column set")
@@ -237,10 +222,16 @@ def select_coreset(
     selected: list[int] = []
     seen = np.zeros(n, dtype=bool)
     trajectory: list[IterationRecord] = []
+    grid: dict[int, Coreset] = {}
     status = "capped"
     res_after = 1.0
+    caps = {budget: 64 * min(budget, n) + 64 for budget in budgets}
 
-    for k in range(64 * min(config.budget, n) + 64):
+    for k in range(caps[config.budget]):
+        for budget in budgets:
+            if k == caps[budget] and budget not in grid:
+                # a run at this budget ends here, on its round cap
+                grid[budget] = _finish(columns, cost, selected, coeffs, align, trajectory, "capped")
         # res_after is the current residual; from the zero iterate of round 0,
         # proj is 0 and denom 1, so the scores are base itself
         proj = np.clip(columns.alignments(iterate), -1.0, 1.0)
@@ -260,9 +251,11 @@ def select_coreset(
             v_k = v_best
         else:
             v_k = int(slack[np.argmin(cost[slack])])
-        if not seen[v_k] and len(selected) >= config.budget:
-            status = "ok"
-            break
+        if not seen[v_k] and len(selected) in budgets:
+            # a run at this budget stops here, before placing a new vertex
+            grid[len(selected)] = _finish(columns, cost, selected, coeffs, align, trajectory, "ok")
+            if len(selected) == config.budget:
+                return grid
         score_k = float(scores[v_k])
         column = columns.column(v_k)
 
@@ -299,22 +292,23 @@ def select_coreset(
         trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, len(slack)))
         # a residual within _RESIDUAL_TOL, or a best step that no longer moves it
         # at float resolution (later steps are no better), is convergence
-        done = res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before
-        if observer is not None:
-            observer(_finish(columns, cost, selected, coeffs.copy(), align, trajectory,
-                             "converged" if done else "ok"))
-        if done:
+        if res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before:
             status = "converged"
             break
 
-    return _finish(columns, cost, selected, coeffs, align, trajectory, status)
+    final = _finish(columns, cost, selected, coeffs, align, trajectory, status)
+    return {budget: grid.get(budget, final) for budget in budgets}
 
 
 def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: list, coeffs: np.ndarray,
             align: float, trajectory: list, status: str) -> Coreset:
-    """Coreset of a greedy state: beta, estimator weights and placement cost."""
+    """Coreset of a greedy state: beta, estimator weights and placement cost.
+
+    beta = max(0, align) / sqrt(n) is the non-negative scale that brings the
+    unit iterate closest to the uniform vector 1/n.
+    """
     if selected:
-        beta = beta_star(1.0, align, columns.n)
+        beta = (1.0 / math.sqrt(columns.n)) * max(0.0, align)
         idx = np.array(selected, dtype=np.int64)
         weights = beta * coeffs[idx] / columns.column_norms[idx]
         total_cost = float(cost[idx].sum())
@@ -322,40 +316,5 @@ def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: list, coeffs
         beta = 0.0
         weights = np.empty(0)
         total_cost = 0.0
-    return Coreset(
-        indices=list(selected), weights=weights, beta=beta, total_cost=total_cost,
-        trajectory=list(trajectory), coefficients=coeffs, status=status,
-    )
-
-
-def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: float,
-                        budgets) -> dict:
-    """Coresets for several budgets from one run at slack kappa.
-
-    The greedy choices do not depend on the budget until the budget blocks a
-    placement, so one run at the largest budget reproduces every smaller
-    budget's output exactly: a budget-b run ends in the state reached just
-    before the (b+1)-th distinct vertex would be placed. Budgets past an
-    early stop repeat the final state, which matches what independent runs
-    would return.
-    """
-    budgets = sorted(set(int(b) for b in budgets))
-    if budgets[0] < 1:
-        raise ValueError("budgets must be positive")
-    wanted = set(budgets)
-    snapshots: dict[int, Coreset] = {}
-    last = None  # the most recent round's snapshot
-
-    def observe(snapshot: Coreset) -> None:
-        nonlocal last
-        if last is not None and len(snapshot.indices) > len(last.indices):
-            # this round placed a new vertex; a run whose budget equals the
-            # previous support would have stopped right before it
-            if len(last.indices) in wanted:
-                snapshots[len(last.indices)] = last
-        last = snapshot
-
-    final = select_coreset(columns, costs, SelectionConfig(budgets[-1], kappa), observer=observe)
-    # a budget the support never outgrew ends where the full run ended
-    # (budget edge, convergence, or stall), as a fresh run at it would
-    return {budget: snapshots.get(budget, final) for budget in budgets}
+    return Coreset(indices=list(selected), weights=weights, beta=beta, total_cost=total_cost,
+                   trajectory=list(trajectory), status=status)

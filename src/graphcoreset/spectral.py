@@ -72,10 +72,6 @@ class NormalizedColumns:
         """Inner product of every normalized column with x, one matvec."""
         return (self.matrix.T @ x) / self.column_norms
 
-    def combine(self, coefficients: np.ndarray) -> np.ndarray:
-        """Linear combination sum_i coefficients[i] * (column i / norm i)."""
-        return self.matrix @ (coefficients / self.column_norms)
-
 
 def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """Normalized columns of P^ell.

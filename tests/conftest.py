@@ -35,3 +35,32 @@ def two_triangles() -> Graph:
     """Triangles {0,1,2} and {3,4,5} joined by the bridge (2,3)."""
     edges = np.array([[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [3, 5], [4, 5]])
     return Graph(6, edges, np.ones(7), labels=np.array([0, 0, 0, 1, 1, 1]))
+
+
+def _replay_trajectory(columns, trajectory) -> list:
+    """(coefficients, iterate) after each round, rebuilt from each record's vertex
+    and step size with the selection loop's own blend, normalize and coefficient
+    update, so a complete trajectory reproduces the run's state bit for bit."""
+    coeffs = np.zeros(columns.n)
+    iterate = np.zeros(columns.n)
+    states = []
+    for rec in trajectory:
+        column = columns.column(rec.vertex)
+        if rec.k == 0:
+            coeffs[rec.vertex] = 1.0
+            iterate = column
+        else:
+            blended = (1.0 - rec.delta) * iterate + rec.delta * column
+            norm = float(np.linalg.norm(blended))
+            iterate = blended / norm
+            coeffs *= 1.0 - rec.delta
+            coeffs[rec.vertex] += rec.delta
+            coeffs /= norm
+        states.append((coeffs.copy(), iterate))
+    return states
+
+
+@pytest.fixture(scope="session")
+def replay_trajectory():
+    """The replay above, for tests that need a run's per-round state."""
+    return _replay_trajectory

@@ -96,14 +96,15 @@ def test_criterion_1_residual_monotone(selection_sweep):
     assert ok
 
 
-def test_criterion_2_residual_identity(selection_sweep):
-    """(1/n) J equals the squared distance of the rescaled iterate from uniform."""
+def test_criterion_2_residual_identity(selection_sweep, replay_trajectory):
+    """(1/n) J equals the squared distance of the rescaled iterate from uniform;
+    the iterate y is rebuilt from the trajectory."""
     runs, _ = selection_sweep
     worst = 0.0
     for n, cols, out in runs:
         j = out.trajectory[-1].residual
-        combo = cols.combine(out.coefficients)
-        dist2 = float(np.sum((out.beta * combo - np.full(n, 1.0 / n)) ** 2))
+        _, iterate = replay_trajectory(cols, out.trajectory)[-1]
+        dist2 = float(np.sum((out.beta * iterate - np.full(n, 1.0 / n)) ** 2))
         worst = max(worst, abs(j / n - dist2))
     ok = worst <= 1e-10
     report(2, ok, f"max identity gap {worst:.3g} (tolerance 1e-10)")
@@ -304,7 +305,7 @@ def test_criterion_9_walk_matrix_contract():
 
 @pytest.mark.skipif(not os.path.exists(FACEBOOK_PATH),
                     reason="ego network file not present")
-def test_criterion_10_ego_network_run():
+def test_criterion_10_ego_network_run(replay_trajectory):
     """Full run on the bundled ego network, K up to 30, under ten minutes,
     with the criterion 1/2 invariants checked on the trajectory."""
     start = time.monotonic()
@@ -316,9 +317,9 @@ def test_criterion_10_ego_network_run():
     elapsed = time.monotonic() - start
     js = [rec.residual for rec in out.trajectory]
     monotone = all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-    combo = cols.combine(out.coefficients)
+    _, iterate = replay_trajectory(cols, out.trajectory)[-1]
     gap = abs(js[-1] / g.n - float(np.sum(
-        (out.beta * combo - np.full(g.n, 1.0 / g.n)) ** 2)))
+        (out.beta * iterate - np.full(g.n, 1.0 / g.n)) ** 2)))
     ok = monotone and gap <= 1e-10 and len(out.indices) <= 30 and elapsed < 600.0
     report(10, ok, f"n={g.n}, support {len(out.indices)}, final J {js[-1]:.3g}, "
                    f"identity gap {gap:.2g}, {elapsed:.0f}s")

@@ -346,6 +346,21 @@ def test_replay_reproduces_bytes(sbm_file):
     assert run_cli("replay", "cs.json.manifest.json", "--verify") == 0
 
 
+def test_failed_verify_changes_no_output(sbm_file):
+    """A verify that finds different bytes exits 2 and leaves the outputs it
+    checked as it found them, so a second verify fails the same way."""
+    run_cli("select", "--graph", sbm_file, "--uniform-costs", "8",
+            "--kappa", "0.8", "--k", "6", "-o", "cs.json")
+    coreset = read_json("cs.json")
+    coreset["weights"][0] += 0.25
+    write_json("cs.json", coreset)
+    tampered = Path("cs.json").read_bytes()
+    assert run_cli("replay", "cs.json.manifest.json", "--verify") == 2
+    assert Path("cs.json").read_bytes() == tampered
+    assert run_cli("replay", "cs.json.manifest.json", "--verify") == 2
+    assert Path("cs.json").read_bytes() == tampered
+
+
 def test_replay_accepts_unread_parameter_keys(sbm_file):
     """Keys no longer recorded, such as select's old tol and the old top-level
     seed, still replay."""

@@ -89,10 +89,12 @@ def test_broken_json_input(valid, capsys, kind, case, want):
     ("config", ("n",), 10**400),
     ("config", ("block_fractions", 0), float("inf")),
     ("config", ("ell",), 10**400),
+    ("config", ("block_fractions",), []),
 ], ids=["graph-huge-n", "generate-huge-n", "generate-huge-mean", "generate-nan-fraction",
-        "config-huge-n", "config-infinite-fraction", "config-huge-ell"])
+        "config-huge-n", "config-infinite-fraction", "config-huge-ell", "config-empty-fractions"])
 def test_broken_field(valid, capsys, kind, path, value):
-    """Single fields that once escaped main as an OverflowError or a RuntimeWarning."""
+    """Single fields that once escaped main as an OverflowError or a RuntimeWarning,
+    or ran on an empty list."""
     capsys.readouterr()
     assert run(kind, json.dumps(_changed(valid[kind], path, value))) == 2
     assert capsys.readouterr().err.startswith("error: ")

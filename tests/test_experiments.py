@@ -65,6 +65,8 @@ def test_config_from_mapping_ell_sweep_key_split():
     assert cfg.p_in == SbmIndicatorConfig().p_in
     with pytest.raises(ValueError):
         config_from_mapping("ell-sweep", {"bogus": 3})
+    with pytest.raises(ValueError, match="ells must not be empty"):
+        config_from_mapping("ell-sweep", {"ells": []})
 
 
 def test_sbm_block_sizes_rounding():

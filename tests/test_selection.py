@@ -13,14 +13,12 @@ from graphcoreset import (
     CostVector,
     Graph,
     SelectionConfig,
-    beta_star,
     cost_penalty_bound,
     generate_random_graph,
     generate_sbm,
     lazy_walk_matrix,
     normalized_columns,
     random_sampling,
-    residual,
     sample_costs_uniform,
     select_coreset,
     select_coreset_grid,
@@ -61,30 +59,6 @@ def test_two_vertex_budget_two_converges(edge2):
 
 
 # ---------------------------------------------------------------------------
-# scale factor and residual helpers
-
-
-def test_beta_star_closed_forms():
-    assert beta_star(1.0, 0.6, 4) == pytest.approx(0.3, abs=1e-15)
-    assert beta_star(1.0, -0.2, 4) == 0.0  # clipped at zero
-    assert beta_star(2.0, 0.6, 4) == pytest.approx(0.15, abs=1e-15)
-    with pytest.raises(ValueError):
-        beta_star(0.0, 0.5, 4)
-    with pytest.raises(ValueError):
-        beta_star(1.0, 0.5, 0)
-
-
-def test_residual_matches_definition(two_triangles):
-    cols = columns_for(two_triangles, 2)
-    coeffs = np.zeros(6)
-    coeffs[2] = 1.0
-    expect = 1.0 - float(cols.column(2) @ cols.target) ** 2
-    assert residual(cols, coeffs) == pytest.approx(expect, abs=1e-14)
-    with pytest.raises(ValueError):
-        residual(cols, 2.0 * coeffs)
-
-
-# ---------------------------------------------------------------------------
 # invariants on real runs
 
 
@@ -98,7 +72,7 @@ def run_cases():
     return cases
 
 
-def test_residual_monotone_and_identity():
+def test_residual_monotone_and_identity(replay_trajectory):
     """J never increases, and (1/n) J equals the squared distance between the
     rescaled iterate and the uniform vector."""
     for g, ell, kappa, budget in run_cases():
@@ -107,19 +81,26 @@ def test_residual_monotone_and_identity():
         out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
         js = [rec.residual for rec in out.trajectory]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-        combo = cols.combine(out.coefficients)
+        _, iterate = replay_trajectory(cols, out.trajectory)[-1]
         uniform = np.full(g.n, 1.0 / g.n)
-        dist2 = float(np.sum((out.beta * combo - uniform) ** 2))
+        dist2 = float(np.sum((out.beta * iterate - uniform) ** 2))
         assert abs(js[-1] / g.n - dist2) < 1e-10
 
 
-def test_weights_follow_from_coefficients():
+def test_weights_follow_from_coefficients(tmp_path, replay_trajectory):
+    """The written trajectory is a complete record of the run: replaying its
+    (vertex, delta) pairs gives back beta and the weights bit for bit."""
     g = generate_sbm([10, 12], 0.4, 0.05, seed=2)
     cols = columns_for(g, 2)
     out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6))
+    out.save_json(str(tmp_path / "cs.json"))
+    back = Coreset.load_json(str(tmp_path / "cs.json"))
+    coeffs, iterate = replay_trajectory(cols, back.trajectory)[-1]
+    align = float(np.clip(iterate @ cols.target, -1.0, 1.0))
+    assert out.beta == (1.0 / math.sqrt(g.n)) * max(0.0, align)
     idx = np.array(out.indices)
-    expect = out.beta * out.coefficients[idx] / cols.column_norms[idx]
-    assert np.array_equal(out.weights, expect)
+    assert np.array_equal(np.flatnonzero(coeffs), np.sort(idx))
+    assert np.array_equal(out.weights, out.beta * coeffs[idx] / cols.column_norms[idx])
 
 
 def test_support_and_cost_accounting():
@@ -150,22 +131,19 @@ def test_first_step_tie_takes_lowest_index(edge2):
     assert out.indices[0] == 0
 
 
-def test_step_size_minimizes_residual():
+def test_step_size_minimizes_residual(replay_trajectory):
     """Each blend coefficient beats a numeric line search on the same segment."""
     g = generate_sbm([12, 12], 0.35, 0.04, seed=6)
     cols = columns_for(g, 2)
-    snapshots = []
-    select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6),
-                   observer=snapshots.append)
+    out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6))
+    states = replay_trajectory(cols, out.trajectory)
 
     def resid_at(prev, vertex, d):
         blend = (1.0 - d) * prev + d * cols.column(vertex)
         blend = blend / np.linalg.norm(blend)
         return 1.0 - float(blend @ cols.target) ** 2
 
-    for before, after in zip(snapshots, snapshots[1:]):
-        iterate = cols.combine(before.coefficients)
-        step = after.trajectory[-1]
+    for (_, iterate), step in zip(states, out.trajectory[1:]):
         probe = minimize_scalar(lambda d: resid_at(iterate, step.vertex, d),
                                 bounds=(0.0, 1.0), method="bounded")
         chosen = resid_at(iterate, step.vertex, step.delta)
@@ -205,10 +183,9 @@ def test_first_round_scores_are_the_plain_alignments(kappa):
     g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
     cols = columns_for(g, 2)
     costs = sample_costs_uniform(g.n, seed=3)
-    snapshots = []
-    select_coreset(cols, costs, SelectionConfig(budget=1, kappa=kappa),
-                   observer=snapshots.append)
-    first = snapshots[0].trajectory[0]
+    out = select_coreset(cols, costs, SelectionConfig(budget=1, kappa=kappa))
+    assert len(out.trajectory) == 1  # re-selecting the first column is no direction
+    first = out.trajectory[0]
     base = cols.alignments(cols.target)
     slack = np.flatnonzero(base >= kappa * base.max())
     assert first.slack_set_size == len(slack)
@@ -216,21 +193,19 @@ def test_first_round_scores_are_the_plain_alignments(kappa):
                             else int(slack[np.argmin(costs.costs[slack])]))
     assert first.alignment == base[first.vertex]
     assert first.delta == 1.0
-    assert np.array_equal(snapshots[0].coefficients, np.eye(g.n)[first.vertex])
+    # the coefficient of the first column is exactly 1
+    assert np.array_equal(out.weights, [out.beta / cols.column_norms[first.vertex]])
 
 
-def test_slack_set_membership_and_cheapest_pick():
+def test_slack_set_membership_and_cheapest_pick(replay_trajectory):
     g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
     cols = columns_for(g, 1)
     costs = sample_costs_uniform(g.n, seed=3)
     kappa, tol = 0.6, 1e-9
-    snapshots = []
-    select_coreset(cols, costs, SelectionConfig(budget=8, kappa=kappa),
-                   observer=snapshots.append)
-    assert snapshots
+    out = select_coreset(cols, costs, SelectionConfig(budget=8, kappa=kappa))
+    assert out.trajectory
     iterate = None
-    for snap in snapshots:
-        step = snap.trajectory[-1]
+    for step, (_, after) in zip(out.trajectory, replay_trajectory(cols, out.trajectory)):
         scores = geodesic_scores(cols, iterate)
         best = scores.max()
         assert step.alignment == pytest.approx(scores[step.vertex], abs=tol)
@@ -239,7 +214,7 @@ def test_slack_set_membership_and_cheapest_pick():
         maybe_in = np.flatnonzero(scores >= kappa * best - tol)
         assert len(surely_in) <= step.slack_set_size <= len(maybe_in)
         assert costs.costs[step.vertex] <= costs.costs[surely_in].min()  # and its cheapest
-        iterate = cols.combine(snap.coefficients)
+        iterate = after
 
 
 def test_cost_scale_invariance():
@@ -300,21 +275,26 @@ def test_cost_penalty_bound_closed_forms():
 
 
 def test_grid_matches_independent_runs():
+    """Budgets 39 and 40 run into the round cap (support 37 at kappa 1, 39 at
+    kappa 0.7), and 39's cap comes 64 rounds before 40's, so the grid must
+    stop budget 39 at its own cap."""
     g = generate_sbm([15, 15, 10], 0.3, 0.04, seed=12)
     cols = columns_for(g, 2)
     costs = sample_costs_uniform(g.n, seed=7)
-    budgets = [1, 2, 3, 5, 8]
+    budgets = [1, 2, 3, 5, 8, 39, 40]
     for kappa in (1.0, 0.7):
         grid = select_coreset_grid(cols, costs, kappa, budgets)
-        assert sorted(grid) == budgets
+        assert list(grid) == budgets
         for b in budgets:
             solo = select_coreset(cols, costs,
                                   SelectionConfig(budget=b, kappa=kappa))
             assert grid[b].indices == solo.indices
             assert np.array_equal(grid[b].weights, solo.weights)
+            assert grid[b].beta == solo.beta
             assert grid[b].status == solo.status
             assert grid[b].total_cost == solo.total_cost
-            assert len(grid[b].trajectory) == len(solo.trajectory)
+            assert ([r.to_dict() for r in grid[b].trajectory]
+                    == [r.to_dict() for r in solo.trajectory])
 
 
 def test_grid_matches_independent_runs_past_n():
@@ -337,6 +317,8 @@ def test_grid_validation(edge2):
         select_coreset_grid(edge2, CostVector.zeros(2), 1.0, [0, 1])
     with pytest.raises(ValueError):
         select_coreset_grid(edge2, CostVector.zeros(2), 0.0, [1, 2])
+    with pytest.raises(ValueError):
+        select_coreset_grid(edge2, CostVector.zeros(2), 1.0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +339,6 @@ def test_coreset_json_round_trip(tmp_path, edge2):
         assert back.status == out.status
         assert back.method == out.method
         assert [r.to_dict() for r in back.trajectory] == [r.to_dict() for r in out.trajectory]
-        assert back.coefficients is None  # not serialized
     assert greedy.trajectory and back.method == "random" and back.total_cost == 3.0
     # indices and weights alone are a complete coreset file
     bare = Coreset.from_dict({"indices": [2, 0], "weights": [0.25, 0.75]})

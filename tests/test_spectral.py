@@ -168,9 +168,6 @@ def test_normalized_columns_helpers(two_triangles):
     x = rng.standard_normal(walk.shape[0])
     manual = np.array([cols.column(i) @ x for i in range(walk.shape[0])])
     assert np.allclose(cols.alignments(x), manual, atol=1e-12)
-    coeffs = rng.standard_normal(walk.shape[0])
-    manual_combo = sum(coeffs[i] * cols.column(i) for i in range(walk.shape[0]))
-    assert np.allclose(cols.combine(coeffs), manual_combo, atol=1e-12)
     assert np.allclose(cols.target, 1.0 / np.sqrt(walk.shape[0]))
     with pytest.raises(ValueError):
         normalized_columns(walk, 0)
