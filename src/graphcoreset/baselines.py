@@ -5,13 +5,18 @@ trajectory). These are the standard comparison points for the greedy
 geodesic selector; none of them look at placement costs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .graphs import Graph, PointCloud
 from .selection import Coreset
 from .spectral import lazy_walk_matrix, top_eigenvectors
+
+# Lloyd stops once every centroid moved less than _LLOYD_TOL, or after _LLOYD_MAX_ITER rounds
+_LLOYD_TOL = 1e-6
+_LLOYD_MAX_ITER = 300
 
 
 def random_sampling(n: int, k: int, seed: int) -> Coreset:
@@ -66,7 +71,7 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, counts: np.ndarray) ->
     return np.bincount(keys.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
 
 
-def _lloyd(points: np.ndarray, k: int, seed: int, tol: float = 1e-6, max_iter: int = 300):
+def _lloyd(points: np.ndarray, k: int, seed: int):
     """Lloyd iterations from a kmeans++ start; empty clusters re-seed, in
     ascending cluster order, at the point farthest from its assigned centroid.
 
@@ -81,7 +86,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, tol: float = 1e-6, max_iter: i
     rows = np.arange(len(points))
     row_norms = np.sum(points * points, axis=1)[:, None]
     twice = 2.0 * points
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         dist2 = _squared_distances(row_norms, twice, centroids)
         assign = np.argmin(dist2, axis=1)
         nearest = dist2[rows, assign]
@@ -93,7 +98,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, tol: float = 1e-6, max_iter: i
             nearest[far] = 0.0
         moved = float(np.max(np.linalg.norm(new - centroids, axis=1)))
         centroids = new
-        if moved < tol:
+        if moved < _LLOYD_TOL:
             break
     assign = np.argmin(_squared_distances(row_norms, twice, centroids), axis=1)
     return centroids, assign
@@ -124,42 +129,25 @@ def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> Coreset:
     return Coreset(reps, weights, method="kmeans")
 
 
-def spectral_clustering_coreset(
-    graph: Graph, k: int, seed: int, basis: np.ndarray | None = None
-) -> Coreset:
+def spectral_clustering_coreset(graph: Graph, k: int, seed: int) -> Coreset:
     """k-means in the top-k eigenvector embedding of the lazy walk matrix.
 
     A disconnected graph is handled implicitly: the eigenvalue-1 eigenspace
-    spans component indicators, so clustering splits components first. basis
-    may carry precomputed eigenvectors (columns, descending) to share across
-    calls; at least k columns are required.
+    spans component indicators, so clustering splits components first.
     """
-    if not (1 <= k <= graph.n):
-        raise ValueError("k must be in 1..n")
-    if basis is None:
-        basis = top_eigenvectors(lazy_walk_matrix(graph), k)
-    if basis.shape[1] < k:
-        raise ValueError("basis has fewer than k columns")
-    embedding = np.ascontiguousarray(basis[:, :k])
-    centroids, assign = _lloyd(embedding, k, seed)
-    reps, weights = _snap_to_members(embedding, centroids, assign)
-    return Coreset(reps, weights, method="spectral")
+    embedding = PointCloud(np.ascontiguousarray(top_eigenvectors(lazy_walk_matrix(graph), k)))
+    return replace(kmeans_coreset(embedding, k, seed), method="spectral")
 
 
 def betweenness_scores(graph: Graph) -> np.ndarray:
-    """Exact (unnormalized) betweenness centrality; edge weights are lengths.
+    """Exact (unnormalized) betweenness centrality; paths count hops.
 
-    Uniform weights take the batched breadth-first sweeps; other weights take
-    batched Dijkstra distances and σ/δ sweeps over each source's
-    shortest-path DAG. Unreachable pairs contribute 0.
+    Edge weights are affinities and are not read (Graph.hop_adjacency).
+    Brandes per block of sources: batched breadth-first sweeps count the
+    shortest paths σ, and dependencies δ flow back level by level.
+    Unreachable pairs contribute 0.
     """
-    if graph.n == 1:
-        return np.zeros(1)
-    if np.all(graph.weights == graph.weights[0]):
-        structure = graph.adjacency()
-        structure.data = np.ones_like(structure.data)
-        return _betweenness_unit(structure)
-    return _betweenness_weighted(graph.adjacency())
+    return _betweenness_unit(graph.hop_adjacency())
 
 
 def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
@@ -194,47 +182,6 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
             delta += np.where(levels[depth - 1], sigma * back, 0.0)
         delta[sources, cols] = 0.0
         scores += delta.sum(axis=1)
-    return scores / 2.0
-
-
-def _betweenness_weighted(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
-    """Brandes for positive lengths per block of sources: scipy Dijkstra
-    distances, then σ pulled along each shortest-path DAG in increasing distance
-    and δ pulled back in decreasing distance through (1 + δ) / σ, as in BFS."""
-    n, m2 = adjacency.shape[0], adjacency.nnz
-    degree = np.diff(adjacency.indptr)
-    # directed copy e runs tail[e] -> head[e]; the pad e = m2 has a nan length
-    tail = np.append(adjacency.indices, 0)
-    head = np.append(np.repeat(np.arange(n), degree), 0)
-    length = np.append(adjacency.data, np.nan)
-    valid = np.arange(degree.max(initial=0)) < degree[:, None]
-    into, out = np.full(valid.shape, m2), np.full(valid.shape, m2)
-    into[valid], out[valid] = np.arange(m2), np.argsort(tail[:m2], kind="stable")
-    scores = np.zeros(n)
-    for start in range(0, n, batch):
-        sources = np.arange(start, min(start + batch, n))
-        row = np.arange(len(sources))[:, None] * n  # offset of each source's row
-        dist = dijkstra(adjacency, directed=False, indices=sources).ravel()
-        rank = np.argsort(dist.reshape(-1, n), axis=1, kind="stable").T[1:, :, None]
-        sigma = np.zeros_like(dist)
-        sigma[row[:, 0] + sources] = 1.0
-        # rank 0 is the source; e is on the DAG when near + w == far, and
-        # near < far keeps it acyclic, dropping unreachable edges (inf + w == inf)
-        for v in rank:
-            e = into[v[:, 0]]
-            at, pred = row + v, row + tail[e]
-            near, far = dist[pred], dist[at]
-            on = (near < far) & (near + length[e] == far)
-            sigma[at] = np.where(on, sigma[pred], 0.0).sum(1, keepdims=True)
-        delta, coef = np.zeros_like(dist), np.zeros_like(dist)
-        for v in rank[::-1]:
-            e = out[v[:, 0]]
-            at, succ = row + v, row + head[e]
-            near, far = dist[at], dist[succ]
-            on = (near < far) & (near + length[e] == far)
-            delta[at] = sigma[at] * np.where(on, coef[succ], 0.0).sum(1, keepdims=True)
-            coef[at] = (1.0 + delta[at]) / np.maximum(sigma[at], 1.0)
-        scores += delta.reshape(-1, n).sum(axis=0)
     return scores / 2.0
 
 

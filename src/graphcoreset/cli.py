@@ -6,7 +6,8 @@ output paths; a command's seed is one of its parameters. `replay` re-executes
 a manifest; because all randomness is seeded and all writes are atomic and
 wall-clock free, a replay reproduces the recorded outputs byte for byte.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 validation error (an input too large for memory
+among them), 3 I/O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -447,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large for memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

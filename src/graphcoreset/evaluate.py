@@ -1,5 +1,5 @@
 """Estimator evaluation: mean-estimation error, certified error bounds, and
-shortest-path averages used by the experiment drivers."""
+shortest-path (hop count) averages used by the experiment drivers."""
 
 import csv
 from collections import namedtuple
@@ -102,15 +102,16 @@ def eta_diagnostic(columns: NormalizedColumns, kappa: float) -> float:
 
 
 def source_average_distances(graph: Graph, sources) -> np.ndarray:
-    """Average shortest-path distance from each source to all vertices.
+    """Average hop distance from each source to all vertices.
 
-    One Dijkstra per source via the sparse graph routines. Unreachable pairs
-    raise, naming the first offending pair.
+    Edge weights are affinities and are not read: every edge has length 1
+    (Graph.hop_adjacency). One Dijkstra per source via the sparse graph
+    routines. Unreachable pairs raise, naming the first offending pair.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         return np.zeros(0)
-    dist = _sp_dijkstra(graph.adjacency(), directed=False, indices=sources)
+    dist = _sp_dijkstra(graph.hop_adjacency(), directed=False, indices=sources)
     dist = np.atleast_2d(dist)
     if np.isinf(dist).any():
         src_pos, tgt = np.argwhere(np.isinf(dist))[0]

@@ -18,12 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import (
-    betweenness_coreset,
-    kmeans_coreset,
-    random_sampling,
-    spectral_clustering_coreset,
-)
+from .baselines import betweenness_coreset, kmeans_coreset, random_sampling
 from .evaluate import (
     CostReport,
     ExperimentResult,
@@ -86,18 +81,16 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Cal
     return _Instance(graph, costs.costs, error, grids, ranking, basis, cloud)
 
 
-def _kmeans(inst: _Instance, K: int, seed: int) -> Coreset:
-    points = inst.cloud
-    if points is None:
-        points = PointCloud(np.ascontiguousarray(inst.basis[:, :K]))
-    return kmeans_coreset(points, K, seed * 131 + K)
+def _embedding(inst: _Instance, K: int) -> PointCloud:
+    """The vertices in the walk's top-K eigenvector coordinates."""
+    return PointCloud(np.ascontiguousarray(inst.basis[:, :K]))
 
 
 _BASELINES = {
     "random": lambda inst, K, seed: random_sampling(inst.graph.n, K, seed * 1000 + K),
-    "kmeans": _kmeans,
-    "spectral": lambda inst, K, seed: spectral_clustering_coreset(
-        inst.graph, K, seed * 55 + K, basis=inst.basis),
+    "kmeans": lambda inst, K, seed: kmeans_coreset(
+        _embedding(inst, K) if inst.cloud is None else inst.cloud, K, seed * 131 + K),
+    "spectral": lambda inst, K, seed: kmeans_coreset(_embedding(inst, K), K, seed * 55 + K),
     "betweenness": lambda inst, K, seed: Coreset(
         inst.ranking[:K], np.full(K, 1.0 / K), method="betweenness"),
 }

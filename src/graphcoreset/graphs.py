@@ -29,6 +29,10 @@ _EDGE_JSON = "    [\n      %d,\n      %d,\n      %r\n    ]"
 class Graph:
     """Undirected weighted graph on vertices 0..n-1.
 
+    Edge weights are affinities, which only the walk reads (through
+    adjacency and degrees); shortest paths and betweenness count hops
+    (hop_adjacency), whatever the weights.
+
     Attributes:
         n: vertex count, positive.
         edges: (m, 2) int array, canonical u < v rows, lexicographically sorted.
@@ -83,6 +87,12 @@ class Graph:
         cols = np.concatenate([v, u])
         data = np.concatenate([self.weights, self.weights])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+
+    def hop_adjacency(self) -> sp.csr_matrix:
+        """The adjacency with every edge of length 1: paths count hops."""
+        hops = self.adjacency()
+        hops.data = np.ones_like(hops.data)
+        return hops
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of each vertex, D_ii = sum_j W_ij."""

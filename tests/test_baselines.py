@@ -18,12 +18,10 @@ from graphcoreset import (
     generate_random_graph,
     generate_sbm,
     kmeans_coreset,
-    lazy_walk_matrix,
     random_sampling,
     spectral_clustering_coreset,
-    top_eigenvectors,
 )
-from graphcoreset.baselines import _betweenness_weighted, _kmeans_plus_plus, _lloyd
+from graphcoreset.baselines import _betweenness_unit, _kmeans_plus_plus, _lloyd
 
 
 def test_random_sampling_basics():
@@ -165,21 +163,13 @@ def test_spectral_clustering_on_sbm():
     assert exact >= 19
 
 
-def test_spectral_accepts_precomputed_basis(two_triangles):
-    basis = top_eigenvectors(lazy_walk_matrix(two_triangles), 4)
-    a = spectral_clustering_coreset(two_triangles, 2, seed=0)
-    b = spectral_clustering_coreset(two_triangles, 2, seed=0, basis=basis)
-    assert a.indices == b.indices
-    with pytest.raises(ValueError):
-        spectral_clustering_coreset(two_triangles, 3, seed=0, basis=basis[:, :2])
-
-
 # ---------------------------------------------------------------------------
 # betweenness
 
 
 def brute_betweenness(graph: Graph) -> np.ndarray:
-    """Cubic-time oracle: Floyd-Warshall distances plus path counting."""
+    """Cubic-time oracle: Floyd-Warshall distances plus path counting, with
+    the graph's weights as lengths; a unit-weight copy gives hop counts."""
     n = graph.n
     inf = np.inf
     dist = np.full((n, n), inf)
@@ -228,32 +218,35 @@ def test_betweenness_matches_brute_force_unit_weights():
     assert np.allclose(betweenness_scores(g), brute_betweenness(g), atol=1e-9)
 
 
+def unit_copy(graph: Graph) -> Graph:
+    """The same graph with every weight 1."""
+    return Graph(graph.n, graph.edges, np.ones(graph.m), graph.labels)
+
+
 def test_betweenness_matches_brute_force_weighted():
+    """Weights are affinities: betweenness counts hops, as on the unit-weight copy."""
     g = generate_random_graph(25, 0.15, seed=8)
-    # halves and ones add exactly in binary, so distance ties stay exact
+    # halves and ones add exactly in binary, so the weighted oracle's ties stay exact
     weights = np.random.default_rng(1).choice([0.5, 1.0, 1.5, 2.0], size=g.m)
     wg = Graph(g.n, g.edges, weights)
-    assert np.allclose(betweenness_scores(wg), brute_betweenness(wg), atol=1e-9)
-
-
-def test_betweenness_batched_equals_dijkstra():
-    g = generate_random_graph(40, 0.1, seed=2)
-    batched = betweenness_scores(g)  # unit weights take the breadth-first path
-    assert np.allclose(batched, _betweenness_weighted(g.adjacency()), atol=1e-9)
-    assert np.allclose(batched, _betweenness_weighted(g.adjacency(), batch=16), atol=1e-9)
+    expected = brute_betweenness(unit_copy(wg))
+    assert np.allclose(betweenness_scores(wg), expected, atol=1e-9)
+    # read as lengths, these weights would change the scores
+    assert not np.allclose(brute_betweenness(wg), expected, atol=1e-9)
 
 
 def test_betweenness_weighted_two_components():
-    # weighted path 0-1-2, unit 4-cycle 3-4-5-6 (two shortest paths between
+    # weighted path 0-1-2, 4-cycle 3-4-5-6 (two shortest paths between
     # opposite corners), isolated vertex 7; pairs across components count 0
     edges = np.array([[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [3, 6]])
-    g = Graph(8, edges, np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0]))
+    g = Graph(8, edges, np.array([1.0, 2.0, 1.0, 3.0, 1.0, 0.5]))
     scores = betweenness_scores(g)
-    assert np.allclose(scores, brute_betweenness(g), atol=1e-9)
+    assert np.allclose(scores, brute_betweenness(unit_copy(g)), atol=1e-9)
     assert scores.tolist() == [0.0, 1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0]
 
 
 def test_betweenness_matches_networkx_on_knn_graph():
+    """Kernel affinities are not lengths: networkx counts hops with weight=None."""
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(11)
     g = build_knn_kernel_graph(PointCloud(rng.standard_normal((150, 2))), 8, 1.0)
@@ -261,7 +254,7 @@ def test_betweenness_matches_networkx_on_knn_graph():
     reference.add_nodes_from(range(g.n))
     reference.add_weighted_edges_from((int(u), int(v), float(w))
                                       for (u, v), w in zip(g.edges, g.weights))
-    bc = nx.betweenness_centrality(reference, weight="weight", normalized=False)
+    bc = nx.betweenness_centrality(reference, weight=None, normalized=False)
     expected = np.array([bc[v] for v in range(g.n)])
     assert np.allclose(betweenness_scores(g), expected, rtol=1e-12, atol=0.0)
     top = betweenness_coreset(g, 10).indices
@@ -276,18 +269,17 @@ def test_betweenness_weighted_properties():
     @hypothesis.given(st.data())
     def check(data):
         n = data.draw(st.integers(2, 12))
-        # halves and ones add exactly, so distance ties are exact and σ > 1 occurs
+        # the weights are not read: scores are those of the unit-weight copy
         raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                            st.sampled_from([0.5, 1.0, 1.5, 2.0])),
                                  min_size=n - 1, max_size=3 * n))
         picked = {(min(u, v), max(u, v)): w for u, v, w in raw if u != v}
         hypothesis.assume(picked)  # connected or not, but not edgeless
         g = Graph(n, np.array(list(picked)), np.array(list(picked.values())))
-        scores = _betweenness_weighted(g.adjacency())
-        assert np.allclose(scores, brute_betweenness(g), rtol=0.0, atol=1e-9)
-        blocked = _betweenness_weighted(g.adjacency(), batch=data.draw(st.integers(1, n - 1)))
-        assert np.allclose(blocked, scores, rtol=0.0, atol=1e-12)
         public = betweenness_scores(g)
+        assert np.allclose(public, brute_betweenness(unit_copy(g)), rtol=0.0, atol=1e-9)
+        blocked = _betweenness_unit(g.hop_adjacency(), batch=data.draw(st.integers(1, n - 1)))
+        assert np.allclose(blocked, public, rtol=0.0, atol=1e-12)
         k = data.draw(st.integers(1, n))
         top = betweenness_coreset(g, k).indices
         assert top == sorted(range(n), key=lambda v: (-public[v], v))[:k]

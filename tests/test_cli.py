@@ -2,11 +2,15 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphcoreset
 from graphcoreset import (
     Coreset,
     CostVector,
@@ -293,6 +297,51 @@ def test_eval_average_distance(sbm_file):
                    "--function", "average-distance", "-o", "ev.csv") == 0
     row = results_from_csv("ev.csv")[0]
     assert row.abs_err >= 0.0
+
+
+def test_paths_count_hops_on_kernel_graphs(workdir, capsys):
+    """Betweenness and average distance read no edge weights: a kNN kernel graph
+    and its copy with unit weights give the same bytes and printed lines."""
+    PointCloud(np.random.default_rng(5).standard_normal((60, 2))).save_csv("c.csv")
+    assert run_cli("generate", "--model", "knn-kernel", "--cloud", "c.csv",
+                   "--k-neighbors", "6", "-o", "kernel.json") == 0
+    kernel = Graph.load_json("kernel.json")
+    assert len(np.unique(kernel.weights)) > 1
+    Graph(kernel.n, kernel.edges, np.ones(kernel.m)).save_json("unit.json")
+    printed = {}
+    for name in ("kernel", "unit"):
+        capsys.readouterr()
+        assert run_cli("baseline", "--method", "betweenness", "--graph", f"{name}.json",
+                       "--k", "6", "-o", f"{name}-top.json") == 0
+        assert run_cli("eval", "--graph", f"{name}.json", "--coreset", f"{name}-top.json",
+                       "--function", "average-distance", "-o", f"{name}-distance.csv") == 0
+        printed[name] = capsys.readouterr().out
+    assert printed["kernel"] == printed["unit"]
+    for suffix in ("top.json", "distance.csv"):
+        assert Path(f"kernel-{suffix}").read_bytes() == Path(f"unit-{suffix}").read_bytes()
+
+
+def test_out_of_memory_exits_two(workdir):
+    """A graph whose n fits int64 but whose n-long arrays do not fit memory
+    exits 2 with an error line. The child caps its address space first:
+    uncapped, an 8 TiB request may be granted lazily and end in the OOM killer."""
+    write_json("huge.json", {"n": 2**40, "edges": [[0, 1, 1.0]]})
+    limit = 4 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))\n"
+            "from graphcoreset.cli import main\n"
+            "sys.exit(main(['select', '--graph', 'huge.json', '--k', '2', '-o', 'cs.json']))\n")
+    src = str(Path(graphcoreset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: input too large for memory")
+    assert "Traceback" not in done.stderr
+    assert not os.path.exists("cs.json")
 
 
 @pytest.mark.parametrize("coreset, function", [

@@ -1,8 +1,9 @@
 """Every JSON file the CLI reads, broken in any one place, ends in exit 0, 2 or 3.
 
 The inputs are the graph and the costs of `select`, the coreset of `eval`,
-the manifest of `replay` and the config of `experiment`. Each case runs
-`main` in process, so an exception that escapes it fails the test.
+the manifest of `replay` (of `select` and of `generate` for every model) and
+the config of `experiment` (for every study that needs no data file). Each
+case runs `main` in process, so an exception that escapes it fails the test.
 """
 
 import json
@@ -31,13 +32,23 @@ VALUES = [DELETE, None, True, -1, 0.5, 2**63, 10**400, float("nan"), float("inf"
 
 @pytest.fixture
 def valid(tmp_path, monkeypatch):
-    """A working directory holding g.json and one valid file of each kind, by name."""
+    """A working directory holding g.json and one valid file of each kind, by name.
+
+    A kind is the input it names, then optionally a dash and what it holds:
+    the model of a generate manifest (manifest-generate is gaussian-mixture),
+    or the study of a config (config alone is sbm-indicator)."""
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--model", "sbm", "--sizes", "8,8", "--p-in", "0.5",
                  "--p-out", "0.1", "--seed", "3", "-o", "g.json"]) == 0
     assert main(["select", "--graph", "g.json", "--k", "3", "-o", "cs.json"]) == 0
     assert main(["generate", "--model", "gaussian-mixture", "--means", "0,0;4,4",
                  "--fractions", "0.5,0.5", "--n", "12", "--seed", "1", "-o", "c.csv"]) == 0
+    assert main(["generate", "--model", "powerlaw-tree", "--n", "12", "--seed", "2",
+                 "-o", "tree.json"]) == 0
+    assert main(["generate", "--model", "random", "--n", "12", "--edge-probability", "0.3",
+                 "--seed", "2", "-o", "random.json"]) == 0
+    assert main(["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
+                 "-o", "knn.json"]) == 0
 
     def load(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -48,9 +59,31 @@ def valid(tmp_path, monkeypatch):
         "coreset": load("cs.json"),
         "manifest": load("cs.json.manifest.json"),
         "manifest-generate": load("c.csv.manifest.json"),
+        "manifest-powerlaw-tree": load("tree.json.manifest.json"),
+        "manifest-random": load("random.json.manifest.json"),
+        "manifest-knn-kernel": load("knn.json.manifest.json"),
         "config": {"n": 24, "block_fractions": [0.5, 0.5], "ell": 2, "k_grid": [2],
                    "seeds": [0]},
+        "config-shortest-path": {"family": "random-graph", "n": 30, "edge_probability": 0.2,
+                                 "tree_exponent": 3.0, "ell": 2, "kappa": 0.9, "k_grid": [2],
+                                 "seeds": [0]},
+        "config-cluster-indicator": {"n": 40, "component_means": [[1.0, -3.0], [-3.0, 2.0]],
+                                     "component_fractions": [0.5, 0.5],
+                                     "covariance_scale": 1.0, "k_neighbors": 5,
+                                     "bandwidth": 1.0, "kappa": 0.8, "ell": 1,
+                                     "indicator_component": 0, "k_grid": [2], "seeds": [0],
+                                     "cost_seed_offset": 5},
+        "config-ell-sweep": {"n": 24, "block_fractions": [0.5, 0.5], "p_in": 0.5,
+                             "p_out": 0.1, "ells": [1, 2], "k_grid": [2], "seeds": [0]},
     }
+
+
+def command(kind: str) -> list[str]:
+    """The command that reads INPUT as this kind of input."""
+    head, _, study = kind.partition("-")
+    if head == "config" and study:
+        return ["experiment", "--name", study, "--config", INPUT, "--out-dir", "exp"]
+    return COMMANDS[head]
 
 
 def run(kind: str, text: str | None) -> int:
@@ -59,7 +92,7 @@ def run(kind: str, text: str | None) -> int:
         Path(INPUT).write_text(text, encoding="utf-8")
     elif os.path.isfile(INPUT):
         os.remove(INPUT)
-    code = main(COMMANDS[kind.split("-")[0]])
+    code = main(command(kind))
     assert code in (0, 2, 3)
     return code
 
@@ -143,7 +176,7 @@ def test_any_one_broken_field(valid):
             return
         path = data.draw(st.sampled_from(list(_paths(valid[kind]))))
         value = data.draw(st.sampled_from(VALUES))
-        if kind == "config" and len(path) == 1 and value is DELETE:
+        if kind.startswith("config") and len(path) == 1 and value is DELETE:
             value = None
         run(kind, json.dumps(_changed(valid[kind], path, value)))
 

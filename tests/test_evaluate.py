@@ -105,18 +105,18 @@ def test_avg_distance_estimate_uses_weights(path3):
 
 
 def test_source_average_distances_floyd_warshall_oracle():
+    """Weights are affinities: distances count hops, as on the unit-weight copy."""
     g = generate_random_graph(50, 0.08, seed=3)
     weights = np.random.default_rng(2).choice([0.5, 1.0, 2.0], size=g.m)
     wg = Graph(g.n, g.edges, weights)
     n = wg.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for (u, v), w in zip(wg.edges, wg.weights):
-        dist[u, v] = dist[v, u] = w
+    for u, v in wg.edges:
+        dist[u, v] = dist[v, u] = 1.0
     for m in range(n):
         dist = np.minimum(dist, dist[:, m:m + 1] + dist[m:m + 1, :])
-    assert np.allclose(source_average_distances(wg, np.arange(n)),
-                       dist.mean(axis=1), atol=1e-9)
+    assert np.array_equal(source_average_distances(wg, np.arange(n)), dist.mean(axis=1))
 
 
 def test_disconnected_pair_is_reported():

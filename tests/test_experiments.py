@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphcoreset import (
+    PointCloud,
     build_knn_kernel_graph,
     generate_gaussian_mixture,
     generate_random_graph,
@@ -16,7 +17,6 @@ from graphcoreset import (
     results_from_csv,
     sample_costs_uniform,
     save_edge_list,
-    spectral_clustering_coreset,
     top_eigenvectors,
 )
 from graphcoreset.evaluate import CostReport
@@ -113,8 +113,8 @@ def test_cluster_indicator_prices_baseline_rows():
             for method, coreset in (
                     ("random", random_sampling(cfg.n, K, seed * 1000 + K)),
                     ("kmeans", kmeans_coreset(cloud, K, seed * 131 + K)),
-                    ("spectral", spectral_clustering_coreset(graph, K, seed * 55 + K,
-                                                             basis=basis))):
+                    ("spectral", kmeans_coreset(PointCloud(np.ascontiguousarray(basis[:, :K])),
+                                                K, seed * 55 + K))):
                 per_seed.setdefault((method, K), []).append(costs[coreset.indices].sum())
     for key, values in per_seed.items():
         assert cost[key] == float(np.median(values)) > 0.0
