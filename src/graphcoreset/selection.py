@@ -8,6 +8,13 @@ the target, forms the slack set of vertices within a kappa fraction of the
 best score, and takes the cheapest member. kappa = 1 collapses the slack set
 to the argmax, so costs cannot influence that path at all.
 
+One round costs one sparse matvec with the columns' once-built view of P^ell
+(NormalizedColumns.rows) plus a fixed number of in-place length-n operations
+on buffers allocated once per run; the coefficients are rescaled on the
+support only, since they are zero elsewhere. Each float operation keeps the
+operands and order of the masked textbook formula, so scores, picks and
+weights are bit-identical to it.
+
 On exit the unit-sphere coefficients are rescaled: beta carries the uniform
 vector's 1/sqrt(n) mass and each selected vertex gets the estimator weight
 beta * w_i / column_norm_i, so sums of the raw walk-power columns weighted by
@@ -219,49 +226,66 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
     coeffs = np.zeros(n)
     iterate = np.zeros(n)
     align = 0.0
-    selected: list[int] = []
+    support = np.empty(n, dtype=np.int64)  # support[:placed]: distinct picks, in order
+    placed = 0
     seen = np.zeros(n, dtype=bool)
     trajectory: list[IterationRecord] = []
     grid: dict[int, Coreset] = {}
     status = "capped"
     res_after = 1.0
-    caps = {budget: 64 * min(budget, n) + 64 for budget in budgets}
+    # every round writes its length-n work into these, allocated once per run
+    proj, denom, num, scores = (np.empty(n) for _ in range(4))
+    usable, in_slack = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    budget_set = set(budgets)
+    capped_at: dict[int, list[int]] = {}  # round -> budgets whose cap ends them there
+    for budget in budgets:
+        capped_at.setdefault(64 * min(budget, n) + 64, []).append(budget)
 
-    for k in range(caps[config.budget]):
-        for budget in budgets:
-            if k == caps[budget] and budget not in grid:
+    for k in range(64 * min(config.budget, n) + 64):
+        for budget in capped_at.get(k, ()):
+            if budget not in grid:
                 # a run at this budget ends here, on its round cap
-                grid[budget] = _finish(columns, cost, selected, coeffs, align, trajectory, "capped")
+                grid[budget] = _finish(columns, cost, support[:placed], coeffs, align, trajectory,
+                                       "capped")
         # res_after is the current residual; from the zero iterate of round 0,
-        # proj is 0 and denom 1, so the scores are base itself
-        proj = np.clip(columns.alignments(iterate), -1.0, 1.0)
-        denom = math.sqrt(res_after) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
-        usable = denom > _TINY
-        scores = np.full(n, -np.inf)
-        scores[usable] = (base[usable] - align * proj[usable]) / denom[usable]
+        # proj is 0 and denom 1, so the scores are base itself. The scores are
+        # (base - align * proj) / (sqrt(res_after) * sqrt(max(1 - proj^2, 0)))
+        # where that denominator exceeds _TINY and -inf elsewhere.
+        np.clip(columns.alignments(iterate), -1.0, 1.0, out=proj)
+        np.multiply(proj, proj, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        np.maximum(denom, 0.0, out=denom)
+        np.sqrt(denom, out=denom)
+        denom *= math.sqrt(res_after)
+        np.greater(denom, _TINY, out=usable)
+        np.multiply(proj, align, out=num)
+        np.subtract(base, num, out=num)
+        scores.fill(-np.inf)
+        np.divide(num, denom, out=scores, where=usable)
 
         v_best = int(np.argmax(scores))
         s_best = float(scores[v_best])
         if not np.isfinite(s_best) or s_best <= 0.0:
             status = "stalled"
             break
-        slack = np.flatnonzero(scores >= config.kappa * s_best)
+        np.greater_equal(scores, config.kappa * s_best, out=in_slack)
+        slack_size = int(np.count_nonzero(in_slack))
         if config.kappa >= 1.0:
             # the argmax is forced; costs cannot reroute this path
             v_k = v_best
         else:
+            slack = np.flatnonzero(in_slack)
             v_k = int(slack[np.argmin(cost[slack])])
-        if not seen[v_k] and len(selected) in budgets:
+        if not seen[v_k] and placed in budget_set:
             # a run at this budget stops here, before placing a new vertex
-            grid[len(selected)] = _finish(columns, cost, selected, coeffs, align, trajectory, "ok")
-            if len(selected) == config.budget:
+            grid[placed] = _finish(columns, cost, support[:placed], coeffs, align, trajectory, "ok")
+            if placed == config.budget:
                 return grid
         score_k = float(scores[v_k])
         column = columns.column(v_k)
 
         if k == 0:
-            delta = 1.0
-            coeffs[v_k] = 1.0
+            delta, norm = 1.0, 1.0
             iterate = column
         else:
             b = float(base[v_k])
@@ -273,48 +297,56 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
                 status = "converged"
                 break
             delta = min(max(gain / span, 0.0), 1.0)
-            blended = (1.0 - delta) * iterate + delta * column
-            norm = float(np.linalg.norm(blended))
+            # iterate <- ((1 - delta) * iterate + delta * column) / norm, in place
+            iterate *= 1.0 - delta
+            column *= delta
+            iterate += column
+            norm = float(np.linalg.norm(iterate))
             if norm < _TINY:
                 status = "converged"
                 break
-            iterate = blended / norm
-            coeffs *= 1.0 - delta
-            coeffs[v_k] += delta
-            coeffs /= norm
+            iterate /= norm
 
         align = float(np.clip(iterate @ target, -1.0, 1.0))
         if not seen[v_k]:
             seen[v_k] = True
-            selected.append(v_k)
+            support[placed] = v_k
+            placed += 1
+        # coeffs <- ((1 - delta) * coeffs + delta * e_vk) / norm; off the support
+        # the coefficients are 0 and stay 0, so only the support is touched
+        live = support[:placed]
+        coeffs[live] *= 1.0 - delta
+        coeffs[v_k] += delta
+        coeffs[live] /= norm
         res_before = res_after
         res_after = max(1.0 - align * align, 0.0)
-        trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, len(slack)))
+        trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, slack_size))
         # a residual within _RESIDUAL_TOL, or a best step that no longer moves it
         # at float resolution (later steps are no better), is convergence
         if res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before:
             status = "converged"
             break
 
-    final = _finish(columns, cost, selected, coeffs, align, trajectory, status)
+    final = _finish(columns, cost, support[:placed], coeffs, align, trajectory, status)
     return {budget: grid.get(budget, final) for budget in budgets}
 
 
-def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: list, coeffs: np.ndarray,
-            align: float, trajectory: list, status: str) -> Coreset:
+def _finish(columns: NormalizedColumns, cost: np.ndarray, selected: np.ndarray,
+            coeffs: np.ndarray, align: float, trajectory: list, status: str) -> Coreset:
     """Coreset of a greedy state: beta, estimator weights and placement cost.
+
+    selected holds the distinct selected vertices in first-selection order.
 
     beta = max(0, align) / sqrt(n) is the non-negative scale that brings the
     unit iterate closest to the uniform vector 1/n.
     """
-    if selected:
+    if len(selected):
         beta = (1.0 / math.sqrt(columns.n)) * max(0.0, align)
-        idx = np.array(selected, dtype=np.int64)
-        weights = beta * coeffs[idx] / columns.column_norms[idx]
-        total_cost = float(cost[idx].sum())
+        weights = beta * coeffs[selected] / columns.column_norms[selected]
+        total_cost = float(cost[selected].sum())
     else:
         beta = 0.0
         weights = np.empty(0)
         total_cost = 0.0
-    return Coreset(indices=list(selected), weights=weights, beta=beta, total_cost=total_cost,
+    return Coreset(indices=selected.tolist(), weights=weights, beta=beta, total_cost=total_cost,
                    trajectory=list(trajectory), status=status)

@@ -10,7 +10,7 @@ no caller chooses it. NormalizedColumns derives the uniform target
 diagnostic paths, never in column construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,17 +40,24 @@ def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
     return matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizedColumns:
     """Unit-normalized columns of a walk power.
 
     matrix holds the raw power P^ell (symmetric, sparse); column i of the
-    normalized family is matrix[:, i] / column_norms[i].
+    normalized family is matrix[:, i] / column_norms[i]. rows is the CSR view
+    of matrix.T, built once at construction and sharing matrix's arrays, so
+    alignments reads it with one sparse matvec and no per-call transpose; the
+    fields are frozen, so the view cannot go stale.
     """
 
     ell: int
     matrix: sp.csc_matrix
     column_norms: np.ndarray
+    rows: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", self.matrix.T)
 
     @property
     def n(self) -> int:
@@ -69,8 +76,8 @@ class NormalizedColumns:
         return col / self.column_norms[i]
 
     def alignments(self, x: np.ndarray) -> np.ndarray:
-        """Inner product of every normalized column with x, one matvec."""
-        return (self.matrix.T @ x) / self.column_norms
+        """Inner product of every normalized column with x: one matvec with rows."""
+        return (self.rows @ x) / self.column_norms
 
 
 def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:

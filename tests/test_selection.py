@@ -12,7 +12,9 @@ from graphcoreset import (
     Coreset,
     CostVector,
     Graph,
+    PointCloud,
     SelectionConfig,
+    build_knn_kernel_graph,
     cost_penalty_bound,
     generate_random_graph,
     generate_sbm,
@@ -23,6 +25,7 @@ from graphcoreset import (
     select_coreset,
     select_coreset_grid,
 )
+from graphcoreset import spectral
 from graphcoreset.spectral import NormalizedColumns
 
 
@@ -161,15 +164,15 @@ def test_kappa_one_ignores_costs():
         assert np.array_equal(free.weights, priced.weights)
 
 
-def geodesic_scores(cols: NormalizedColumns, iterate) -> np.ndarray:
+def geodesic_scores(cols: NormalizedColumns, iterate, residual) -> np.ndarray:
     """Cosine between the geodesic directions from the iterate toward each
-    column and toward the target; the first round scores plain alignment."""
+    column and toward the target, by the masked textbook formula; residual is
+    the iterate's J, 1 at the zero start, where the scores are the plain
+    alignments."""
     base = cols.alignments(cols.target)
-    if iterate is None:
-        return base
-    align = float(iterate @ cols.target)
+    align = float(np.clip(iterate @ cols.target, -1.0, 1.0))
     proj = np.clip(cols.alignments(iterate), -1.0, 1.0)
-    denom = math.sqrt(max(1.0 - align * align, 0.0)) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
+    denom = math.sqrt(residual) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
     scores = np.full(cols.n, -np.inf)
     usable = denom > 1e-14
     scores[usable] = (base[usable] - align * proj[usable]) / denom[usable]
@@ -197,24 +200,49 @@ def test_first_round_scores_are_the_plain_alignments(kappa):
     assert np.array_equal(out.weights, [out.beta / cols.column_norms[first.vertex]])
 
 
-def test_slack_set_membership_and_cheapest_pick(replay_trajectory):
-    g = generate_sbm([20, 20], 0.3, 0.05, seed=4)
-    cols = columns_for(g, 1)
-    costs = sample_costs_uniform(g.n, seed=3)
-    kappa, tol = 0.6, 1e-9
-    out = select_coreset(cols, costs, SelectionConfig(budget=8, kappa=kappa))
-    assert out.trajectory
-    iterate = None
+@pytest.fixture(scope="module")
+def knn_walk():
+    """Walk on 2100 kNN points: past the dense cutoff, so every power is sparse."""
+    cloud = PointCloud(np.random.default_rng(11).standard_normal((2100, 2)))
+    walk = lazy_walk_matrix(build_knn_kernel_graph(cloud, 10, 1.0))
+    assert walk.shape[0] > spectral._DENSE_POWER_MAX_N
+    return walk
+
+
+@pytest.mark.parametrize("instance, ell, kappa, budget", [
+    pytest.param("knn", 3, 0.8, 25, id="knn-ell3-kappa0.8"),
+    pytest.param("knn", 1, 0.8, 25, id="knn-ell1-kappa0.8"),
+    pytest.param("sbm", 12, 1.0, 12, id="sbm-ell12-kappa1"),
+    pytest.param("sbm", 12, 0.7, 12, id="sbm-ell12-kappa0.7"),
+    pytest.param("small-sbm", 1, 0.6, 8, id="small-sbm-ell1-kappa0.6"),
+])
+def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, instance, ell,
+                                                kappa, budget):
+    """Every round, rebuilt from the replayed state and the previous record's J,
+    the masked score formula gives the recorded alignment and slack set size
+    exactly, and the pick is the slack set's cheapest vertex (the argmax at
+    kappa = 1)."""
+    if instance == "knn":
+        walk = request.getfixturevalue("knn_walk")
+    elif instance == "sbm":  # n <= 2048 at ell >= 2: the dense power path
+        walk = lazy_walk_matrix(generate_sbm([60, 60], 0.2, 0.02, seed=4))
+    else:
+        walk = lazy_walk_matrix(generate_sbm([20, 20], 0.3, 0.05, seed=4))
+    cols = normalized_columns(walk, ell)
+    costs = sample_costs_uniform(cols.n, seed=3)
+    out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
+    assert len(out.trajectory) > 1
+    iterate, residual = np.zeros(cols.n), 1.0
     for step, (_, after) in zip(out.trajectory, replay_trajectory(cols, out.trajectory)):
-        scores = geodesic_scores(cols, iterate)
-        best = scores.max()
-        assert step.alignment == pytest.approx(scores[step.vertex], abs=tol)
-        assert step.alignment >= kappa * best - tol  # the pick is in the slack set
-        surely_in = np.flatnonzero(scores >= kappa * best + tol)
-        maybe_in = np.flatnonzero(scores >= kappa * best - tol)
-        assert len(surely_in) <= step.slack_set_size <= len(maybe_in)
-        assert costs.costs[step.vertex] <= costs.costs[surely_in].min()  # and its cheapest
-        iterate = after
+        scores = geodesic_scores(cols, iterate, residual)
+        slack = np.flatnonzero(scores >= kappa * scores.max())
+        assert step.alignment == scores[step.vertex]
+        assert step.slack_set_size == len(slack)
+        if kappa == 1.0:
+            assert step.vertex == int(np.argmax(scores))
+        else:
+            assert step.vertex == int(slack[np.argmin(costs.costs[slack])])
+        iterate, residual = after, step.residual
 
 
 def test_cost_scale_invariance():

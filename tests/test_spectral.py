@@ -18,6 +18,7 @@ from graphcoreset import (
 )
 from graphcoreset import spectral
 from graphcoreset.graphs import Graph
+from graphcoreset.spectral import NormalizedColumns
 
 
 @pytest.fixture(scope="module")
@@ -163,14 +164,31 @@ def test_column_is_the_normalized_power_column(case, large_knn_walk):
 
 def test_normalized_columns_helpers(two_triangles):
     walk = lazy_walk_matrix(two_triangles)
-    cols = normalized_columns(walk, 2)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(walk.shape[0])
-    manual = np.array([cols.column(i) @ x for i in range(walk.shape[0])])
-    assert np.allclose(cols.alignments(x), manual, atol=1e-12)
-    assert np.allclose(cols.target, 1.0 / np.sqrt(walk.shape[0]))
+    x = np.random.default_rng(0).standard_normal(walk.shape[0])
+    # ell = 1 takes the sparse power branch, ell = 2 the dense one; the last
+    # columns are built by hand, bypassing normalized_columns
+    hand = sp.csc_matrix(np.array([[2.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 3.0, 0.0]]))
+    hand_norms = np.sqrt(np.asarray(hand.multiply(hand).sum(axis=0)).ravel())
+    for cols in (normalized_columns(walk, 1), normalized_columns(walk, 2),
+                 NormalizedColumns(1, hand, hand_norms)):
+        y = x[:cols.n]
+        manual = np.array([cols.column(i) @ y for i in range(cols.n)])
+        assert np.allclose(cols.alignments(y), manual, atol=1e-12)
+        # the once-built view gives the per-call transpose's matvec bit for bit
+        assert cols.alignments(y).tobytes() == ((cols.matrix.T @ y) / cols.column_norms).tobytes()
+    assert np.allclose(cols.target, 1.0 / np.sqrt(cols.n))
     with pytest.raises(ValueError):
         normalized_columns(walk, 0)
+
+
+@pytest.mark.parametrize("entries, ell", [
+    pytest.param([[1.0, 0.0], [0.0, 0.0]], 1, id="empty-column-sparse"),
+    pytest.param([[1.0, 0.0], [0.0, 0.0]], 2, id="empty-column-dense"),
+    pytest.param([[1e200, 1e200], [1e200, 1e200]], 2, id="overflowing-power"),
+])
+def test_normalized_columns_rejects_zero_or_nonfinite_column(entries, ell):
+    with pytest.raises(ValueError, match="zero or non-finite column"):
+        normalized_columns(sp.csr_matrix(np.array(entries)), ell)
 
 
 def test_top_eigenvectors_lanczos_path():
