@@ -18,7 +18,6 @@ from .evaluate import (
     CostReport,
     ExperimentResult,
     avg_shortest_path_estimate,
-    avg_shortest_path_true,
     bound_check,
     error_metric,
     estimate_mean,
@@ -74,7 +73,6 @@ __all__ = [
     "PointCloud",
     "SelectionConfig",
     "avg_shortest_path_estimate",
-    "avg_shortest_path_true",
     "betweenness_coreset",
     "betweenness_scores",
     "bound_check",

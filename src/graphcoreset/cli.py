@@ -29,13 +29,12 @@ from .baselines import (
 )
 from .evaluate import (
     ExperimentResult,
-    avg_shortest_path_estimate,
-    avg_shortest_path_true,
     bound_check,
     error_metric,
     estimate_mean,
     eta_diagnostic,
     results_to_csv,
+    source_average_distances,
 )
 from .graphs import (
     CostVector,
@@ -235,26 +234,19 @@ def _execute_eval(params: dict):
         if graph.labels is None:
             raise ValueError("indicator evaluation needs a labeled graph")
         f = GraphFunction((np.asarray(graph.labels) == params["label"]).astype(float))
-        estimate = estimate_mean(f, coreset)
-        truth = f.mean()
-        err, abs_err = error_metric(f, coreset)
     elif kind == "average-distance":
-        estimate = avg_shortest_path_estimate(graph, coreset)
-        truth = avg_shortest_path_true(graph)
-        abs_err = abs(estimate - truth)
-        err = abs_err ** 2
+        f = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
     elif kind == "smooth":
         walk = lazy_walk_matrix(graph)
         f = synthesize_smooth_function(walk, params["threshold"], seed=params["function_seed"])
-        estimate = estimate_mean(f, coreset)
-        truth = f.mean()
-        err, abs_err = error_metric(f, coreset)
         columns = normalized_columns(walk, params["ell"])
         _, bound_rhs, holds = bound_check(f, params["threshold"], coreset, columns)
         if not holds:
             raise FloatingPointError("smoothness bound violated; selection output is corrupt")
     else:
         raise ValueError(f"unknown function kind {kind!r}")
+    estimate, truth = estimate_mean(f, coreset), f.mean()
+    err, abs_err = error_metric(f, coreset)
     row = ExperimentResult(method=kind, K=len(coreset.indices), err=err, abs_err=abs_err,
                            coreset_cost=coreset.total_cost, bound_rhs=bound_rhs)
     results_to_csv([row], params["out"])

@@ -1,5 +1,10 @@
 """Estimator evaluation: mean-estimation error, certified error bounds, and
-shortest-path (hop count) averages used by the experiment drivers."""
+shortest-path (hop count) averages used by the experiment drivers.
+
+Every evaluated statistic is a GraphFunction: its estimate is estimate_mean,
+its truth GraphFunction.mean() and its error error_metric. The average
+distance is GraphFunction(source_average_distances(graph, np.arange(n)));
+avg_shortest_path_estimate is the paper's K-source estimator of its mean."""
 
 import csv
 from collections import namedtuple
@@ -122,25 +127,15 @@ def source_average_distances(graph: Graph, sources) -> np.ndarray:
     return dist.mean(axis=1)
 
 
-def _weighted_average_distance(graph: Graph, indices, weights) -> float:
-    averages = source_average_distances(graph, indices)
-    return float(np.asarray(weights, dtype=np.float64) @ averages)
-
-
-def avg_shortest_path_true(graph: Graph) -> float:
-    """Exact mean over all vertices of the per-vertex average distance."""
-    return _weighted_average_distance(
-        graph, np.arange(graph.n), np.full(graph.n, 1.0 / graph.n)
-    )
-
-
 def avg_shortest_path_estimate(graph: Graph, coreset) -> float:
-    """Same statistic estimated from the coreset: Dijkstra runs only from the
-    selected vertices."""
+    """The paper's K-source estimate of the mean average distance: Dijkstra
+    runs only from the selected vertices. Its exact counterpart is the mean of
+    GraphFunction(source_average_distances(graph, np.arange(graph.n)))."""
     idx = _indices(coreset, graph.n)
     if len(idx) == 0:
         return 0.0
-    return _weighted_average_distance(graph, idx, coreset.weights)
+    weights = np.asarray(coreset.weights, dtype=np.float64)
+    return float(weights @ source_average_distances(graph, idx))
 
 
 def results_to_csv(rows, path: str) -> None:

@@ -1,20 +1,19 @@
 """Experiment harness: the comparison studies behind the library.
 
 Each study is a frozen config dataclass and a runner that supplies only its
-instance for a seed: the graph, its vertex costs, and the squared error of
-a coreset's estimate. One loop runs the study's method table over that
-instance for every K and seed and returns median-aggregated ExperimentResult
-rows. Runners are deterministic given their config: every random draw flows
-through seeds derived from the config's seed list, so a rerun reproduces the
-same rows bit for bit. The CLI feeds configs from JSON files; tests call the
-runners directly.
+instance for a seed: the graph, its vertex costs, and the vertex function
+whose mean its methods estimate. One loop runs the study's method table over
+that instance for every K and seed, scores each coreset with error_metric and
+returns median-aggregated ExperimentResult rows. Runners are deterministic
+given their config: every random draw flows through seeds derived from the
+config's seed list, so a rerun reproduces the same rows bit for bit. The CLI
+feeds configs from JSON files; tests call the runners directly.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 
@@ -52,23 +51,23 @@ from ._util import atomic_write_text, check_fields
 class _Instance:
     """One graph of a study with what its methods share across K and seeds.
 
-    costs holds the placement cost of every vertex and error maps a coreset
-    to the squared error of its estimate. grids holds each greedy method's
-    budget grid, ranking the betweenness order, basis the walk's top
+    costs holds the placement cost of every vertex and function the vertex
+    function whose mean the coresets estimate. grids holds each greedy
+    method's budget grid, ranking the betweenness order, basis the walk's top
     eigenvectors, and cloud the points k-means clusters (None clusters the
     spectral embedding instead).
     """
 
     graph: Graph
     costs: np.ndarray
-    error: Callable
+    function: GraphFunction
     grids: dict
     ranking: list | None
     basis: np.ndarray | None
     cloud: PointCloud | None
 
 
-def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Callable,
+def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: GraphFunction,
               cloud: PointCloud | None = None) -> _Instance:
     walk = lazy_walk_matrix(graph)
     k_max = max(config.k_grid)
@@ -78,7 +77,7 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, error: Cal
     ranking = betweenness_coreset(graph, k_max).indices if "betweenness" in methods else None
     clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
     basis = top_eigenvectors(walk, k_max) if clusters else None
-    return _Instance(graph, costs.costs, error, grids, ranking, basis, cloud)
+    return _Instance(graph, costs.costs, function, grids, ranking, basis, cloud)
 
 
 def _embedding(inst: _Instance, K: int) -> PointCloud:
@@ -113,7 +112,7 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
                 coreset = _BASELINES[method](inst, K, seed)
             # priced as the greedy finish prices its own support
             idx = np.array(coreset.indices, dtype=np.int64)
-            out.append((inst.error(coreset), float(inst.costs[idx].sum())))
+            out.append((error_metric(inst.function, coreset)[0], float(inst.costs[idx].sum())))
         per_seed.append(out)
     medians = np.median(np.array(per_seed), axis=0)
     return [ExperimentResult(method=method, K=K, err=float(err), abs_err=float(np.sqrt(err)),
@@ -125,23 +124,6 @@ def _cost_report(rows: list[ExperimentResult], config) -> CostReport:
     """Cost-aware against cost-free placement cost at the largest budget."""
     cost = {r.method: r.coreset_cost for r in rows if r.K == max(config.k_grid)}
     return CostReport(c_cso=cost["scgiga-cost"], c_cos=cost["scgiga"])
-
-
-def _indicator_error(values: np.ndarray) -> Callable:
-    f = GraphFunction(values)
-    return lambda coreset: error_metric(f, coreset)[0]
-
-
-def _distance_error(graph: Graph) -> Callable:
-    """Squared error of a coreset's estimate of the mean average distance."""
-    distances = source_average_distances(graph, np.arange(graph.n))
-    truth = float(distances.mean())
-
-    def error(coreset) -> float:
-        idx = np.asarray(coreset.indices, dtype=np.int64)
-        return (float(np.asarray(coreset.weights) @ distances[idx]) - truth) ** 2
-
-    return error
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +163,7 @@ def run_cluster_indicator(config: ClusterIndicatorConfig) -> tuple[list[Experime
         graph = build_knn_kernel_graph(cloud, config.k_neighbors, config.bandwidth)
         costs = sample_costs_uniform(config.n, seed=seed + config.cost_seed_offset)
         values = (np.asarray(cloud.labels) == config.indicator_component).astype(float)
-        return _instance(config, methods, graph, costs, _indicator_error(values), cloud=cloud)
+        return _instance(config, methods, graph, costs, GraphFunction(values), cloud=cloud)
 
     rows = _run(config, methods, instance_for)
     return rows, _cost_report(rows, config)
@@ -215,8 +197,7 @@ def _sbm_rows(config: SbmIndicatorConfig, methods: dict) -> list[ExperimentResul
     def instance_for(seed: int) -> _Instance:
         graph = generate_sbm(config.block_sizes(), config.p_in, config.p_out, seed=seed)
         values = (np.asarray(graph.labels) == config.indicator_block).astype(float)
-        return _instance(config, methods, graph, CostVector.zeros(config.n),
-                         _indicator_error(values))
+        return _instance(config, methods, graph, CostVector.zeros(config.n), GraphFunction(values))
 
     return _run(config, methods, instance_for)
 
@@ -262,7 +243,8 @@ def run_shortest_path(config: ShortestPathConfig) -> tuple[list[ExperimentResult
 
     def instance_for(seed: int) -> _Instance:
         graph = _shortest_path_graph(config, seed)
-        return _instance(config, methods, graph, CostVector.zeros(graph.n), _distance_error(graph))
+        distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
+        return _instance(config, methods, graph, CostVector.zeros(graph.n), distances)
 
     return _run(config, methods, instance_for), None
 
@@ -296,7 +278,8 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
     graph = load_edge_list(config.data_path)
     methods = {"scgiga": 1.0, "scgiga-cost": config.kappa, "random": None, "betweenness": None}
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
-    shared = _instance(config, methods, graph, costs, _distance_error(graph))
+    distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
+    shared = _instance(config, methods, graph, costs, distances)
     rows = _run(config, methods, lambda seed: shared)
     return rows, _cost_report(rows, config)
 

@@ -161,12 +161,20 @@ class Coreset:
         return cls.from_dict(read_json(path))
 
 
-def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm: float, n: int) -> float:
+def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm: float) -> float:
     """Largest cost-penalty weight that keeps a kappa-optimal alignment.
 
     Equals (1 - kappa) / (C_max^k * min_column_norm * sqrt(n)) where C_max^k
-    is the sum of the k largest costs. All-zero costs make the bound vacuous;
-    returns +inf and warns in that case.
+    is the sum of the k largest costs and n = costs.n. All-zero costs make the
+    bound vacuous; returns +inf and warns in that case.
+
+    The claim holds at round 0 only. There every score is the alignment
+    <q_v, t> = 1 / (sqrt(n) * ||col_v||) of a column of the doubly stochastic
+    P^ell, so the best score is 1 / (sqrt(n) * min_column_norm) and lambda *
+    C_max^k at this bound is (1 - kappa) times it: with lambda at most the
+    bound and costs non-negative, the vertex maximizing score - lambda * cost
+    lies in the kappa slack set. Later rounds score against the moving
+    iterate and are not covered.
     """
     if not (0.0 < kappa <= 1.0):
         raise ValueError("kappa must lie in (0, 1]")
@@ -179,7 +187,7 @@ def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm:
     if c_max == 0.0:
         warnings.warn("all costs are zero; cost penalty bound is unconstrained")
         return math.inf
-    return (1.0 - kappa) / (c_max * min_column_norm * math.sqrt(n))
+    return (1.0 - kappa) / (c_max * min_column_norm * math.sqrt(costs.n))
 
 
 def select_coreset(columns: NormalizedColumns, costs: CostVector,
@@ -235,7 +243,7 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
     res_after = 1.0
     # every round writes its length-n work into these, allocated once per run
     proj, denom, num, scores = (np.empty(n) for _ in range(4))
-    usable, in_slack = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    unusable, in_slack = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     budget_set = set(budgets)
     capped_at: dict[int, list[int]] = {}  # round -> budgets whose cap ends them there
     for budget in budgets:
@@ -257,11 +265,14 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
         np.maximum(denom, 0.0, out=denom)
         np.sqrt(denom, out=denom)
         denom *= math.sqrt(res_after)
-        np.greater(denom, _TINY, out=usable)
+        np.less_equal(denom, _TINY, out=unusable)
         np.multiply(proj, align, out=num)
         np.subtract(base, num, out=num)
-        scores.fill(-np.inf)
-        np.divide(num, denom, out=scores, where=usable)
+        # an unmasked divide is cheaper than a masked one; the unusable
+        # entries it fills with inf or nan are overwritten right after
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(num, denom, out=scores)
+        np.putmask(scores, unusable, -np.inf)
 
         v_best = int(np.argmax(scores))
         s_best = float(scores[v_best])

@@ -1,5 +1,7 @@
 """Command-line interface: round trips, validation, manifests, replay."""
 
+import importlib
+import inspect
 import json
 import os
 import resource
@@ -17,10 +19,12 @@ from graphcoreset import (
     Graph,
     PointCloud,
     SelectionConfig,
+    avg_shortest_path_estimate,
     lazy_walk_matrix,
     normalized_columns,
     results_from_csv,
     select_coreset,
+    source_average_distances,
 )
 from graphcoreset.cli import main
 from graphcoreset.experiments import config_from_mapping
@@ -321,6 +325,27 @@ def test_paths_count_hops_on_kernel_graphs(workdir, capsys):
         assert Path(f"kernel-{suffix}").read_bytes() == Path(f"unit-{suffix}").read_bytes()
 
 
+def test_eval_average_distance_prints_the_exact_mean(workdir, capsys):
+    """The truth is the mean of the n per-vertex averages; the estimate is the
+    K-source estimator's value, both printed at 17 significant digits. On this
+    graph a 1/n-weighted dot product of the averages differs from their mean
+    in the last bits."""
+    PointCloud(np.random.default_rng(0).standard_normal((60, 2))).save_csv("c.csv")
+    assert run_cli("generate", "--model", "knn-kernel", "--cloud", "c.csv",
+                   "--k-neighbors", "6", "-o", "g.json") == 0
+    assert run_cli("baseline", "--method", "random", "--graph", "g.json", "--k", "5",
+                   "-o", "r.json") == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--graph", "g.json", "--coreset", "r.json",
+                   "--function", "average-distance", "-o", "ev.csv") == 0
+    printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    graph = Graph.load_json("g.json")
+    truth = source_average_distances(graph, np.arange(graph.n)).mean()
+    assert printed["exact_mean"] == "%.17g" % truth
+    estimate = avg_shortest_path_estimate(graph, Coreset.load_json("r.json"))
+    assert printed["estimate"] == "%.17g" % estimate
+
+
 def test_out_of_memory_exits_two(workdir):
     """A graph whose n fits int64 but whose n-long arrays do not fit memory
     exits 2 with an error line. The child caps its address space first:
@@ -557,3 +582,17 @@ def test_cli_usage_error_exits_two(workdir):
     with pytest.raises(SystemExit) as info:
         main(["select", "--k", "3"])  # argparse: missing --graph/-o
     assert info.value.code == 2
+
+
+def test_package_exports_every_public_name():
+    """__all__ names exactly the public functions and classes of the library
+    modules, so a deleted or added one cannot leave the export list stale."""
+    defined = set()
+    for name in ("baselines", "evaluate", "graphs", "selection", "spectral"):
+        module = importlib.import_module(f"graphcoreset.{name}")
+        defined.update(attr for attr, obj in vars(module).items()
+                       if not attr.startswith("_")
+                       and (inspect.isfunction(obj) or inspect.isclass(obj))
+                       and obj.__module__ == module.__name__)
+    assert set(graphcoreset.__all__) - {"__version__"} == defined
+    assert all(hasattr(graphcoreset, name) for name in graphcoreset.__all__)

@@ -11,7 +11,6 @@ from graphcoreset import (
     Graph,
     GraphFunction,
     avg_shortest_path_estimate,
-    avg_shortest_path_true,
     bound_check,
     error_metric,
     estimate_mean,
@@ -90,12 +89,13 @@ def test_avg_distance_path3(path3):
     # per-vertex averages (1, 2/3, 1); global mean 8/9
     avgs = source_average_distances(path3, np.arange(3))
     assert np.allclose(avgs, [1.0, 2.0 / 3.0, 1.0], atol=1e-15)
-    assert avg_shortest_path_true(path3) == pytest.approx(8.0 / 9.0, abs=1e-14)
+    assert avgs.mean() == pytest.approx(8.0 / 9.0, abs=1e-14)
 
 
 def test_avg_distance_complete_graph():
     g = complete_graph(7)
-    assert avg_shortest_path_true(g) == pytest.approx(6.0 / 7.0, abs=1e-14)
+    mean = source_average_distances(g, np.arange(g.n)).mean()
+    assert mean == pytest.approx(6.0 / 7.0, abs=1e-14)
 
 
 def test_avg_distance_estimate_uses_weights(path3):
