@@ -13,7 +13,7 @@ def main():
     config = SbmIndicatorConfig(n=400, k_grid=(4, 8, 12, 16), seeds=tuple(range(5)))
     print(f"blocks {config.block_sizes()}, p_in {config.p_in}, p_out {config.p_out}, "
           f"walk power {config.ell}, {len(config.seeds)} seeds")
-    rows, _ = run_sbm_indicator(config)
+    rows = run_sbm_indicator(config)
     med = {(r.method, r.K): r.err for r in rows}
     methods = ("scgiga", "random", "kmeans", "spectral")
     print(f"{'K':>4} " + " ".join(f"{m:>10}" for m in methods))

@@ -15,7 +15,6 @@ from .baselines import (
     spectral_clustering_coreset,
 )
 from .evaluate import (
-    CostReport,
     ExperimentResult,
     avg_shortest_path_estimate,
     bound_check,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coreset",
-    "CostReport",
     "CostVector",
     "ExperimentResult",
     "Graph",

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from ._util import check_fields, dump_json, fmt_float, read_json, sha256_file
+from ._util import check_fields, dump_json, fmt_float, has_type, read_json, sha256_file
 from .baselines import (
     betweenness_coreset,
     kmeans_coreset,
@@ -75,25 +75,33 @@ def _parse_means(text: str) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # the parameters each command records, in recording order, with the type the
 # parser gives each (None only where the flag has no default and is not
-# required); generate records model, seed and out and then the keys of its model
+# required)
 
 _PARAMETERS = {
-    "generate": {
+    "select": {"graph": str, "costs": str | None, "uniform_costs": int | None, "kappa": float,
+               "k": int, "ell": int, "out": str},
+    "experiment": {"name": str, "config": str | None, "overrides": dict, "out_dir": str},
+    "replay": {"manifest": str, "verify": bool},
+}
+# the same for each command with variants: the parameter naming the variant,
+# the parameters every variant records, and each variant's own, recorded after
+# those. A variant records no other flag, and each of its flags without a
+# default is required (model sbm requires --sizes, method spectral --graph)
+_VARIANTS = {
+    "generate": ("model", {"model": str, "seed": int, "out": str}, {
         "sbm": {"sizes": list[int], "p_in": float, "p_out": float},
         "powerlaw-tree": {"n": int, "exponent": float},
         "random": {"n": int, "edge_probability": float},
         "gaussian-mixture": {"means": list[list[float]], "fractions": list[float],
                              "covariance_scale": float, "n": int},
         "knn-kernel": {"cloud": str, "k_neighbors": int, "bandwidth": float},
-    },
-    "select": {"graph": str, "costs": str | None, "uniform_costs": int | None, "kappa": float,
-               "k": int, "ell": int, "out": str},
-    "baseline": {"method": str, "graph": str | None, "cloud": str | None, "n": int | None,
-                 "k": int, "seed": int, "out": str},
-    "experiment": {"name": str, "config": str | None, "overrides": dict, "out_dir": str},
-    "eval": {"graph": str, "coreset": str, "function": str, "label": int, "threshold": float,
-             "ell": int, "function_seed": int, "out": str},
-    "replay": {"manifest": str, "verify": bool},
+    }),
+    "baseline": ("method", {"method": str, "k": int, "seed": int, "out": str}, {
+        "random": {"graph": str}, "kmeans": {"cloud": str}, "spectral": {"graph": str},
+        "betweenness": {"graph": str}}),
+    "eval": ("function", {"graph": str, "coreset": str, "function": str, "out": str}, {
+        "indicator": {"label": int}, "average-distance": {},
+        "smooth": {"threshold": float, "ell": int, "function_seed": int}}),
 }
 # the type of each manifest field; replay reads no other
 _MANIFEST_FIELDS = {"command": str, "parameters": dict, "input_hashes": dict,
@@ -102,14 +110,16 @@ _MANIFEST_FIELDS = {"command": str, "parameters": dict, "input_hashes": dict,
 _GENERATE_PARSERS = {"sizes": _parse_ints, "means": _parse_means, "fractions": _parse_floats}
 
 
-def _parameter_types(command: str, model=None) -> dict:
-    """Parameter types of a command; ValueError for a generate model it does not know."""
-    types = _PARAMETERS[command]
-    if command != "generate":
-        return types
-    if not isinstance(model, str) or model not in types:
-        raise ValueError(f"unknown model {model!r}")
-    return {"model": str, "seed": int, "out": str, **types[model]}
+def _parameter_types(command: str, values: dict) -> dict:
+    """Parameter types of a command, for the variant values names if it has variants;
+    ValueError for a variant it does not have."""
+    if command not in _VARIANTS:
+        return _PARAMETERS[command]
+    flag, common, variants = _VARIANTS[command]
+    variant = values.get(flag)
+    if not isinstance(variant, str) or variant not in variants:
+        raise ValueError(f"unknown {flag} {variant!r}")
+    return {**common, **variants[variant]}
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +179,19 @@ def _execute_select(params: dict):
 
 
 def _execute_baseline(params: dict):
-    method = params["method"]
-    k = params["k"]
-    seed = params["seed"]
-    inputs = []
-    if method == "random":
-        if params.get("graph"):
-            inputs = [params["graph"]]
-            n = Graph.load_json(params["graph"]).n
-        elif params.get("n"):
-            n = params["n"]
-        else:
-            raise ValueError("random baseline needs --graph or --n")
-        coreset = random_sampling(n, k, seed)
-    elif method == "kmeans":
-        if not params.get("cloud"):
-            raise ValueError("kmeans baseline needs --cloud")
+    method, k, seed = params["method"], params["k"], params["seed"]
+    if method == "kmeans":
         inputs = [params["cloud"]]
         coreset = kmeans_coreset(PointCloud.load_csv(params["cloud"]), k, seed)
-    elif method == "spectral":
-        if not params.get("graph"):
-            raise ValueError("spectral baseline needs --graph")
-        inputs = [params["graph"]]
-        coreset = spectral_clustering_coreset(Graph.load_json(params["graph"]), k, seed)
-    elif method == "betweenness":
-        if not params.get("graph"):
-            raise ValueError("betweenness baseline needs --graph")
-        inputs = [params["graph"]]
-        coreset = betweenness_coreset(Graph.load_json(params["graph"]), k)
     else:
-        raise ValueError(f"unknown baseline method {method!r}")
+        inputs = [params["graph"]]
+        graph = Graph.load_json(params["graph"])
+        if method == "random":
+            coreset = random_sampling(graph.n, k, seed)
+        elif method == "spectral":
+            coreset = spectral_clustering_coreset(graph, k, seed)
+        else:  # betweenness
+            coreset = betweenness_coreset(graph, k)
     coreset.save_json(params["out"])
     return inputs, [params["out"]], []
 
@@ -216,11 +209,12 @@ def _execute_experiment(params: dict):
     if name == "ego-centrality":
         inputs.append(config.data_path)
     runner = experiments.EXPERIMENTS[name][1]
-    rows, report = runner(config)
-    written = experiments.write_experiment_outputs(params["out_dir"], rows, report)
+    rows = runner(config)
+    written = experiments.write_experiment_outputs(params["out_dir"], rows)
     lines = [f"wrote {len(written)} files to {params['out_dir']}"]
+    report = experiments.cost_report(rows)
     if report is not None:
-        lines.append("C_CSO " + fmt_float(report.c_cso) + " C_COS " + fmt_float(report.c_cos))
+        lines.append("C_CSO " + fmt_float(report[0]) + " C_COS " + fmt_float(report[1]))
     return inputs, written, lines
 
 
@@ -236,15 +230,13 @@ def _execute_eval(params: dict):
         f = GraphFunction((np.asarray(graph.labels) == params["label"]).astype(float))
     elif kind == "average-distance":
         f = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
-    elif kind == "smooth":
+    else:  # smooth
         walk = lazy_walk_matrix(graph)
         f = synthesize_smooth_function(walk, params["threshold"], seed=params["function_seed"])
         columns = normalized_columns(walk, params["ell"])
         _, bound_rhs, holds = bound_check(f, params["threshold"], coreset, columns)
         if not holds:
             raise FloatingPointError("smoothness bound violated; selection output is corrupt")
-    else:
-        raise ValueError(f"unknown function kind {kind!r}")
     estimate, truth = estimate_mean(f, coreset), f.mean()
     err, abs_err = error_metric(f, coreset)
     row = ExperimentResult(method=kind, K=len(coreset.indices), err=err, abs_err=abs_err,
@@ -291,7 +283,10 @@ def _load_manifest(path: str) -> dict:
     command, params = manifest["command"], manifest["parameters"]
     if command not in _EXECUTORS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    check_fields(params, _parameter_types(command, params.get("model")), "manifest parameter")
+    types = _parameter_types(command, params)
+    check_fields(params, types, "manifest parameter")
+    # a replay records what the command records now, not keys an older version wrote
+    manifest["parameters"] = {key: params[key] for key in types}
     return manifest
 
 
@@ -333,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic graph or point cloud")
-    gen.add_argument("--model", required=True, choices=list(_PARAMETERS["generate"]))
+    gen.add_argument("--model", required=True, choices=list(_VARIANTS["generate"][2]))
     gen.add_argument("--sizes", help="comma-separated block sizes (sbm)")
     gen.add_argument("--p-in", type=float, help="intra-block edge probability (sbm)")
     gen.add_argument("--p-out", type=float, help="inter-block edge probability (sbm)")
@@ -360,11 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("-o", "--out", required=True)
 
     base = sub.add_parser("baseline", help="run a reference selection scheme")
-    base.add_argument("--method", required=True,
-                      choices=["random", "kmeans", "spectral", "betweenness"])
-    base.add_argument("--graph")
-    base.add_argument("--cloud")
-    base.add_argument("--n", type=int, help="vertex count for --method random without a graph")
+    base.add_argument("--method", required=True, choices=list(_VARIANTS["baseline"][2]))
+    base.add_argument("--graph", help="graph JSON input (random, spectral, betweenness)")
+    base.add_argument("--cloud", help="point-cloud CSV input (kmeans)")
     base.add_argument("--k", type=int, required=True)
     base.add_argument("--seed", type=int, default=0)
     base.add_argument("-o", "--out", required=True)
@@ -379,13 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a coreset against an exact mean")
     ev.add_argument("--graph", required=True)
     ev.add_argument("--coreset", required=True)
-    ev.add_argument("--function", required=True,
-                    choices=["indicator", "average-distance", "smooth"])
+    ev.add_argument("--function", required=True, choices=list(_VARIANTS["eval"][2]))
     ev.add_argument("--label", type=int, default=0, help="target label (indicator)")
     ev.add_argument("--threshold", type=float, default=0.5,
                     help="eigenvalue magnitude cutoff (smooth)")
     ev.add_argument("--ell", type=int, default=1, help="walk power for the bound (smooth)")
-    ev.add_argument("--function-seed", type=int, default=0)
+    ev.add_argument("--function-seed", type=int, default=0, help="synthesis seed (smooth)")
     ev.add_argument("-o", "--out", required=True)
 
     rep = sub.add_parser("replay", help="re-execute a recorded manifest")
@@ -396,17 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    keys = _parameter_types(args.command, getattr(args, "model", None))
-    params = {key: getattr(args, key) for key in keys}
-    if args.command == "generate":
-        # every model flag without a default is required
-        missing = ["--" + key.replace("_", "-") for key in keys if params[key] is None]
-        if missing:
-            raise ValueError(f"model {args.model} requires {', '.join(missing)}")
-        for key in keys:
-            if key in _GENERATE_PARSERS:
-                params[key] = _GENERATE_PARSERS[key](params[key])
-    elif args.command == "select":
+    types = _parameter_types(args.command, vars(args))
+    params = {key: getattr(args, key) for key in types}
+    # a flag left unset whose parameter takes no None is a variant flag without a default
+    missing = ["--" + key.replace("_", "-") for key, kind in types.items()
+               if params[key] is None and not has_type(None, kind)]
+    if missing:
+        flag = _VARIANTS[args.command][0]
+        raise ValueError(f"{flag} {params[flag]} requires {', '.join(missing)}")
+    for key in types:
+        if key in _GENERATE_PARSERS:
+            params[key] = _GENERATE_PARSERS[key](params[key])
+    if args.command == "select":
         if args.costs and args.uniform_costs is not None:
             raise ValueError("--costs and --uniform-costs are mutually exclusive")
     elif args.command == "experiment":

@@ -7,7 +7,7 @@ distance is GraphFunction(source_average_distances(graph, np.arange(n)));
 avg_shortest_path_estimate is the paper's K-source estimator of its mean."""
 
 import csv
-from collections import namedtuple
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +31,6 @@ class ExperimentResult:
     abs_err: float
     coreset_cost: float
     bound_rhs: float | None = None
-
-
-CostReport = namedtuple("CostReport", ["c_cso", "c_cos"])
 
 
 def _indices(coreset, n: int) -> np.ndarray:
@@ -81,7 +78,8 @@ def bound_check(
 
     Returns (lhs, rhs, holds): the actual estimation error, the certificate
     smoothness * threshold^-ell * ||weighted column mix - uniform||, and
-    whether lhs <= rhs up to BOUND_SLACK.
+    whether lhs <= rhs up to BOUND_SLACK. Where threshold^ell underflows to
+    0.0 the certificate is vacuous: rhs is +inf and holds is True.
     """
     if not (0.0 < eigenvalue_threshold < 1.0):
         raise ValueError("eigenvalue_threshold must be in (0, 1)")
@@ -93,7 +91,11 @@ def bound_check(
     # |<u, P^ell (1/n - row)>|, and P^ell fixes the uniform vector
     mixed = columns.matrix @ row
     residual_vec = mixed - np.full(n, 1.0 / n)
-    rhs = norm / eigenvalue_threshold**columns.ell * float(np.linalg.norm(residual_vec))
+    try:
+        power = eigenvalue_threshold**columns.ell
+    except OverflowError:  # an ell past float range: the power underflows all the same
+        power = 0.0
+    rhs = norm / power * float(np.linalg.norm(residual_vec)) if power > 0.0 else math.inf
     lhs = abs(function.mean() - estimate_mean(function, coreset))
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .baselines import betweenness_coreset, kmeans_coreset, random_sampling
-from .evaluate import (
-    CostReport,
-    ExperimentResult,
-    error_metric,
-    results_to_csv,
-    source_average_distances,
-)
+from .evaluate import ExperimentResult, error_metric, results_to_csv, source_average_distances
 from .graphs import (
     CostVector,
     Graph,
@@ -120,12 +114,6 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
             for (method, K), (err, cost) in zip(cells, medians)]
 
 
-def _cost_report(rows: list[ExperimentResult], config) -> CostReport:
-    """Cost-aware against cost-free placement cost at the largest budget."""
-    cost = {r.method: r.coreset_cost for r in rows if r.K == max(config.k_grid)}
-    return CostReport(c_cso=cost["scgiga-cost"], c_cos=cost["scgiga"])
-
-
 # ---------------------------------------------------------------------------
 # cluster-indicator: Gaussian mixture, kNN kernel graph, indicator mean
 
@@ -146,7 +134,7 @@ class ClusterIndicatorConfig:
     cost_seed_offset: int = 500
 
 
-def run_cluster_indicator(config: ClusterIndicatorConfig) -> tuple[list[ExperimentResult], CostReport]:
+def run_cluster_indicator(config: ClusterIndicatorConfig) -> list[ExperimentResult]:
     """Indicator-mean estimation on the mixture's kNN graph.
 
     scgiga runs cost-free at kappa=1; scgiga-cost reruns the same selection
@@ -165,8 +153,7 @@ def run_cluster_indicator(config: ClusterIndicatorConfig) -> tuple[list[Experime
         values = (np.asarray(cloud.labels) == config.indicator_component).astype(float)
         return _instance(config, methods, graph, costs, GraphFunction(values), cloud=cloud)
 
-    rows = _run(config, methods, instance_for)
-    return rows, _cost_report(rows, config)
+    return _run(config, methods, instance_for)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,7 @@ def _sbm_rows(config: SbmIndicatorConfig, methods: dict) -> list[ExperimentResul
     return _run(config, methods, instance_for)
 
 
-def run_sbm_indicator(config: SbmIndicatorConfig) -> tuple[list[ExperimentResult], None]:
+def run_sbm_indicator(config: SbmIndicatorConfig) -> list[ExperimentResult]:
     """Small-block indicator mean on the SBM, against all three baselines.
 
     Cluster baselines on a bare graph go through the walk's spectral
@@ -210,7 +197,7 @@ def run_sbm_indicator(config: SbmIndicatorConfig) -> tuple[list[ExperimentResult
     spectral baseline uses, they differ only in their seeding draws.
     """
     methods = {"scgiga": config.kappa, "random": None, "kmeans": None, "spectral": None}
-    return _sbm_rows(config, methods), None
+    return _sbm_rows(config, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +224,7 @@ def _shortest_path_graph(config: ShortestPathConfig, seed: int) -> Graph:
     raise ValueError(f"unknown shortest-path family: {config.family!r}")
 
 
-def run_shortest_path(config: ShortestPathConfig) -> tuple[list[ExperimentResult], None]:
+def run_shortest_path(config: ShortestPathConfig) -> list[ExperimentResult]:
     """Average-distance estimates from k sources vs the n-source truth."""
     methods = {"scgiga": config.kappa, "random": None, "betweenness": None}
 
@@ -246,7 +233,7 @@ def run_shortest_path(config: ShortestPathConfig) -> tuple[list[ExperimentResult
         distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
         return _instance(config, methods, graph, CostVector.zeros(graph.n), distances)
 
-    return _run(config, methods, instance_for), None
+    return _run(config, methods, instance_for)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +250,7 @@ class EgoCentralityConfig:
     seeds: tuple = (0, 1, 2)
 
 
-def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResult], CostReport]:
+def run_ego_centrality(config: EgoCentralityConfig) -> list[ExperimentResult]:
     """Average-distance estimation on a real social network.
 
     Requires the SNAP facebook_combined edge list on disk (the library ships
@@ -280,8 +267,7 @@ def run_ego_centrality(config: EgoCentralityConfig) -> tuple[list[ExperimentResu
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
     distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
     shared = _instance(config, methods, graph, costs, distances)
-    rows = _run(config, methods, lambda seed: shared)
-    return rows, _cost_report(rows, config)
+    return _run(config, methods, lambda seed: shared)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +281,14 @@ class EllSweepConfig(SbmIndicatorConfig):
     ells: tuple = (1, 2, 3, 4)
 
 
-def run_ell_sweep(config: EllSweepConfig) -> tuple[list[ExperimentResult], None]:
+def run_ell_sweep(config: EllSweepConfig) -> list[ExperimentResult]:
     """Error curves of the greedy selection across walk powers."""
     rows = []
     for ell in config.ells:
         sub = replace(config, ell=ell)
         sub_rows = _sbm_rows(sub, {"scgiga": sub.kappa})
         rows.extend(replace(r, method=f"scgiga-ell{ell}") for r in sub_rows)
-    return rows, None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +346,19 @@ def _freeze(value):
     return value
 
 
-def write_experiment_outputs(out_dir: str, rows: list[ExperimentResult],
-                             report: CostReport | None) -> list[str]:
-    """Emit per-method CSVs, the combined comparison CSV, and the cost line.
+def cost_report(rows: list[ExperimentResult]) -> tuple[float, float] | None:
+    """(C_CSO, C_COS): the placement cost of scgiga-cost and of scgiga at the
+    largest K of the rows, or None unless the rows hold both methods there."""
+    k_max = max((r.K for r in rows), default=None)
+    cost = {r.method: r.coreset_cost for r in rows if r.K == k_max}
+    if "scgiga-cost" not in cost or "scgiga" not in cost:
+        return None
+    return cost["scgiga-cost"], cost["scgiga"]
+
+
+def write_experiment_outputs(out_dir: str, rows: list[ExperimentResult]) -> list[str]:
+    """Emit per-method CSVs, the combined comparison CSV, and cost_report.csv
+    when the rows hold both scgiga and scgiga-cost (see cost_report).
 
     Returns the written paths (relative to out_dir joins already applied),
     deterministic order.
@@ -377,8 +373,9 @@ def write_experiment_outputs(out_dir: str, rows: list[ExperimentResult],
         path = os.path.join(out_dir, f"method_{method}.csv")
         results_to_csv([r for r in ordered if r.method == method], path)
         written.append(path)
+    report = cost_report(rows)
     if report is not None:
         path = os.path.join(out_dir, "cost_report.csv")
-        atomic_write_text(path, "c_cso,c_cos\n%.17g,%.17g\n" % (report.c_cso, report.c_cos))
+        atomic_write_text(path, "c_cso,c_cos\n%.17g,%.17g\n" % report)
         written.append(path)
     return written

@@ -40,6 +40,7 @@ from graphcoreset.experiments import (
     ClusterIndicatorConfig,
     SbmIndicatorConfig,
     ShortestPathConfig,
+    cost_report,
     run_cluster_indicator,
     run_sbm_indicator,
     run_shortest_path,
@@ -188,11 +189,11 @@ def test_criterion_6_cost_aware_selection_is_cheaper():
     most half the cost-blind median."""
     config = ClusterIndicatorConfig(n=2000, k_grid=(14,))
     start = time.monotonic()
-    _, costs = run_cluster_indicator(config)
+    c_cso, c_cos = cost_report(run_cluster_indicator(config))
     elapsed = time.monotonic() - start
-    ok = costs.c_cso <= 0.5 * costs.c_cos
-    report(6, ok, f"median costs {costs.c_cso:.3f} vs {costs.c_cos:.3f} "
-                  f"(ratio {costs.c_cso / costs.c_cos:.3f}, bar 0.5), {elapsed:.0f}s")
+    ok = c_cso <= 0.5 * c_cos
+    report(6, ok, f"median costs {c_cso:.3f} vs {c_cos:.3f} "
+                  f"(ratio {c_cso / c_cos:.3f}, bar 0.5), {elapsed:.0f}s")
     assert ok
 
 
@@ -200,7 +201,7 @@ def test_criterion_7_sbm_indicator_comparison():
     """Small-block indicator on the three-block model: beats random sampling at
     every budget and the clustering baselines from K = 8 up."""
     start = time.monotonic()
-    rows, _ = run_sbm_indicator(SbmIndicatorConfig())
+    rows = run_sbm_indicator(SbmIndicatorConfig())
     elapsed = time.monotonic() - start
     med = {(r.method, r.K): r.err for r in rows}
     k_grid = SbmIndicatorConfig().k_grid
@@ -261,7 +262,7 @@ def test_criterion_8_estimation_comparison():
     lines = []
     all_ok = True
     for family in ("powerlaw-tree", "random-graph"):
-        rows, _ = run_shortest_path(ShortestPathConfig(family=family))
+        rows = run_shortest_path(ShortestPathConfig(family=family))
         med = {(r.method, r.K): r.abs_err for r in rows}
         for k in ShortestPathConfig().k_grid:
             scg = med[("scgiga", k)]

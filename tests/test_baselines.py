@@ -35,6 +35,8 @@ def test_random_sampling_basics():
         random_sampling(10, 0, seed=0)
     with pytest.raises(ValueError):
         random_sampling(10, 11, seed=0)
+    with pytest.raises(ValueError, match="int64"):  # numpy's sampler takes no n from 2**63 up
+        random_sampling(2**63, 2, seed=0)
 
 
 def test_random_sampling_is_unbiased():

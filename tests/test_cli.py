@@ -1,8 +1,10 @@
 """Command-line interface: round trips, validation, manifests, replay."""
 
+import argparse
 import importlib
 import inspect
 import json
+import math
 import os
 import resource
 import subprocess
@@ -26,6 +28,7 @@ from graphcoreset import (
     select_coreset,
     source_average_distances,
 )
+from graphcoreset import cli
 from graphcoreset.cli import main
 from graphcoreset.experiments import config_from_mapping
 
@@ -200,7 +203,7 @@ def test_select_rejects_malformed_costs(sbm_file, capsys, content):
 
 
 def test_baseline_methods(sbm_file, workdir):
-    assert run_cli("baseline", "--method", "random", "--n", "30", "--k", "4",
+    assert run_cli("baseline", "--method", "random", "--graph", sbm_file, "--k", "4",
                    "--seed", "2", "-o", "r.json") == 0
     assert run_cli("baseline", "--method", "spectral", "--graph", sbm_file,
                    "--k", "2", "-o", "s.json") == 0
@@ -215,13 +218,46 @@ def test_baseline_methods(sbm_file, workdir):
         assert abs(sum(data["weights"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--model", "sbm"], "model sbm requires --sizes, --p-in, --p-out"),
+    (["generate", "--model", "knn-kernel"], "model knn-kernel requires --cloud"),
+    (["baseline", "--method", "random", "--k", "2"], "method random requires --graph"),
+    (["baseline", "--method", "kmeans", "--k", "2"], "method kmeans requires --cloud"),
+    (["baseline", "--method", "spectral", "--k", "2"], "method spectral requires --graph"),
+    (["baseline", "--method", "betweenness", "--k", "2"], "method betweenness requires --graph"),
+], ids=["sbm", "knn-kernel", "random", "kmeans", "spectral", "betweenness"])
+def test_variant_flags_without_default_are_required(workdir, capsys, argv, message):
+    """One rule for every command with variants: a variant's flag that has no
+    default must be given, and the error names the variant and the flags."""
+    assert run_cli(*argv, "-o", "x.json") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists("x.json")
+
+
+def test_parameter_tables_match_the_parser():
+    """Every key a command records for any of its variants is a flag of that
+    command, every flag is recorded by some variant, and the variant flag's
+    choices are the table's variants."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli._PARAMETERS) | set(cli._VARIANTS)
+    for command, parser in subparsers.choices.items():
+        actions = {action.dest: action for action in parser._actions if action.dest != "help"}
+        if command in cli._VARIANTS:
+            flag, common, variants = cli._VARIANTS[command]
+            assert actions[flag].choices == list(variants)
+            recorded = [{**common, **own} for own in variants.values()]
+        else:
+            recorded = [cli._PARAMETERS[command]]
+        for keys in recorded:
+            assert set(keys) <= set(actions), command
+        assert set().union(*recorded) == set(actions), command
+
+
 def test_baseline_validation(sbm_file):
     assert run_cli("baseline", "--method", "kmeans", "--k", "2", "-o", "x.json") == 2
     assert run_cli("baseline", "--method", "random", "--k", "2", "-o", "x.json") == 2
     assert run_cli("baseline", "--method", "spectral", "--k", "2", "-o", "x.json") == 2
-    # numpy's sampler takes no n from 2**63 up
-    assert run_cli("baseline", "--method", "random", "--n", "99999999999999999999999",
-                   "--k", "2", "-o", "x.json") == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -292,6 +328,18 @@ def test_eval_smooth_emits_bound(sbm_file):
     row = results_from_csv("ev.csv")[0]
     assert row.bound_rhs is not None
     assert row.abs_err <= row.bound_rhs + 1e-9
+
+
+def test_eval_smooth_bound_is_vacuous_at_large_ell(sbm_file, capsys):
+    """A walk power whose threshold**ell underflows prints an infinite bound and
+    exits 0, with no traceback."""
+    run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json")
+    capsys.readouterr()
+    assert run_cli("eval", "--graph", sbm_file, "--coreset", "cs.json",
+                   "--function", "smooth", "--ell", "5000", "-o", "ev.csv") == 0
+    out, err = capsys.readouterr()
+    assert "bound_rhs inf" in out.splitlines() and "Traceback" not in err
+    assert results_from_csv("ev.csv")[0].bound_rhs == math.inf
 
 
 def test_eval_average_distance(sbm_file):

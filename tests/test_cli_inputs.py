@@ -1,8 +1,9 @@
 """Every JSON file the CLI reads, broken in any one place, ends in exit 0, 2 or 3.
 
 The inputs are the graph and the costs of `select`, the coreset of `eval`,
-the manifest of `replay` (of `select` and of `generate` for every model) and
-the config of `experiment` (for every study that needs no data file). Each
+the manifest of `replay` (of `select`, of `generate` for every model, of
+`baseline` for every method and of `eval` for every function) and the config
+of `experiment` (for every study that needs no data file). Each
 case runs `main` in process, so an exception that escapes it fails the test.
 """
 
@@ -28,6 +29,8 @@ COMMANDS = {
 DELETE = object()
 VALUES = [DELETE, None, True, -1, 0.5, 2**63, 10**400, float("nan"), float("inf"),
           float("-inf"), "", "1", [], {}, [[0, [1.5]]]]
+BASELINE_METHODS = ["random", "kmeans", "spectral", "betweenness"]
+EVAL_FUNCTIONS = ["indicator", "average-distance", "smooth"]
 
 
 @pytest.fixture
@@ -36,7 +39,9 @@ def valid(tmp_path, monkeypatch):
 
     A kind is the input it names, then optionally a dash and what it holds:
     the model of a generate manifest (manifest-generate is gaussian-mixture),
-    or the study of a config (config alone is sbm-indicator)."""
+    the command and variant of a baseline or eval manifest
+    (manifest-baseline-random, manifest-eval-smooth), or the study of a config
+    (config alone is sbm-indicator)."""
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--model", "sbm", "--sizes", "8,8", "--p-in", "0.5",
                  "--p-out", "0.1", "--seed", "3", "-o", "g.json"]) == 0
@@ -49,6 +54,13 @@ def valid(tmp_path, monkeypatch):
                  "--seed", "2", "-o", "random.json"]) == 0
     assert main(["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
                  "-o", "knn.json"]) == 0
+    for method in BASELINE_METHODS:
+        source = ["--cloud", "c.csv"] if method == "kmeans" else ["--graph", "g.json"]
+        assert main(["baseline", "--method", method, *source, "--k", "2",
+                     "-o", f"base-{method}.json"]) == 0
+    for function in EVAL_FUNCTIONS:
+        assert main(["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", function,
+                     "-o", f"eval-{function}.csv"]) == 0
 
     def load(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -62,6 +74,10 @@ def valid(tmp_path, monkeypatch):
         "manifest-powerlaw-tree": load("tree.json.manifest.json"),
         "manifest-random": load("random.json.manifest.json"),
         "manifest-knn-kernel": load("knn.json.manifest.json"),
+        **{f"manifest-baseline-{method}": load(f"base-{method}.json.manifest.json")
+           for method in BASELINE_METHODS},
+        **{f"manifest-eval-{function}": load(f"eval-{function}.csv.manifest.json")
+           for function in EVAL_FUNCTIONS},
         "config": {"n": 24, "block_fractions": [0.5, 0.5], "ell": 2, "k_grid": [2],
                    "seeds": [0]},
         "config-shortest-path": {"family": "random-graph", "n": 30, "edge_probability": 0.2,
@@ -123,11 +139,15 @@ def test_broken_json_input(valid, capsys, kind, case, want):
     ("config", ("block_fractions", 0), float("inf")),
     ("config", ("ell",), 10**400),
     ("config", ("block_fractions",), []),
+    ("manifest-eval-indicator", ("parameters", "function"), "bogus"),
+    ("manifest-baseline-random", ("parameters", "graph"), None),
 ], ids=["graph-huge-n", "generate-huge-n", "generate-huge-mean", "generate-nan-fraction",
-        "config-huge-n", "config-infinite-fraction", "config-huge-ell", "config-empty-fractions"])
+        "config-huge-n", "config-infinite-fraction", "config-huge-ell", "config-empty-fractions",
+        "eval-unknown-function", "random-baseline-null-graph"])
 def test_broken_field(valid, capsys, kind, path, value):
     """Single fields that once escaped main as an OverflowError or a RuntimeWarning,
-    or ran on an empty list."""
+    or ran on an empty list, and a manifest's variant or variant parameter, which
+    replay checks before it runs anything."""
     capsys.readouterr()
     assert run(kind, json.dumps(_changed(valid[kind], path, value))) == 2
     assert capsys.readouterr().err.startswith("error: ")

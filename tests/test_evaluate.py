@@ -1,5 +1,6 @@
 """Estimates, error metrics, the certified bound, and result CSV files."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,19 @@ def test_bound_formula_and_validation(two_triangles):
         assert lhs == pytest.approx(abs(f.mean() - estimate_mean(f, out)), abs=1e-15)
     with pytest.raises(ValueError):
         bound_check(f, 1.0, out, cols)
+
+
+@pytest.mark.parametrize("threshold, ell", [(0.5, 5000), (0.001, 110), (0.5, 10**400)],
+                         ids=["ell-5000", "threshold-0.001", "ell-past-float-range"])
+def test_bound_is_vacuous_where_the_power_underflows(threshold, ell):
+    """threshold**ell rounds to 0.0, or ell converts to no float: the certificate
+    is +inf and holds, where it used to raise."""
+    # P = [[0.5, 0.5], [0.5, 0.5]] is its own square, so every power of it is exact
+    walk = lazy_walk_matrix(Graph(2, np.array([[0, 1]]), np.ones(1)))
+    f = synthesize_smooth_function(walk, threshold, seed=1)
+    cs = FakeCoreset([0], [1.0])
+    lhs, rhs, holds = bound_check(f, threshold, cs, normalized_columns(walk, ell))
+    assert (lhs, rhs, holds) == (abs(f.mean() - estimate_mean(f, cs)), math.inf, True)
 
 
 def test_bound_holds_for_real_selections():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphcoreset import (
+    ExperimentResult,
     PointCloud,
     build_knn_kernel_graph,
     generate_gaussian_mixture,
@@ -19,7 +20,6 @@ from graphcoreset import (
     save_edge_list,
     top_eigenvectors,
 )
-from graphcoreset.evaluate import CostReport
 from graphcoreset.experiments import (
     ClusterIndicatorConfig,
     EgoCentralityConfig,
@@ -27,6 +27,7 @@ from graphcoreset.experiments import (
     SbmIndicatorConfig,
     ShortestPathConfig,
     config_from_mapping,
+    cost_report,
     experiment_names,
     run_cluster_indicator,
     run_ego_centrality,
@@ -75,23 +76,24 @@ def test_sbm_block_sizes_rounding():
 
 
 def test_run_sbm_indicator_shape_and_determinism():
-    rows, report = run_sbm_indicator(TINY_SBM)
-    assert report is None
+    rows = run_sbm_indicator(TINY_SBM)
+    assert cost_report(rows) is None
     methods = {r.method for r in rows}
     assert methods == {"scgiga", "random", "kmeans", "spectral"}
     assert len(rows) == 4 * len(TINY_SBM.k_grid)
     assert all(r.err >= 0 and r.abs_err >= 0 for r in rows)
-    again, _ = run_sbm_indicator(TINY_SBM)
+    again = run_sbm_indicator(TINY_SBM)
     assert [(r.method, r.K, r.err) for r in rows] == [(r.method, r.K, r.err) for r in again]
 
 
 def test_run_cluster_indicator_tiny():
     cfg = ClusterIndicatorConfig(n=100, k_neighbors=5, k_grid=(2, 4), seeds=(0, 1))
-    rows, report = run_cluster_indicator(cfg)
+    rows = run_cluster_indicator(cfg)
     methods = {r.method for r in rows}
     assert methods == {"scgiga", "scgiga-cost", "random", "kmeans", "spectral"}
     assert len(rows) == 5 * 2
-    assert report.c_cso >= 0.0 and report.c_cos >= 0.0
+    c_cso, c_cos = cost_report(rows)
+    assert c_cso >= 0.0 and c_cos >= 0.0
     # the cost-aware rows carry the median coreset cost
     cost_rows = [r for r in rows if r.method == "scgiga-cost"]
     assert all(r.coreset_cost > 0.0 for r in cost_rows)
@@ -100,7 +102,7 @@ def test_run_cluster_indicator_tiny():
 def test_cluster_indicator_prices_baseline_rows():
     """Each baseline row's cost is the median over seeds of its vertices' summed costs."""
     cfg = ClusterIndicatorConfig(n=120, k_neighbors=5, k_grid=(2, 4), seeds=(0, 1, 2))
-    rows, _ = run_cluster_indicator(cfg)
+    rows = run_cluster_indicator(cfg)
     cost = {(r.method, r.K): r.coreset_cost for r in rows}
     per_seed = {}
     for seed in cfg.seeds:
@@ -123,8 +125,8 @@ def test_cluster_indicator_prices_baseline_rows():
 def test_run_shortest_path_tiny():
     cfg = ShortestPathConfig(family="random-graph", n=40, ell=4, k_grid=(3,),
                              seeds=(0, 1))
-    rows, report = run_shortest_path(cfg)
-    assert report is None
+    rows = run_shortest_path(cfg)
+    assert cost_report(rows) is None
     assert {r.method for r in rows} == {"scgiga", "random", "betweenness"}
     with pytest.raises(ValueError):
         run_shortest_path(dataclasses.replace(cfg, family="never-heard-of-it"))
@@ -142,13 +144,12 @@ def test_run_ego_centrality_rows(tmp_path):
     path = str(tmp_path / "edges.txt")
     save_edge_list(generate_random_graph(150, 0.04, seed=3), path)
     cfg = EgoCentralityConfig(data_path=path, k_grid=(4, 8), seeds=(0, 1, 2))
-    rows, report = run_ego_centrality(cfg)
+    rows = run_ego_centrality(cfg)
     methods = ("scgiga", "scgiga-cost", "random", "betweenness")
     assert sorted((r.method, r.K) for r in rows) == sorted(
         (m, K) for m in methods for K in cfg.k_grid)
-    assert isinstance(report, CostReport)
     cost = {(r.method, r.K): r.coreset_cost for r in rows}
-    assert report.c_cso == cost[("scgiga-cost", 8)] and report.c_cos == cost[("scgiga", 8)]
+    assert cost_report(rows) == (cost[("scgiga-cost", 8)], cost[("scgiga", 8)])
     assert all(r.err >= 0 and np.isfinite(r.err) for r in rows)
 
 
@@ -156,16 +157,16 @@ def test_ell_sweep_tags_rows():
     from graphcoreset.experiments import run_ell_sweep
 
     cfg = EllSweepConfig(ells=(1, 2), **dataclasses.asdict(TINY_SBM))
-    rows, report = run_ell_sweep(cfg)
-    assert report is None
+    rows = run_ell_sweep(cfg)
+    assert cost_report(rows) is None
     assert {r.method for r in rows} == {"scgiga-ell1", "scgiga-ell2"}
     assert len(rows) == 2 * len(TINY_SBM.k_grid)
 
 
 def test_write_experiment_outputs(tmp_path):
-    rows, _ = run_sbm_indicator(TINY_SBM)
+    rows = run_sbm_indicator(TINY_SBM)
     out = tmp_path / "exp"
-    written = write_experiment_outputs(str(out), rows, None)
+    written = write_experiment_outputs(str(out), rows)
     names = sorted(p.split("/")[-1] for p in written)
     assert names == ["comparison.csv", "method_kmeans.csv", "method_random.csv",
                      "method_scgiga.csv", "method_spectral.csv"]
@@ -177,9 +178,11 @@ def test_write_experiment_outputs(tmp_path):
 
 
 def test_write_experiment_outputs_cost_report(tmp_path):
-    rows, _ = run_sbm_indicator(TINY_SBM)
-    written = write_experiment_outputs(str(tmp_path / "exp"), rows,
-                                       CostReport(c_cso=1.5, c_cos=4.0))
+    """cost_report.csv holds the scgiga-cost and scgiga costs at the largest K."""
+    rows = [ExperimentResult(method, K, 0.0, 0.0, cost) for method, K, cost in (
+        ("scgiga", 4, 2.0), ("scgiga", 8, 4.0), ("scgiga-cost", 4, 0.5), ("scgiga-cost", 8, 1.5),
+        ("random", 8, 3.0))]
+    written = write_experiment_outputs(str(tmp_path / "exp"), rows)
     report_path = [p for p in written if p.endswith("cost_report.csv")]
     assert len(report_path) == 1
     lines = Path(report_path[0]).read_text(encoding="utf-8").splitlines()
@@ -188,9 +191,9 @@ def test_write_experiment_outputs_cost_report(tmp_path):
 
 
 def test_write_outputs_deterministic_bytes(tmp_path):
-    rows, _ = run_sbm_indicator(TINY_SBM)
+    rows = run_sbm_indicator(TINY_SBM)
     a = tmp_path / "a"
     b = tmp_path / "b"
-    write_experiment_outputs(str(a), rows, None)
-    write_experiment_outputs(str(b), rows, None)
+    write_experiment_outputs(str(a), rows)
+    write_experiment_outputs(str(b), rows)
     assert (a / "comparison.csv").read_bytes() == (b / "comparison.csv").read_bytes()
