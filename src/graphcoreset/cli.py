@@ -4,7 +4,10 @@ Every command resolves its flags into a flat parameter mapping, executes, and
 writes a manifest recording the command, parameters, input-file hashes, and
 output paths; a command's seed is one of its parameters. `replay` re-executes
 a manifest; because all randomness is seeded and all writes are atomic and
-wall-clock free, a replay reproduces the recorded outputs byte for byte.
+wall-clock free, a replay reproduces the recorded outputs byte for byte. A
+manifest records each relative file path relative to its own directory, and
+replay resolves it against that directory, so a manifest replays from any
+working directory; absolute paths are recorded and read as they are.
 
 Exit codes: 0 success, 2 validation error (an input too large for memory
 among them), 3 I/O error, 4 numerical failure.
@@ -103,6 +106,8 @@ _VARIANTS = {
         "indicator": {"label": int}, "average-distance": {},
         "smooth": {"threshold": float, "ell": int, "function_seed": int}}),
 }
+# the parameters that name files
+_PATH_PARAMETERS = frozenset({"graph", "costs", "cloud", "coreset", "config", "out", "out_dir"})
 # the type of each manifest field; replay reads no other
 _MANIFEST_FIELDS = {"command": str, "parameters": dict, "input_hashes": dict,
                     "output_paths": list[str]}
@@ -264,15 +269,29 @@ def _manifest_path(command: str, params: dict) -> str:
     return params["out"] + ".manifest.json"
 
 
+def _rebase_paths(params: dict, inputs: dict, outputs: list, rebase) -> tuple:
+    """params, inputs and outputs with rebase applied to every relative file path."""
+    def move(path):
+        return rebase(path) if path and not os.path.isabs(path) else path
+    params = {key: move(value) if key in _PATH_PARAMETERS and isinstance(value, str) else value
+              for key, value in params.items()}
+    return params, {move(path): value for path, value in inputs.items()}, [move(p) for p in outputs]
+
+
 def _run_and_record(command: str, params: dict) -> list[str]:
     inputs, outputs, lines = _EXECUTORS[command](params)
+    manifest_path = _manifest_path(command, params)
+    home = os.path.dirname(manifest_path) or os.curdir
+    params, hashes, outputs = _rebase_paths(
+        params, {path: sha256_file(path) for path in inputs}, outputs,
+        lambda relative: os.path.relpath(relative, home))
     manifest = {
         "command": command,
         "parameters": params,
-        "input_hashes": {path: sha256_file(path) for path in inputs},
+        "input_hashes": hashes,
         "output_paths": outputs,
     }
-    dump_json(manifest, _manifest_path(command, params))
+    dump_json(manifest, manifest_path)
     return lines
 
 
@@ -293,7 +312,11 @@ def _load_manifest(path: str) -> dict:
 def _execute_replay(params: dict):
     manifest = _load_manifest(params["manifest"])
     command = manifest["command"]
-    for path, digest in manifest["input_hashes"].items():
+    home = os.path.dirname(params["manifest"])
+    parameters, hashes, outputs = _rebase_paths(
+        manifest["parameters"], manifest["input_hashes"], manifest["output_paths"],
+        lambda relative: os.path.normpath(os.path.join(home, relative)))
+    for path, digest in hashes.items():
         if not os.path.exists(path):
             raise ValueError(f"replay input {path} is missing")
         current = sha256_file(path)
@@ -301,10 +324,10 @@ def _execute_replay(params: dict):
             raise ValueError(f"replay input {path} changed since the manifest was written")
     before = {}
     if params.get("verify"):
-        for path in manifest["output_paths"]:
+        for path in outputs:
             with open(path, "rb") as handle:
                 before[path] = handle.read()
-    lines = _run_and_record(command, manifest["parameters"])
+    lines = _run_and_record(command, parameters)
     if params.get("verify"):
         changed = []
         for path, recorded in before.items():

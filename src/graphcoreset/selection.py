@@ -8,10 +8,11 @@ the target, forms the slack set of vertices within a kappa fraction of the
 best score, and takes the cheapest member. kappa = 1 collapses the slack set
 to the argmax, so costs cannot influence that path at all.
 
-One round costs one sparse matvec with the columns' once-built view of P^ell
-(NormalizedColumns.rows) plus a fixed number of in-place length-n operations
-on buffers allocated once per run; the coefficients are rescaled on the
-support only, since they are zero elsewhere. Each float operation keeps the
+One round costs one matvec with the columns' once-built view of P^ell
+(NormalizedColumns.rows), a BLAS gemv on a full power and CSR otherwise,
+plus a fixed number of in-place length-n operations on buffers allocated
+once per run; the coefficients are rescaled on the support only, since they
+are zero elsewhere. Each float operation keeps the
 operands and order of the masked textbook formula, so scores, picks and
 weights are bit-identical to it.
 

@@ -5,9 +5,13 @@ has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a CSR matrix.
 The walk power P^ell is a dense BLAS matrix power for ell >= 2 on graphs of
 at most 2048 vertices and repeated sparse multiplication otherwise, which at
 ell = 1 is no multiplication at all. The path follows from n and ell alone;
-no caller chooses it. NormalizedColumns derives the uniform target
-1/sqrt(n) from n as well. Dense eigendecompositions appear only in the synthesis and
-diagnostic paths, never in column construction.
+no caller chooses it. The power is stored as CSC either way. A power with no
+zero entry is also multiplied as dense: its CSC data, in column-major order,
+is the row-major (P^ell)^T, so the greedy rounds score it with one BLAS gemv
+on that buffer; any other power is scored by a CSR matvec. This storage rule
+follows from the power's fill alone, too. NormalizedColumns derives the
+uniform target 1/sqrt(n) from n as well. Dense eigendecompositions appear
+only in the synthesis and diagnostic paths, never in column construction.
 """
 
 from dataclasses import dataclass, field
@@ -44,20 +48,27 @@ def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
 class NormalizedColumns:
     """Unit-normalized columns of a walk power.
 
-    matrix holds the raw power P^ell (symmetric, sparse); column i of the
-    normalized family is matrix[:, i] / column_norms[i]. rows is the CSR view
-    of matrix.T, built once at construction and sharing matrix's arrays, so
-    alignments reads it with one sparse matvec and no per-call transpose; the
-    fields are frozen, so the view cannot go stale.
+    matrix holds the raw power P^ell (symmetric) as CSC; column i of the
+    normalized family is matrix[:, i] / column_norms[i]. rows is a view of
+    matrix.T, built once at construction and sharing matrix's arrays, so
+    alignments is one matvec with no per-call transpose. When matrix stores
+    every entry with sorted indices, its data is column-major and rows is
+    that buffer reshaped to a dense row-major n x n array, so the matvec is a
+    BLAS gemv; otherwise rows is the CSR view. The fields are frozen, so the
+    view cannot go stale.
     """
 
     ell: int
     matrix: sp.csc_matrix
     column_norms: np.ndarray
-    rows: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    rows: np.ndarray | sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", self.matrix.T)
+        n = self.n
+        if self.matrix.nnz == n * n and self.matrix.has_sorted_indices:
+            object.__setattr__(self, "rows", self.matrix.data.reshape(n, n))
+        else:
+            object.__setattr__(self, "rows", self.matrix.T)
 
     @property
     def n(self) -> int:
@@ -76,7 +87,8 @@ class NormalizedColumns:
         return col / self.column_norms[i]
 
     def alignments(self, x: np.ndarray) -> np.ndarray:
-        """Inner product of every normalized column with x: one matvec with rows."""
+        """Inner product of every normalized column with x: one matvec with rows,
+        a BLAS gemv on a full power and a CSR matvec otherwise."""
         return (self.rows @ x) / self.column_norms
 
 
@@ -89,24 +101,55 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     dense BLAS matrix power (repeated squaring, so large ell stays cheap).
     Every other case multiplies P by itself ell - 1 times sparsely, so ell = 1
     is P itself, and copies the power to CSC without explicit zeros: the same
-    arrays a dense round trip would give, without densifying.
+    arrays a dense round trip would give, without densifying. A dense power
+    with no zero entry becomes CSC straight from its column-major buffer (see
+    _dense_to_csc).
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     # rounding can carry a huge power past float range; the norm check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
-            power = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), ell))
+            power = _dense_to_csc(np.linalg.matrix_power(walk.toarray(), ell))
         else:
             power = walk
             for _ in range(ell - 1):
                 power = power @ walk
             power = sp.csc_matrix(power, copy=True)
             power.eliminate_zeros()
-        norms = np.sqrt(np.asarray(power.multiply(power).sum(axis=0)).ravel())
+        norms = np.sqrt(_column_sums_of_squares(power))
     if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
         raise ValueError("walk power has a zero or non-finite column")
     return NormalizedColumns(ell, power, norms)
+
+
+def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:
+    """sp.csc_matrix(dense) for a square array, arrays byte for byte.
+
+    An array with no zero entry skips scipy's COO round trip: its column-major
+    copy is the CSC data, every column holds rows 0..n-1 and column j starts
+    at j * n. Its callers keep n <= _DENSE_POWER_MAX_N, so n * n fits the
+    int32 indices scipy picks too.
+    """
+    n = dense.shape[0]
+    if np.count_nonzero(dense) < n * n:
+        return sp.csc_matrix(dense)
+    data = dense.ravel(order="F")
+    indices = np.tile(np.arange(n, dtype=np.int32), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _column_sums_of_squares(matrix: sp.csc_matrix) -> np.ndarray:
+    """Sum of squared stored entries per column, summed in index order.
+
+    Bit-identical to matrix.multiply(matrix).sum(axis=0). reduceat returns
+    the next element for an empty segment, so empty columns are left at 0.
+    """
+    sums = np.zeros(matrix.shape[1])
+    filled = np.flatnonzero(np.diff(matrix.indptr))
+    sums[filled] = np.add.reduceat(matrix.data * matrix.data, matrix.indptr[filled])
+    return sums
 
 
 def eigendecomposition(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

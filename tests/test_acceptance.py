@@ -4,7 +4,8 @@ Each test prints a single "ACCEPTANCE <n>: PASS|FAIL ..." line (visible under
 pytest -s, or in the failure report) and then asserts. Criterion 8 has two
 clauses; its estimation-quality clause fails, and the failure is real, not a
 bug in the harness: see test_criterion_8_estimation_comparison for why the
-method cannot win that comparison.
+method cannot win that comparison. test_certificate_identities checks two
+exact identities of every greedy coreset on the instances of criteria 1-7.
 """
 
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import graphcoreset.evaluate as evaluate_mod
+import graphcoreset.experiments as experiments_mod
 from graphcoreset import (
     CostVector,
     Graph,
@@ -32,6 +34,7 @@ from graphcoreset import (
     normalized_columns,
     sample_costs_uniform,
     select_coreset,
+    select_coreset_grid,
     source_average_distances,
     synthesize_smooth_function,
 )
@@ -80,15 +83,39 @@ def selection_sweep():
         costs = sample_costs_uniform(g.n, seed=i) if i % 2 else CostVector.zeros(g.n)
         out = select_coreset(cols, costs,
                              SelectionConfig(budget=budget, kappa=kappa))
-        runs.append((g.n, cols, out))
+        runs.append((g.n, cols, out, costs, kappa))
     return runs, time.monotonic() - start
+
+
+@pytest.fixture(scope="module")
+def study_runs():
+    """The studies of criteria 6 and 7, each run once: its rows, its wall time,
+    and the certificate gaps (see _certificate_gaps) of every greedy grid it built."""
+    real = experiments_mod.select_coreset_grid
+    runs = {}
+    for criterion, runner, config in (
+            (6, run_cluster_indicator, ClusterIndicatorConfig(n=2000, k_grid=(14,))),
+            (7, run_sbm_indicator, SbmIndicatorConfig())):
+        gaps = []
+
+        def keeping_gaps(columns, costs, kappa, budgets):
+            grid = real(columns, costs, kappa, budgets)
+            gaps.extend(_certificate_gaps(columns, grid))
+            return grid
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments_mod, "select_coreset_grid", keeping_gaps)
+            start = time.monotonic()
+            rows = runner(config)
+            runs[criterion] = (rows, time.monotonic() - start, gaps)
+    return runs
 
 
 def test_criterion_1_residual_monotone(selection_sweep):
     """The selection objective never increases along any trajectory."""
     runs, elapsed = selection_sweep
     worst = 0.0
-    for _, _, out in runs:
+    for _, _, out, *_ in runs:
         js = [rec.residual for rec in out.trajectory]
         for a, b in zip(js, js[1:]):
             worst = max(worst, b - a)
@@ -102,7 +129,7 @@ def test_criterion_2_residual_identity(selection_sweep, replay_trajectory):
     the iterate y is rebuilt from the trajectory."""
     runs, _ = selection_sweep
     worst = 0.0
-    for n, cols, out in runs:
+    for n, cols, out, *_ in runs:
         j = out.trajectory[-1].residual
         _, iterate = replay_trajectory(cols, out.trajectory)[-1]
         dist2 = float(np.sum((out.beta * iterate - np.full(n, 1.0 / n)) ** 2))
@@ -184,25 +211,21 @@ def test_criterion_5_kappa_one_cost_blind():
     assert ok
 
 
-def test_criterion_6_cost_aware_selection_is_cheaper():
+def test_criterion_6_cost_aware_selection_is_cheaper(study_runs):
     """Mixture graph, n = 2000, kappa 0.8, K = 14: the cost-aware run pays at
     most half the cost-blind median."""
-    config = ClusterIndicatorConfig(n=2000, k_grid=(14,))
-    start = time.monotonic()
-    c_cso, c_cos = cost_report(run_cluster_indicator(config))
-    elapsed = time.monotonic() - start
+    rows, elapsed, _ = study_runs[6]
+    c_cso, c_cos = cost_report(rows)
     ok = c_cso <= 0.5 * c_cos
     report(6, ok, f"median costs {c_cso:.3f} vs {c_cos:.3f} "
                   f"(ratio {c_cso / c_cos:.3f}, bar 0.5), {elapsed:.0f}s")
     assert ok
 
 
-def test_criterion_7_sbm_indicator_comparison():
+def test_criterion_7_sbm_indicator_comparison(study_runs):
     """Small-block indicator on the three-block model: beats random sampling at
     every budget and the clustering baselines from K = 8 up."""
-    start = time.monotonic()
-    rows = run_sbm_indicator(SbmIndicatorConfig())
-    elapsed = time.monotonic() - start
+    rows, elapsed, _ = study_runs[7]
     med = {(r.method, r.K): r.err for r in rows}
     k_grid = SbmIndicatorConfig().k_grid
     vs_random = all(med[("scgiga", k)] <= med[("random", k)] for k in k_grid)
@@ -213,6 +236,59 @@ def test_criterion_7_sbm_indicator_comparison():
     report(7, ok, f"vs random {'all K' if vs_random else 'FAILED'}, "
                   f"vs clustering K>=8 {'holds' if vs_cluster else 'FAILED'}, "
                   f"min random/scgiga ratio {margins:.2f}, {elapsed:.0f}s")
+    assert ok
+
+
+def _certificate_gaps(columns, grid: dict) -> list:
+    """(|sum(w) - (1 - J)| / (1 - J), |n * r^2 - J|) for each budget's coreset in
+    grid, where J is the coreset's final residual and r = ||P^ell w - 1/n|| the
+    function-free factor of the paper's error bound."""
+    gaps = []
+    for coreset in grid.values():
+        j = coreset.trajectory[-1].residual
+        w = np.zeros(columns.n)
+        w[coreset.indices] = coreset.weights
+        r = float(np.linalg.norm(columns.matrix @ w - 1.0 / columns.n))
+        gaps.append((abs(w.sum() - (1.0 - j)) / (1.0 - j), abs(columns.n * r * r - j)))
+    return gaps
+
+
+def test_certificate_identities(selection_sweep, study_runs):
+    """Every greedy coreset has sum(w) = 1 - J and r = sqrt(J / n), because P^ell
+    is doubly stochastic and P^ell w = beta * y. Checked on every budget of the
+    instances of criteria 1-7: sum(w) to 1e-12 relative, and r through n * r^2,
+    to J within 1e-13. J = 1 - align^2 carries rounding of a few ulps of 1, so
+    near the convergence floor r = sqrt(J / n) holds only to that absolute
+    precision, not relatively."""
+    gaps = []
+    for _, cols, out, costs, kappa in selection_sweep[0]:  # criteria 1 and 2
+        budgets = range(1, len(out.indices) + 1)
+        gaps += _certificate_gaps(cols, select_coreset_grid(cols, costs, kappa, budgets))
+    for trial in range(30):  # criterion 3
+        g = generate_random_graph(60 + (trial * 37) % 440, 0.05, seed=trial)
+        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 3)
+        grid = select_coreset_grid(cols, CostVector.zeros(g.n), 1.0, range(1, 4 + trial % 18))
+        gaps += _certificate_gaps(cols, grid)
+    for trial in range(20):  # criterion 4
+        n = 6 + trial % 7
+        if trial % 3 == 0:
+            g = generate_sbm([n // 2, n - n // 2], 0.7, 0.2, seed=trial)
+        else:
+            g = generate_random_graph(n, 0.45, seed=trial)
+        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 2)
+        gaps += _certificate_gaps(cols, select_coreset_grid(cols, CostVector.zeros(g.n), 1.0,
+                                                            [1, 2]))
+    for seed in range(20):  # criterion 5
+        g = generate_random_graph(50, 0.12, seed=seed)
+        cols = normalized_columns(lazy_walk_matrix(g), 1)
+        for costs in (CostVector.zeros(g.n), sample_costs_uniform(g.n, seed=seed + 100)):
+            gaps += _certificate_gaps(cols, select_coreset_grid(cols, costs, 1.0, range(1, 9)))
+    for criterion in (6, 7):
+        gaps += study_runs[criterion][2]
+    worst_sum, worst_r = np.max(gaps, axis=0)
+    ok = worst_sum <= 1e-12 and worst_r <= 1e-13
+    report("certificate", ok, f"{len(gaps)} coresets, worst sum(w) gap {worst_sum:.2g} "
+                              f"(relative), worst n*r^2 - J gap {worst_r:.2g}")
     assert ok
 
 

@@ -503,6 +503,42 @@ def test_replay_rejects_changed_inputs(sbm_file):
     assert run_cli("replay", "cs.json.manifest.json") == 2
 
 
+def test_replay_resolves_paths_against_the_manifest(sbm_file, monkeypatch):
+    """Relative paths are recorded relative to the manifest's directory, so a
+    manifest replays from any working directory, its outputs in a subdirectory
+    or not."""
+    os.mkdir("res")
+    assert run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json") == 0
+    assert run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "res/cs.json") == 0
+    nested = read_json("res/cs.json.manifest.json")
+    assert (nested["parameters"]["graph"], nested["parameters"]["out"]) == ("../g.json", "cs.json")
+    assert set(nested["input_hashes"]) == {"../g.json"} and nested["output_paths"] == ["cs.json"]
+    recorded = {path: Path(path).read_bytes()
+                for path in ("cs.json.manifest.json", "res/cs.json.manifest.json")}
+    assert run_cli("replay", "res/cs.json.manifest.json", "--verify") == 0
+    os.mkdir("sub")
+    monkeypatch.chdir("sub")
+    assert run_cli("replay", "../cs.json.manifest.json", "--verify") == 0
+    assert run_cli("replay", "../res/cs.json.manifest.json", "--verify") == 0
+    assert not os.listdir(".")  # nothing lands in the working directory
+    for path, data in recorded.items():
+        assert Path("..", path).read_bytes() == data
+
+
+def test_replay_keeps_absolute_paths(sbm_file, workdir, monkeypatch):
+    """A manifest written with absolute paths records and replays them as they are."""
+    graph, out = str(workdir / sbm_file), str(workdir / "cs.json")
+    assert run_cli("select", "--graph", graph, "--k", "4", "-o", out) == 0
+    manifest = read_json(out + ".manifest.json")
+    assert (manifest["parameters"]["graph"], manifest["parameters"]["out"]) == (graph, out)
+    assert set(manifest["input_hashes"]) == {graph} and manifest["output_paths"] == [out]
+    recorded = Path(out + ".manifest.json").read_bytes()
+    os.mkdir("sub")
+    monkeypatch.chdir("sub")
+    assert run_cli("replay", out + ".manifest.json", "--verify") == 0
+    assert Path(out + ".manifest.json").read_bytes() == recorded
+
+
 def test_replay_missing_manifest(workdir):
     assert run_cli("replay", "ghost.manifest.json") == 3
 
@@ -584,7 +620,7 @@ def test_experiment_config_file(workdir):
                    "--set", "seeds=[0,1]", "--out-dir", "exp") == 0
     manifest = read_json("exp/manifest.json")
     assert manifest["parameters"]["overrides"]["seeds"] == [0, 1]  # --set wins
-    assert "cfg.json" in manifest["input_hashes"]
+    assert "../cfg.json" in manifest["input_hashes"]  # relative to the manifest's directory
     assert run_cli("experiment", "--name", "sbm-indicator", "--set", "bogus=1",
                    "--out-dir", "exp2") == 2
 

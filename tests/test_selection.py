@@ -1,12 +1,13 @@
 """Greedy geodesic selection: closed forms, invariants, and oracles."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize_scalar, nnls
 
 from graphcoreset import (
     Coreset,
@@ -17,6 +18,7 @@ from graphcoreset import (
     build_knn_kernel_graph,
     cost_penalty_bound,
     generate_gaussian_mixture,
+    generate_powerlaw_tree,
     generate_random_graph,
     generate_sbm,
     lazy_walk_matrix,
@@ -377,6 +379,34 @@ def test_grid_matches_independent_runs_past_n():
         assert solo.status == grid[b].status == "capped"
         assert len(grid[b].trajectory) == len(solo.trajectory) == 64 * g.n + 64
         assert np.array_equal(grid[b].weights, solo.weights)
+
+
+def _best_residual(columns: NormalizedColumns, k: int) -> float:
+    """The least J over every k-subset of columns: 1 - align^2 of the best unit
+    vector in a subset's cone is the squared distance from the target to the
+    cone, the residual of non-negative least squares on its normalized columns."""
+    unit = np.column_stack([columns.column(i) for i in range(columns.n)])
+    target = columns.target
+    return min(nnls(unit[:, list(subset)], target)[1] ** 2
+               for subset in itertools.combinations(range(columns.n), k))
+
+
+# the tree's and the random graph's powers have no zero entry (a BLAS gemv per
+# round), the SBM's has (a CSR matvec per round)
+@pytest.mark.parametrize("graph, ell", [
+    pytest.param(generate_powerlaw_tree(40, 3.0, seed=0), 8, id="tree-n40-ell8"),
+    pytest.param(generate_random_graph(40, 0.15, seed=1), 4, id="random-n40-ell4"),
+    pytest.param(generate_sbm([8, 16, 16], 0.4, 0.05, seed=0), 2, id="sbm-n40-ell2"),
+])
+def test_greedy_residual_is_no_better_than_the_brute_force_optimum(graph, ell):
+    """No greedy run beats the best K-subset of its own objective: J_greedy at
+    budget K is at least the brute-force least J over all K-subsets, for K <= 3.
+    A violation means the J bookkeeping or the oracle is wrong."""
+    columns = columns_for(graph, ell)
+    grid = select_coreset_grid(columns, CostVector.zeros(graph.n), 1.0, [2, 3])
+    for k, coreset in grid.items():
+        j_greedy = coreset.trajectory[-1].residual
+        assert j_greedy >= _best_residual(columns, k) - 1e-12
 
 
 def test_grid_validation(edge2):

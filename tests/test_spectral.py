@@ -1,14 +1,21 @@
 """Walk matrix, normalized walk-power columns, smooth function synthesis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import graphcoreset
 from graphcoreset import (
     GraphFunction,
     PointCloud,
     build_knn_kernel_graph,
     eigendecomposition,
+    generate_powerlaw_tree,
     generate_sbm,
     lazy_walk_matrix,
     normalized_columns,
@@ -179,6 +186,99 @@ def test_normalized_columns_helpers(two_triangles):
     assert np.allclose(cols.target, 1.0 / np.sqrt(cols.n))
     with pytest.raises(ValueError):
         normalized_columns(walk, 0)
+
+
+@pytest.fixture(scope="module")
+def full_powers():
+    """(walk, ell, dense P^ell) for walks whose dense-branch power has no zero
+    entry: the SBM study's graph at ell = 12 and the power-law tree study's at
+    ell = 32."""
+    sbm = lazy_walk_matrix(generate_sbm([100, 500, 400], 0.15, 0.045, seed=1))
+    tree = lazy_walk_matrix(generate_powerlaw_tree(300, 3.0, seed=0))
+    return {name: (walk, ell, np.linalg.matrix_power(walk.toarray(), ell))
+            for name, walk, ell in (("sbm", sbm, 12), ("tree", tree, 32))}
+
+
+@pytest.mark.parametrize("case", ["sbm", "tree"])
+def test_full_power_is_scored_by_a_dense_gemv(full_powers, case):
+    """A power with no zero entry keeps the CSC arrays scipy's own conversion
+    gives, and rows is its data buffer read as the dense row-major (P^ell)^T."""
+    walk, ell, dense = full_powers[case]
+    cols = normalized_columns(walk, ell)
+    assert np.count_nonzero(dense) == dense.size
+    want = sp.csc_matrix(dense)
+    for name in ("indptr", "indices", "data"):
+        got_array, want_array = getattr(cols.matrix, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
+    assert type(cols.rows) is np.ndarray and cols.rows.flags.c_contiguous
+    assert np.shares_memory(cols.rows, cols.matrix.data)
+    assert np.array_equal(cols.rows, cols.matrix.toarray().T)
+    y = np.random.default_rng(4).standard_normal(cols.n)
+    got = cols.alignments(y)
+    assert got.tobytes() == ((cols.rows @ y) / cols.column_norms).tobytes()
+    # the CSR matvec sums each column in another order than the gemv
+    csr = (cols.matrix.T @ y) / cols.column_norms
+    assert np.allclose(got, csr, rtol=1e-13, atol=0)
+
+
+def test_power_with_a_zero_entry_keeps_the_csr_view(two_triangles):
+    """A dense-branch power with any zero entry is scored by the CSR matvec."""
+    walk = lazy_walk_matrix(two_triangles)
+    cols = normalized_columns(walk, 2)  # vertices 0 and 4 are three hops apart
+    assert 0 < cols.matrix.nnz < cols.n * cols.n
+    assert isinstance(cols.rows, sp.csr_matrix)
+    want = sp.csc_matrix(np.linalg.matrix_power(walk.toarray(), 2))
+    for name in ("indptr", "indices", "data"):
+        assert getattr(cols.matrix, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _stored_zero_and_empty_column():
+    """A CSC matrix with a stored zero in column 0 and nothing in column 1."""
+    data, indices, indptr = np.array([3.0, 0.0, 4.0, 1e-200]), np.array([0, 1, 2, 0]), \
+        np.array([0, 3, 3, 4])
+    return sp.csc_matrix((data, indices, indptr), shape=(3, 3))
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "stored-zero-and-empty-column"])
+def test_column_norms_equal_the_sparse_sum(full_powers, large_knn_walk, case):
+    """Sums of squares per column are byte-identical to multiply().sum(axis=0)."""
+    if case == "dense":
+        matrix = spectral._dense_to_csc(full_powers["sbm"][2])
+    elif case == "sparse":
+        matrix = normalized_columns(large_knn_walk, 3).matrix
+    else:
+        matrix = _stored_zero_and_empty_column()
+    want = np.asarray(matrix.multiply(matrix).sum(axis=0)).ravel()
+    got = spectral._column_sums_of_squares(matrix)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_gemv_bytes_do_not_depend_on_blas_threads(full_powers, tmp_path):
+    """alignments on a stored full power gives the same bytes under 1 and 2
+    BLAS threads. The power is saved once, so only the gemv runs in each child."""
+    _, ell, dense = full_powers["sbm"]
+    np.save(tmp_path / "power.npy", dense)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from graphcoreset import spectral\n"
+            "matrix = spectral._dense_to_csc(np.load(sys.argv[1]))\n"
+            "norms = np.sqrt(spectral._column_sums_of_squares(matrix))\n"
+            f"cols = spectral.NormalizedColumns({ell}, matrix, norms)\n"
+            "assert type(cols.rows) is np.ndarray\n"
+            "y = np.random.default_rng(7).standard_normal(cols.n)\n"
+            "sys.stdout.write(cols.alignments(y).tobytes().hex())\n")
+    src = str(Path(graphcoreset.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "power.npy")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 2 * 8 * dense.shape[0]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("entries, ell", [
