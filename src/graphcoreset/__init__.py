@@ -5,6 +5,10 @@ global mean of any sufficiently smooth vertex function, by greedy geodesic
 ascent toward the uniform direction in the space of normalized random-walk
 columns. Supports per-vertex costs through a slack parameter that trades
 alignment quality for cheaper vertices.
+
+Importing the package loads numpy, scipy.sparse and the standard library
+only: every other scipy submodule (scipy.spatial, scipy.sparse.csgraph,
+scipy.sparse.linalg) is imported inside the one function that calls it.
 """
 
 from .baselines import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -176,6 +177,7 @@ def _execute_select(params: dict):
     final_j = coreset.trajectory[-1].residual if coreset.trajectory else 1.0
     lines = [
         "final_J " + fmt_float(final_j),
+        "certificate_r " + fmt_float(math.sqrt(final_j / graph.n)),
         "total_cost " + fmt_float(coreset.total_cost),
         "eta " + fmt_float(eta_diagnostic(columns, config.kappa)),
         "status " + coreset.status,

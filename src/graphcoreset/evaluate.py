@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from ._util import atomic_write_text, fmt_float
 from .graphs import Graph
@@ -106,6 +105,14 @@ def eta_diagnostic(columns: NormalizedColumns, kappa: float) -> float:
         raise ValueError("kappa must be in (0, 1]")
     best = float(np.max(columns.alignments(columns.target)))
     return float(np.sqrt(max(0.0, 1.0 - (kappa * best) ** 2)))
+
+
+def _sp_dijkstra(matrix, directed, indices):
+    """scipy's dijkstra, imported at its first call. Tests replace this function
+    to count the Dijkstra sources."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(matrix, directed=directed, indices=indices)
 
 
 def source_average_distances(graph: Graph, sources) -> np.ndarray:

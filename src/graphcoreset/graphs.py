@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from ._util import atomic_write_text, check_fields, dump_json, read_json
 
@@ -319,6 +317,8 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
         raise ValueError("k_neighbors must satisfy 0 < k < n")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(cloud.coords)
     dist, idx = tree.query(cloud.coords, k=k_neighbors + 1)
     # first k entries of each row other than the point itself, in query order
@@ -396,6 +396,8 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
 
 def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest component, vertices renumbered in order."""
+    from scipy.sparse.csgraph import connected_components
+
     count, member = connected_components(graph.adjacency(), directed=False)
     if count == 1:
         return graph

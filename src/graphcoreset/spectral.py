@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .graphs import Graph
 
@@ -175,8 +174,10 @@ def top_eigenvectors(walk: sp.csr_matrix, k: int) -> np.ndarray:
     if n <= _DENSE_EIG_MAX_N or k > n - 2:
         _, vectors = eigendecomposition(walk)
         return vectors[:, :k]
+    from scipy.sparse.linalg import eigsh
+
     v0 = np.random.default_rng(0).standard_normal(n)
-    values, vectors = spla.eigsh(walk, k=k, which="LA", v0=v0)
+    values, vectors = eigsh(walk, k=k, which="LA", v0=v0)
     order = np.argsort(-values, kind="stable")
     return vectors[:, order]
 

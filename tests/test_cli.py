@@ -105,6 +105,28 @@ def test_select_matches_library_and_prints(sbm_file, capsys):
     assert np.array_equal(got.weights, np.asarray(want.weights))
 
 
+@pytest.mark.parametrize("ell", [1, 3])
+def test_select_prints_certificate_r(sbm_file, capsys, ell):
+    """select, and so its replay, prints certificate_r = sqrt(J / n): the
+    function-free factor r = ||P^ell w - 1/n|| of the paper's location-and-weights
+    bound, with no matvec. The written coreset gives the same r through P^ell w,
+    compared as n * r^2 to the 1e-13 of test_certificate_identities."""
+    assert run_cli("select", "--graph", sbm_file, "--k", "6", "--ell", str(ell),
+                   "--uniform-costs", "3", "--kappa", "0.8", "-o", "cs.json") == 0
+    printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    cols = normalized_columns(lazy_walk_matrix(Graph.load_json(sbm_file)), ell)
+    coreset = Coreset.load_json("cs.json")
+    w = np.zeros(cols.n)
+    w[coreset.indices] = coreset.weights
+    r = float(np.linalg.norm(cols.matrix @ w - 1.0 / cols.n))
+    r_printed = float(printed["certificate_r"])
+    assert printed["certificate_r"] == "%.17g" % math.sqrt(float(printed["final_J"]) / cols.n)
+    assert abs(cols.n * r_printed**2 - cols.n * r**2) <= 1e-13
+    assert run_cli("replay", "cs.json.manifest.json", "--verify") == 0
+    replayed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert replayed["certificate_r"] == printed["certificate_r"]
+
+
 def test_select_with_cost_file(sbm_file):
     CostVector(np.linspace(0.1, 1.0, 40)).save_json("costs.json")
     assert run_cli("select", "--graph", sbm_file, "--costs", "costs.json",
@@ -415,6 +437,62 @@ def test_out_of_memory_exits_two(workdir):
     assert done.stderr.startswith("error: input too large for memory")
     assert "Traceback" not in done.stderr
     assert not os.path.exists("cs.json")
+
+
+# scipy submodules the package imports only inside the functions that call them
+_DEFERRED_MODULES = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                     "scipy.linalg")
+
+
+def test_cold_commands_load_only_what_they_run(workdir):
+    """Importing the package loads none of the deferred scipy submodules, and
+    neither do the commands that build no kNN graph, check no connectivity and
+    run no Dijkstra or Lanczos. The commands that do still run from that cold
+    state: a kNN build, a Dijkstra average and a Lanczos spectral baseline (an
+    SBM past the 600-vertex dense cutoff) load their modules at first use.
+    One child interpreter runs the phases in order and reports, after each,
+    the exit codes and which deferred modules are loaded."""
+    phases = [
+        [],  # the import alone
+        [["generate", "--model", "sbm", "--sizes", "30,30", "--p-in", "0.3",
+          "--p-out", "0.05", "--seed", "1", "-o", "g.json"],
+         ["select", "--graph", "g.json", "--k", "5", "--ell", "2", "--uniform-costs", "3",
+          "--kappa", "0.8", "-o", "cs.json"],
+         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "indicator",
+          "-o", "ind.csv"],
+         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "smooth",
+          "-o", "smooth.csv"],
+         ["replay", "cs.json.manifest.json", "--verify"],
+         ["baseline", "--method", "random", "--graph", "g.json", "--k", "5", "-o", "r.json"]],
+        [["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1",
+          "--n", "60", "--seed", "2", "-o", "c.csv"],
+         ["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "6",
+          "-o", "knn.json"],
+         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function",
+          "average-distance", "-o", "dist.csv"],
+         ["generate", "--model", "sbm", "--sizes", "210,200,200", "--p-in", "0.05",
+          "--p-out", "0.005", "--seed", "1", "-o", "big.json"],
+         ["baseline", "--method", "spectral", "--graph", "big.json", "--k", "3",
+          "-o", "spectral.json"]],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "import graphcoreset, graphcoreset.cli\n"
+            "report = []\n"
+            "for phase in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes = [graphcoreset.cli.main(argv) for argv in phase]\n"
+            f"    report.append([codes, [m for m in {_DEFERRED_MODULES!r} if m in sys.modules]])\n"
+            "print(json.dumps(report))\n")
+    src = str(Path(graphcoreset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(phases)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (_, imported), (cold_codes, cold), (deferred_codes, deferred) = json.loads(done.stdout)
+    assert imported == [] and cold == []
+    assert cold_codes == [0] * len(phases[1]) and deferred_codes == [0] * len(phases[2])
+    assert set(deferred) >= {"scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"}
+    assert Graph.load_json("big.json").n > 600
 
 
 @pytest.mark.parametrize("coreset, function", [
