@@ -25,7 +25,6 @@ from .evaluate import (
     error_metric,
     estimate_mean,
     eta_diagnostic,
-    results_from_csv,
     results_to_csv,
     source_average_distances,
 )
@@ -41,13 +40,11 @@ from .graphs import (
     largest_connected_component,
     load_edge_list,
     sample_costs_uniform,
-    save_edge_list,
 )
 from .selection import (
     Coreset,
     IterationRecord,
     SelectionConfig,
-    cost_penalty_bound,
     select_coreset,
     select_coreset_grid,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "betweenness_scores",
     "bound_check",
     "build_knn_kernel_graph",
-    "cost_penalty_bound",
     "eigendecomposition",
     "error_metric",
     "estimate_mean",
@@ -94,10 +90,8 @@ __all__ = [
     "load_edge_list",
     "normalized_columns",
     "random_sampling",
-    "results_from_csv",
     "results_to_csv",
     "sample_costs_uniform",
-    "save_edge_list",
     "select_coreset",
     "select_coreset_grid",
     "smoothness_norm",

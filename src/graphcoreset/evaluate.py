@@ -6,7 +6,6 @@ its truth GraphFunction.mean() and its error error_metric. The average
 distance is GraphFunction(source_average_distances(graph, np.arange(n)));
 avg_shortest_path_estimate is the paper's K-source estimator of its mean."""
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,13 @@ BOUND_SLACK = 1e-9
 
 @dataclass
 class ExperimentResult:
-    """One row of an experiment table."""
+    """One row of an experiment table.
+
+    err is a squared error and abs_err an absolute one. In a study row
+    (experiments._run) err is the median over seeds of the squared errors and
+    abs_err is sqrt(err), which is not the median absolute error when the seed
+    count is even.
+    """
 
     method: str
     K: int
@@ -160,12 +165,3 @@ def results_to_csv(rows, path: str) -> None:
         lines.append(",".join([r.method, str(int(r.K)), fmt_float(r.err), fmt_float(r.abs_err),
                                fmt_float(r.coreset_cost), bound, ""]))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def results_from_csv(path: str) -> list:
-    """Inverse of results_to_csv; a blank bound_rhs maps to None."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return [ExperimentResult(method=rec["method"], K=int(rec["K"]), err=float(rec["err"]),
-                                 abs_err=float(rec["abs_err"]), coreset_cost=float(rec["cost"]),
-                                 bound_rhs=float(rec["bound_rhs"]) if rec["bound_rhs"] else None)
-                for rec in csv.DictReader(handle)]

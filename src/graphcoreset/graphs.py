@@ -436,15 +436,15 @@ def generate_random_graph(n: int, edge_probability: float, seed: int) -> Graph:
     raise ValueError("random graph degenerated to a single vertex")
 
 
-def load_edge_list(path: str, weighted: bool = False) -> Graph:
-    """Read a whitespace edge list ("u v" or "u v w" lines, '#' comments).
+def load_edge_list(path: str) -> Graph:
+    """Read a whitespace edge list ("u v" lines, '#' comments) as a
+    unit-weight graph; a third column is accepted and not read.
 
     Vertex ids are compacted to 0..n-1 in order of first appearance.
     Self loops are dropped with a warning that reports the count. Duplicate
-    edges merge: weights sum in line order in weighted mode, collapse to a
-    single unit edge otherwise.
+    edges, in either orientation, collapse to a single unit edge.
     """
-    tokens, weights = [], []
+    tokens = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -453,14 +453,7 @@ def load_edge_list(path: str, weighted: bool = False) -> Graph:
             parts = text.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}: line {lineno}: expected 'u v' or 'u v w'")
-            try:
-                weight = float(parts[2]) if (weighted and len(parts) == 3) else 1.0
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad weight {parts[2]!r}")
-            if weight <= 0 or not np.isfinite(weight):
-                raise ValueError(f"{path}: line {lineno}: weight must be positive")
             tokens += parts[:2]
-            weights.append(weight)
     # unique sorts the ids; rank them by first appearance instead
     _, first, inverse = np.unique(np.array(tokens), return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))
@@ -472,21 +465,5 @@ def load_edge_list(path: str, weighted: bool = False) -> Graph:
         raise ValueError(f"{path}: no edges found")
     n = len(first)
     u, v = u[~loop], v[~loop]
-    keys, pair = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
-    if weighted:
-        # add.at sums each pair's weights in line order, as repeated += would
-        merged = np.zeros(len(keys))
-        np.add.at(merged, pair, np.array(weights)[~loop])
-    else:
-        merged = np.ones(len(keys))
-    return Graph(n, np.column_stack([keys // n, keys % n]), merged)
-
-
-def save_edge_list(graph: Graph, path: str) -> None:
-    """Write the canonical edge list; weights included unless all are 1."""
-    buf = io.StringIO()
-    if np.all(graph.weights == 1.0):
-        np.savetxt(buf, graph.edges, fmt="%d %d")
-    else:
-        np.savetxt(buf, np.column_stack([graph.edges, graph.weights]), fmt="%d %d %.17g")
-    atomic_write_text(path, buf.getvalue())
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return Graph(n, np.column_stack([keys // n, keys % n]), np.ones(len(keys)))

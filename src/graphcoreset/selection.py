@@ -24,7 +24,6 @@ one weighted-vertex-set type of the package; the baselines return it too.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +52,14 @@ class SelectionConfig:
     already-chosen vertex refines its weight without consuming budget, so a
     run interleaves support growth with free reweighting rounds and stops
     when the greedy step demands a vertex it has no budget left to place.
-    Ties break to the lowest vertex index. The walk power is a property of
-    the columns (NormalizedColumns.ell), not of the run.
+    Under kappa = 1 the pick is the argmax of the scores, and exactly equal
+    floats go to the lowest vertex index. Under kappa < 1 the pick is the
+    cheapest member of the slack set, and the lowest index among equal
+    costs. Scores that are equal in exact arithmetic can differ by rounding,
+    so such ties are not guaranteed to break by index: dense and sparse
+    P^32 pick differently on 300-vertex power-law trees at seeds 0 and 4.
+    The walk power is a property of the columns (NormalizedColumns.ell), not
+    of the run.
     """
 
     budget: int
@@ -160,35 +165,6 @@ class Coreset:
     @classmethod
     def load_json(cls, path: str) -> "Coreset":
         return cls.from_dict(read_json(path))
-
-
-def cost_penalty_bound(costs: CostVector, k: int, kappa: float, min_column_norm: float) -> float:
-    """Largest cost-penalty weight that keeps a kappa-optimal alignment.
-
-    Equals (1 - kappa) / (C_max^k * min_column_norm * sqrt(n)) where C_max^k
-    is the sum of the k largest costs and n = costs.n. All-zero costs make the
-    bound vacuous; returns +inf and warns in that case.
-
-    The claim holds at round 0 only. There every score is the alignment
-    <q_v, t> = 1 / (sqrt(n) * ||col_v||) of a column of the doubly stochastic
-    P^ell, so the best score is 1 / (sqrt(n) * min_column_norm) and lambda *
-    C_max^k at this bound is (1 - kappa) times it: with lambda at most the
-    bound and costs non-negative, the vertex maximizing score - lambda * cost
-    lies in the kappa slack set. Later rounds score against the moving
-    iterate and are not covered.
-    """
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError("kappa must lie in (0, 1]")
-    if not (1 <= k <= costs.n):
-        raise ValueError("k must be in 1..n")
-    if min_column_norm <= 0:
-        raise ValueError("min_column_norm must be positive")
-    top = np.sort(costs.costs)[-k:]
-    c_max = float(top.sum())
-    if c_max == 0.0:
-        warnings.warn("all costs are zero; cost penalty bound is unconstrained")
-        return math.inf
-    return (1.0 - kappa) / (c_max * min_column_norm * math.sqrt(costs.n))
 
 
 def select_coreset(columns: NormalizedColumns, costs: CostVector,

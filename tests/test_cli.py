@@ -1,6 +1,8 @@
 """Command-line interface: round trips, validation, manifests, replay."""
 
 import argparse
+import ast
+import csv
 import importlib
 import inspect
 import json
@@ -24,7 +26,6 @@ from graphcoreset import (
     avg_shortest_path_estimate,
     lazy_walk_matrix,
     normalized_columns,
-    results_from_csv,
     select_coreset,
     source_average_distances,
 )
@@ -329,17 +330,18 @@ def test_eval_reports_the_coreset_cost(sbm_file):
                    "--function", "indicator", "-o", "ev.csv") == 0
     total_cost = Coreset.load_json("cs.json").total_cost
     assert total_cost > 0.0
-    assert results_from_csv("ev.csv")[0].coreset_cost == total_cost
+    row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
+    assert float(row["cost"]) == total_cost
 
 
 def test_eval_indicator_row(sbm_file):
     run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json")
     assert run_cli("eval", "--graph", sbm_file, "--coreset", "cs.json",
                    "--function", "indicator", "--label", "0", "-o", "ev.csv") == 0
-    row = results_from_csv("ev.csv")[0]
-    assert row.method == "indicator"
-    assert row.K == len(Coreset.load_json("cs.json").indices)
-    assert row.err == pytest.approx(row.abs_err ** 2, rel=1e-12)
+    row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
+    assert row["method"] == "indicator"
+    assert int(row["K"]) == len(Coreset.load_json("cs.json").indices)
+    assert float(row["err"]) == pytest.approx(float(row["abs_err"]) ** 2, rel=1e-12)
 
 
 def test_eval_smooth_emits_bound(sbm_file):
@@ -347,9 +349,9 @@ def test_eval_smooth_emits_bound(sbm_file):
     assert run_cli("eval", "--graph", sbm_file, "--coreset", "cs.json",
                    "--function", "smooth", "--threshold", "0.4", "--ell", "2",
                    "--function-seed", "5", "-o", "ev.csv") == 0
-    row = results_from_csv("ev.csv")[0]
-    assert row.bound_rhs is not None
-    assert row.abs_err <= row.bound_rhs + 1e-9
+    row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
+    assert row["bound_rhs"] != ""
+    assert float(row["abs_err"]) <= float(row["bound_rhs"]) + 1e-9
 
 
 def test_eval_smooth_bound_is_vacuous_at_large_ell(sbm_file, capsys):
@@ -361,7 +363,8 @@ def test_eval_smooth_bound_is_vacuous_at_large_ell(sbm_file, capsys):
                    "--function", "smooth", "--ell", "5000", "-o", "ev.csv") == 0
     out, err = capsys.readouterr()
     assert "bound_rhs inf" in out.splitlines() and "Traceback" not in err
-    assert results_from_csv("ev.csv")[0].bound_rhs == math.inf
+    row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
+    assert float(row["bound_rhs"]) == math.inf
 
 
 def test_eval_average_distance(sbm_file):
@@ -369,8 +372,8 @@ def test_eval_average_distance(sbm_file):
             "-o", "r.json")
     assert run_cli("eval", "--graph", sbm_file, "--coreset", "r.json",
                    "--function", "average-distance", "-o", "ev.csv") == 0
-    row = results_from_csv("ev.csv")[0]
-    assert row.abs_err >= 0.0
+    row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
+    assert float(row["abs_err"]) >= 0.0
 
 
 def test_paths_count_hops_on_kernel_graphs(workdir, capsys):
@@ -748,7 +751,9 @@ def test_cli_usage_error_exits_two(workdir):
 
 def test_package_exports_every_public_name():
     """__all__ names exactly the public functions and classes of the library
-    modules, so a deleted or added one cannot leave the export list stale."""
+    modules, so a deleted or added one cannot leave the export list stale, and
+    each has a caller: code in a library module, a demo or the acceptance gate
+    names it. The files are parsed, so docstrings and imports do not count."""
     defined = set()
     for name in ("baselines", "evaluate", "graphs", "selection", "spectral"):
         module = importlib.import_module(f"graphcoreset.{name}")
@@ -758,3 +763,15 @@ def test_package_exports_every_public_name():
                        and obj.__module__ == module.__name__)
     assert set(graphcoreset.__all__) - {"__version__"} == defined
     assert all(hasattr(graphcoreset, name) for name in graphcoreset.__all__)
+    root = Path(__file__).resolve().parents[1]
+    sources = [path for path in Path(graphcoreset.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"]
+    sources += [*root.glob("demos/*.py"), root / "tests" / "test_acceptance.py"]
+    called = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    assert sorted(defined - called) == []

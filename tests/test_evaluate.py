@@ -1,5 +1,6 @@
 """Estimates, error metrics, the certified bound, and result CSV files."""
 
+import csv
 import math
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from graphcoreset import (
     generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
-    results_from_csv,
     results_to_csv,
     source_average_distances,
     synthesize_smooth_function,
@@ -219,8 +219,11 @@ def test_results_csv_round_trip(tmp_path):
     assert text[0] == "method,K,err,abs_err,cost,bound_rhs,runtime_ms"
     assert text[1].endswith(",0.125,")  # the runtime column is blank on every row
     assert text[2].endswith(",,")  # blank bound and runtime for the random row
-    back = results_from_csv(path)
-    assert [r.method for r in back] == ["scgiga", "random"]
-    assert back[0].err == rows[0].err
-    assert back[0].bound_rhs == 0.125
-    assert back[1].bound_rhs is None
+    cells = list(csv.DictReader(text))
+    assert [c["method"] for c in cells] == ["scgiga", "random"]
+    assert [c["K"] for c in cells] == ["5", "5"]
+    assert float(cells[0]["err"]) == rows[0].err
+    assert float(cells[0]["abs_err"]) == rows[0].abs_err
+    assert float(cells[0]["cost"]) == rows[0].coreset_cost
+    assert float(cells[0]["bound_rhs"]) == 0.125
+    assert cells[1]["bound_rhs"] == ""

@@ -1,5 +1,6 @@
 """Experiment harness: configs, runners, and output files."""
 
+import csv
 import dataclasses
 from pathlib import Path
 
@@ -15,9 +16,7 @@ from graphcoreset import (
     kmeans_coreset,
     lazy_walk_matrix,
     random_sampling,
-    results_from_csv,
     sample_costs_uniform,
-    save_edge_list,
     top_eigenvectors,
 )
 from graphcoreset.experiments import (
@@ -142,7 +141,8 @@ def test_run_ego_centrality_missing_data(tmp_path):
 
 def test_run_ego_centrality_rows(tmp_path):
     path = str(tmp_path / "edges.txt")
-    save_edge_list(generate_random_graph(150, 0.04, seed=3), path)
+    graph = generate_random_graph(150, 0.04, seed=3)
+    Path(path).write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges), encoding="utf-8")
     cfg = EgoCentralityConfig(data_path=path, k_grid=(4, 8), seeds=(0, 1, 2))
     rows = run_ego_centrality(cfg)
     methods = ("scgiga", "scgiga-cost", "random", "betweenness")
@@ -170,10 +170,12 @@ def test_write_experiment_outputs(tmp_path):
     names = sorted(p.split("/")[-1] for p in written)
     assert names == ["comparison.csv", "method_kmeans.csv", "method_random.csv",
                      "method_scgiga.csv", "method_spectral.csv"]
-    combined = results_from_csv(str(out / "comparison.csv"))
+    with open(out / "comparison.csv", encoding="utf-8", newline="") as handle:
+        combined = list(csv.DictReader(handle))
     assert len(combined) == len(rows)
-    solo = results_from_csv(str(out / "method_scgiga.csv"))
-    assert all(r.method == "scgiga" for r in solo)
+    with open(out / "method_scgiga.csv", encoding="utf-8", newline="") as handle:
+        solo = list(csv.DictReader(handle))
+    assert all(r["method"] == "scgiga" for r in solo)
     assert len(solo) == len(TINY_SBM.k_grid)
 
 

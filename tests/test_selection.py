@@ -16,8 +16,6 @@ from graphcoreset import (
     PointCloud,
     SelectionConfig,
     build_knn_kernel_graph,
-    cost_penalty_bound,
-    generate_gaussian_mixture,
     generate_powerlaw_tree,
     generate_random_graph,
     generate_sbm,
@@ -29,7 +27,6 @@ from graphcoreset import (
     select_coreset_grid,
 )
 from graphcoreset import spectral
-from graphcoreset.experiments import ClusterIndicatorConfig
 from graphcoreset.spectral import NormalizedColumns
 
 
@@ -283,60 +280,6 @@ def test_selection_config_validation():
 def test_select_rejects_mismatched_costs(edge2):
     with pytest.raises(ValueError):
         select_coreset(edge2, CostVector.zeros(5), SelectionConfig(budget=1))
-
-
-# ---------------------------------------------------------------------------
-# cost penalty bound
-
-
-def test_cost_penalty_bound_closed_forms():
-    ones = CostVector(np.ones(4))
-    got = cost_penalty_bound(ones, k=3, kappa=0.5, min_column_norm=1.0)
-    assert got == pytest.approx(1.0 / 12.0, abs=1e-15)  # 0.5 / (3 * 1 * sqrt(4))
-    assert cost_penalty_bound(ones, k=3, kappa=1.0, min_column_norm=1.0) == 0.0
-    with pytest.warns(UserWarning):
-        assert cost_penalty_bound(CostVector.zeros(4), 2, 0.5, 1.0) == math.inf
-    with pytest.raises(ValueError):
-        cost_penalty_bound(ones, k=0, kappa=0.5, min_column_norm=1.0)
-    with pytest.raises(ValueError):
-        cost_penalty_bound(ones, k=2, kappa=0.5, min_column_norm=0.0)
-
-
-def _bound_cases():
-    """(columns, costs, k): the acceptance criterion 5 graphs at ell 1 and 3 with
-    their priced costs and budget, and the criterion 6 mixture at its ell 1,
-    seed 0 and budget."""
-    for seed in range(20):
-        g = generate_random_graph(50, 0.12, seed=seed)
-        costs = sample_costs_uniform(g.n, seed=seed + 100)
-        for ell in (1, 3):
-            yield columns_for(g, ell), costs, 8
-    config = ClusterIndicatorConfig(n=2000)
-    cloud = generate_gaussian_mixture(config.component_means, config.component_fractions,
-                                      config.covariance_scale, config.n, seed=0)
-    g = build_knn_kernel_graph(cloud, config.k_neighbors, config.bandwidth)
-    yield (columns_for(g, config.ell), sample_costs_uniform(config.n, seed=config.cost_seed_offset),
-           14)
-
-
-def test_cost_penalty_bound_keeps_round_0_pick_in_slack_set():
-    """At round 0 the scores are the target alignments, whose best is
-    1 / (sqrt(n) * min ||col||); with the penalty weight at the bound, the vertex
-    maximizing score - weight * cost lies in the kappa slack set."""
-    cases = 0
-    for columns, costs, k in _bound_cases():
-        base = columns.alignments(columns.target)
-        s_best = float(base.max())
-        min_norm = float(columns.column_norms.min())
-        assert s_best == pytest.approx(1.0 / (math.sqrt(columns.n) * min_norm), rel=1e-12)
-        for kappa in (0.5, 0.8, 0.95):
-            lam = cost_penalty_bound(costs, k, kappa, min_norm)
-            pick = int(np.argmax(base - lam * costs.costs))
-            assert base[pick] >= kappa * s_best
-            # the theorem's step: the penalty never spans more than the slack margin
-            assert lam * costs.costs.max() <= (1.0 - kappa) * s_best * (1.0 + 1e-12)
-            cases += 1
-    assert cases == 123
 
 
 # ---------------------------------------------------------------------------
