@@ -107,8 +107,9 @@ _VARIANTS = {
         "indicator": {"label": int}, "average-distance": {},
         "smooth": {"threshold": float, "ell": int, "function_seed": int}}),
 }
-# the parameters that name files
-_PATH_PARAMETERS = frozenset({"graph", "costs", "cloud", "coreset", "config", "out", "out_dir"})
+# the parameters that name files, and the experiment override that does
+_PATH_PARAMETERS = frozenset({"graph", "costs", "cloud", "coreset", "config", "out", "out_dir",
+                              "data_path"})
 # the type of each manifest field; replay reads no other
 _MANIFEST_FIELDS = {"command": str, "parameters": dict, "input_hashes": dict,
                     "output_paths": list[str]}
@@ -272,12 +273,17 @@ def _manifest_path(command: str, params: dict) -> str:
 
 
 def _rebase_paths(params: dict, inputs: dict, outputs: list, rebase) -> tuple:
-    """params, inputs and outputs with rebase applied to every relative file path."""
+    """params, inputs and outputs with rebase applied to every relative file path,
+    an experiment's overrides included."""
     def move(path):
         return rebase(path) if path and not os.path.isabs(path) else path
-    params = {key: move(value) if key in _PATH_PARAMETERS and isinstance(value, str) else value
-              for key, value in params.items()}
-    return params, {move(path): value for path, value in inputs.items()}, [move(p) for p in outputs]
+
+    def moved(mapping):
+        return {key: move(value) if key in _PATH_PARAMETERS and isinstance(value, str)
+                else moved(value) if key == "overrides" else value
+                for key, value in mapping.items()}
+    inputs = {move(path): value for path, value in inputs.items()}
+    return moved(params), inputs, [move(path) for path in outputs]
 
 
 def _run_and_record(command: str, params: dict) -> list[str]:

@@ -338,8 +338,8 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
 def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int) -> Graph:
     """Stochastic block model with unit edge weights and block labels."""
     sizes = [int(s) for s in block_sizes]
-    if any(s < 1 for s in sizes):
-        raise ValueError("block sizes must be positive")
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("block sizes must be a non-empty list of positive integers")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"{name} must be in [0, 1]")

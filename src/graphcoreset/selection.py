@@ -10,11 +10,7 @@ to the argmax, so costs cannot influence that path at all.
 
 One round costs one matvec with the columns' once-built view of P^ell
 (NormalizedColumns.rows), a BLAS gemv on a full power and CSR otherwise,
-plus a fixed number of in-place length-n operations on buffers allocated
-once per run; the coefficients are rescaled on the support only, since they
-are zero elsewhere. Each float operation keeps the
-operands and order of the masked textbook formula, so scores, picks and
-weights are bit-identical to it.
+plus a few plain numpy expressions over length-n arrays.
 
 On exit the unit-sphere coefficients are rescaled: beta carries the uniform
 vector's 1/sqrt(n) mass and each selected vertex gets the estimator weight
@@ -218,61 +214,41 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
     grid: dict[int, Coreset] = {}
     status = "capped"
     res_after = 1.0
-    # every round writes its length-n work into these, allocated once per run
-    proj, denom, num, scores = (np.empty(n) for _ in range(4))
-    unusable, in_slack = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    budget_set = set(budgets)
-    capped_at: dict[int, list[int]] = {}  # round -> budgets whose cap ends them there
-    for budget in budgets:
-        capped_at.setdefault(64 * min(budget, n) + 64, []).append(budget)
+    # budgets[pending] is the next budget to end: round caps and placements both
+    # grow with the budget, so the budgets end in ascending order
+    pending = 0
 
     for k in range(64 * min(config.budget, n) + 64):
-        for budget in capped_at.get(k, ()):
-            if budget not in grid:
-                # a run at this budget ends here, on its round cap
-                grid[budget] = _finish(columns, cost, support[:placed], coeffs, align, trajectory,
-                                       "capped")
+        while k == 64 * min(budgets[pending], n) + 64:
+            # a run at this budget ends here, on its round cap
+            grid[budgets[pending]] = _finish(columns, cost, support[:placed], coeffs, align,
+                                             trajectory, "capped")
+            pending += 1
         # res_after is the current residual; from the zero iterate of round 0,
-        # proj is 0 and denom 1, so the scores are base itself. The scores are
-        # (base - align * proj) / (sqrt(res_after) * sqrt(max(1 - proj^2, 0)))
-        # where that denominator exceeds _TINY and -inf elsewhere.
-        np.clip(columns.alignments(iterate), -1.0, 1.0, out=proj)
-        np.multiply(proj, proj, out=denom)
-        np.subtract(1.0, denom, out=denom)
-        np.maximum(denom, 0.0, out=denom)
-        np.sqrt(denom, out=denom)
-        denom *= math.sqrt(res_after)
-        np.less_equal(denom, _TINY, out=unusable)
-        np.multiply(proj, align, out=num)
-        np.subtract(base, num, out=num)
-        # an unmasked divide is cheaper than a masked one; the unusable
-        # entries it fills with inf or nan are overwritten right after
+        # proj is 0 and denom 1, so the scores are base itself
+        proj = np.clip(columns.alignments(iterate), -1.0, 1.0)
+        denom = math.sqrt(res_after) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(num, denom, out=scores)
-        np.putmask(scores, unusable, -np.inf)
+            scores = np.where(denom <= _TINY, -np.inf, (base - proj * align) / denom)
 
         v_best = int(np.argmax(scores))
         s_best = float(scores[v_best])
         if not np.isfinite(s_best) or s_best <= 0.0:
             status = "stalled"
             break
-        np.greater_equal(scores, config.kappa * s_best, out=in_slack)
-        slack_size = int(np.count_nonzero(in_slack))
-        if config.kappa >= 1.0:
-            # the argmax is forced; costs cannot reroute this path
-            v_k = v_best
-        else:
-            slack = np.flatnonzero(in_slack)
-            v_k = int(slack[np.argmin(cost[slack])])
-        if not seen[v_k] and placed in budget_set:
+        slack = np.flatnonzero(scores >= config.kappa * s_best)
+        # under kappa = 1 the argmax is forced; costs cannot reroute this path
+        v_k = v_best if config.kappa >= 1.0 else int(slack[np.argmin(cost[slack])])
+        if not seen[v_k] and placed == budgets[pending]:
             # a run at this budget stops here, before placing a new vertex
             grid[placed] = _finish(columns, cost, support[:placed], coeffs, align, trajectory, "ok")
-            if placed == config.budget:
+            pending += 1
+            if pending == len(budgets):
                 return grid
-        score_k = float(scores[v_k])
         column = columns.column(v_k)
 
         if k == 0:
+            # the column itself: renormalizing it would round its norm to 1 +- ulp
             delta, norm = 1.0, 1.0
             iterate = column
         else:
@@ -285,30 +261,24 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
                 status = "converged"
                 break
             delta = min(max(gain / span, 0.0), 1.0)
-            # iterate <- ((1 - delta) * iterate + delta * column) / norm, in place
-            iterate *= 1.0 - delta
-            column *= delta
-            iterate += column
-            norm = float(np.linalg.norm(iterate))
+            blended = (1.0 - delta) * iterate + delta * column
+            norm = float(np.linalg.norm(blended))
             if norm < _TINY:
                 status = "converged"
                 break
-            iterate /= norm
+            iterate = blended / norm
 
         align = float(np.clip(iterate @ target, -1.0, 1.0))
         if not seen[v_k]:
             seen[v_k] = True
             support[placed] = v_k
             placed += 1
-        # coeffs <- ((1 - delta) * coeffs + delta * e_vk) / norm; off the support
-        # the coefficients are 0 and stay 0, so only the support is touched
-        live = support[:placed]
-        coeffs[live] *= 1.0 - delta
+        coeffs *= 1.0 - delta
         coeffs[v_k] += delta
-        coeffs[live] /= norm
+        coeffs /= norm
         res_before = res_after
         res_after = max(1.0 - align * align, 0.0)
-        trajectory.append(IterationRecord(k, v_k, score_k, delta, res_after, slack_size))
+        trajectory.append(IterationRecord(k, v_k, float(scores[v_k]), delta, res_after, len(slack)))
         # a residual within _RESIDUAL_TOL, or a best step that no longer moves it
         # at float resolution (later steps are no better), is convergence
         if res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before:

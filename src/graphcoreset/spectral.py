@@ -198,16 +198,12 @@ class GraphFunction:
         return float(self.values.mean())
 
 
-def synthesize_smooth_function(
-    walk: sp.csr_matrix,
-    eigenvalue_threshold: float,
-    coefficients: np.ndarray | None = None,
-    seed: int | None = None,
-) -> GraphFunction:
+def synthesize_smooth_function(walk: sp.csr_matrix, eigenvalue_threshold: float,
+                               seed: int) -> GraphFunction:
     """Build a function spanned by eigenvectors with |eigenvalue| above threshold.
 
-    Coefficients may be supplied (one per retained eigenvector, in descending
-    eigenvalue order) or drawn standard normal from the seed.
+    The coefficients, one per retained eigenvector in descending eigenvalue
+    order, are drawn standard normal from the seed.
     """
     if not (0.0 < eigenvalue_threshold < 1.0):
         raise ValueError("eigenvalue_threshold must be in (0, 1)")
@@ -216,13 +212,7 @@ def synthesize_smooth_function(
     count = int(keep.sum())
     if count == 0:
         raise ValueError("no eigenvalues above the threshold")
-    if coefficients is None:
-        if seed is None:
-            raise ValueError("provide coefficients or a seed")
-        coefficients = np.random.default_rng(seed).standard_normal(count)
-    coefficients = np.asarray(coefficients, dtype=np.float64).reshape(-1)
-    if len(coefficients) != count:
-        raise ValueError(f"expected {count} coefficients, got {len(coefficients)}")
+    coefficients = np.random.default_rng(seed).standard_normal(count)
     return GraphFunction(vectors[:, keep] @ coefficients, coefficients)
 
 

@@ -24,6 +24,7 @@ from graphcoreset import (
     PointCloud,
     SelectionConfig,
     avg_shortest_path_estimate,
+    generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
     select_coreset,
@@ -618,6 +619,26 @@ def test_replay_keeps_absolute_paths(sbm_file, workdir, monkeypatch):
     monkeypatch.chdir("sub")
     assert run_cli("replay", out + ".manifest.json", "--verify") == 0
     assert Path(out + ".manifest.json").read_bytes() == recorded
+
+
+def test_replay_reads_the_data_path_it_hashed(workdir, monkeypatch):
+    """A relative --set data_path is recorded relative to the manifest, so a
+    replay from another directory reads the edge list it verified, not a
+    same-named file in the working directory."""
+    graph = generate_random_graph(150, 0.04, seed=3)
+    Path("edges.txt").write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges),
+                                 encoding="utf-8")
+    assert run_cli("experiment", "--name", "ego-centrality", "--set", "data_path=edges.txt",
+                   "--set", "k_grid=[4]", "--set", "seeds=[0]", "--out-dir", "out") == 0
+    recorded = read_json("out/manifest.json")
+    assert recorded["parameters"]["overrides"]["data_path"] == "../edges.txt"
+    assert set(recorded["input_hashes"]) == {"../edges.txt"}
+    os.mkdir("sub")
+    monkeypatch.chdir("sub")
+    assert run_cli("replay", "../out/manifest.json", "--verify") == 0
+    Path("edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+    assert run_cli("replay", "../out/manifest.json", "--verify") == 0
+    assert read_json("../out/manifest.json") == recorded
 
 
 def test_replay_missing_manifest(workdir):

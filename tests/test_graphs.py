@@ -376,6 +376,8 @@ def test_sbm_extremes_and_determinism():
     assert np.array_equal(a.edges, b.edges)
     with pytest.raises(ValueError):
         generate_sbm([0, 5], 0.5, 0.1, seed=0)
+    with pytest.raises(ValueError, match="non-empty list of positive integers"):
+        generate_sbm([], 0.5, 0.1, seed=0)
     with pytest.raises(ValueError):
         generate_sbm([5, 5], 1.5, 0.1, seed=0)
 

@@ -289,15 +289,16 @@ def test_select_rejects_mismatched_costs(edge2):
 def test_grid_matches_independent_runs():
     """Budgets 39 and 40 run into the round cap (support 37 at kappa 1, 39 at
     kappa 0.7), and 39's cap comes 64 rounds before 40's, so the grid must
-    stop budget 39 at its own cap."""
+    stop budget 39 at its own cap. Budgets end in ascending order, so a grid
+    given them unsorted and repeated sorts and deduplicates them first."""
     g = generate_sbm([15, 15, 10], 0.3, 0.04, seed=12)
     cols = columns_for(g, 2)
     costs = sample_costs_uniform(g.n, seed=7)
-    budgets = [1, 2, 3, 5, 8, 39, 40]
-    for kappa in (1.0, 0.7):
+    for kappa, budgets in itertools.product(
+            (1.0, 0.7), ([1, 2, 3, 5, 8, 39, 40], [40, 3, 8, 3, 1, 39, 5, 2])):
         grid = select_coreset_grid(cols, costs, kappa, budgets)
-        assert list(grid) == budgets
-        for b in budgets:
+        assert list(grid) == sorted(set(budgets))
+        for b in grid:
             solo = select_coreset(cols, costs,
                                   SelectionConfig(budget=b, kappa=kappa))
             assert grid[b].indices == solo.indices
@@ -307,6 +308,20 @@ def test_grid_matches_independent_runs():
             assert grid[b].total_cost == solo.total_cost
             assert ([r.to_dict() for r in grid[b].trajectory]
                     == [r.to_dict() for r in solo.trajectory])
+
+
+def test_grid_keeps_a_budget_that_its_round_cap_ended():
+    """Budget 28 reaches its round cap with 27 vertices placed. The run goes on
+    for budget 40, places a 28th vertex and asks for a 29th; that must not end
+    budget 28 a second time, so the grid's budget-28 coreset stays its solo run."""
+    g = generate_sbm([12, 12, 8], 0.35, 0.05, seed=9)
+    cols = columns_for(g, 3)
+    costs = sample_costs_uniform(g.n, seed=9)
+    grid = select_coreset_grid(cols, costs, 1.0, [28, 40])
+    solo = select_coreset(cols, costs, SelectionConfig(budget=28))
+    assert solo.status == "capped" and len(solo.indices) == 27
+    assert grid[28].to_dict() == solo.to_dict()
+    assert len(grid[40].indices) == 29
 
 
 def test_grid_matches_independent_runs_past_n():
