@@ -6,9 +6,13 @@ ascent toward the uniform direction in the space of normalized random-walk
 columns. Supports per-vertex costs through a slack parameter that trades
 alignment quality for cheaper vertices.
 
-Importing the package loads numpy, scipy.sparse and the standard library
-only: every other scipy submodule (scipy.spatial, scipy.sparse.csgraph,
-scipy.sparse.linalg) is imported inside the one function that calls it.
+Importing the package loads numpy and the standard library only: every
+scipy module is imported inside the functions that call it. Generating an
+SBM, power-law tree or Gaussian mixture, the random and k-means baselines
+and an indicator evaluation load no scipy at all; the walk matrix, its
+powers and the adjacency load scipy.sparse; the kNN build loads
+scipy.spatial, connected components and Dijkstra scipy.sparse.csgraph, and
+Lanczos past 600 vertices scipy.sparse.linalg.
 """
 
 from .baselines import (

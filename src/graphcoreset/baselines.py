@@ -5,10 +5,11 @@ trajectory). These are the standard comparison points for the greedy
 geodesic selector; none of them look at placement costs.
 """
 
+from __future__ import annotations
+
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph, PointCloud
 from .selection import Coreset
@@ -157,22 +158,18 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
         sources = np.arange(start, min(start + batch, n))
         b = len(sources)
         cols = np.arange(b)
-        dist = np.full((n, b), -1, dtype=np.int32)
         sigma = np.zeros((n, b))
-        dist[sources, cols] = 0
         sigma[sources, cols] = 1.0
         frontier = np.zeros((n, b), dtype=bool)
         frontier[sources, cols] = True
         levels = [frontier]
-        level = 0
         while True:
-            level += 1
             flow = adjacency @ (sigma * levels[-1])
-            fresh = (dist < 0) & (flow > 0)
+            # a reached vertex has at least one shortest path: σ = 0 means unreached
+            fresh = (sigma == 0.0) & (flow > 0)
             if not fresh.any():
                 break
-            dist[fresh] = level
-            sigma[fresh] = flow[fresh]
+            np.copyto(sigma, flow, where=fresh)
             levels.append(fresh)
         delta = np.zeros((n, b))
         safe_sigma = np.where(sigma > 0, sigma, 1.0)

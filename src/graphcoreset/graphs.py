@@ -6,13 +6,14 @@ self loops. All generators draw from numpy's seeded Generator so identical
 arguments reproduce identical objects.
 """
 
+from __future__ import annotations
+
 import io
 import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import atomic_write_text, check_fields, dump_json, read_json
 
@@ -80,6 +81,8 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric sparse weight matrix W."""
+        import scipy.sparse as sp
+
         u, v = self.edges[:, 0], self.edges[:, 1]
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])

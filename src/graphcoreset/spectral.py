@@ -10,14 +10,18 @@ zero entry is also multiplied as dense: its CSC data, in column-major order,
 is the row-major (P^ell)^T, so the greedy rounds score it with one BLAS gemv
 on that buffer; any other power is scored by a CSR matvec. This storage rule
 follows from the power's fill alone, too. NormalizedColumns derives the
-uniform target 1/sqrt(n) from n as well. Dense eigendecompositions appear
-only in the synthesis and diagnostic paths, never in column construction.
+uniform target 1/sqrt(n) from n as well. Dense eigendecompositions never
+enter column construction: they serve smooth-function synthesis and, through
+top_eigenvectors on graphs of at most 600 vertices (larger ones use Lanczos),
+the eigenvector embedding that the spectral baseline clusters, as does the
+k-means baseline on a graph without a point cloud.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph
 
@@ -31,6 +35,8 @@ def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
     """Build P = (W - D)/d_max + I, as CSR, for a graph with at least one edge."""
     if graph.m == 0:
         raise ValueError("graph has no edges, d_max would be zero")
+    import scipy.sparse as sp
+
     adjacency = graph.adjacency()
     with np.errstate(over="ignore", invalid="ignore"):  # the row check reports both
         degrees = graph.degrees()
@@ -106,6 +112,8 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
+    import scipy.sparse as sp
+
     # rounding can carry a huge power past float range; the norm check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
@@ -130,6 +138,8 @@ def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:
     at j * n. Its callers keep n <= _DENSE_POWER_MAX_N, so n * n fits the
     int32 indices scipy picks too.
     """
+    import scipy.sparse as sp
+
     n = dense.shape[0]
     if np.count_nonzero(dense) < n * n:
         return sp.csc_matrix(dense)

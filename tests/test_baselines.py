@@ -15,6 +15,7 @@ from graphcoreset import (
     betweenness_scores,
     build_knn_kernel_graph,
     estimate_mean,
+    generate_powerlaw_tree,
     generate_random_graph,
     generate_sbm,
     kmeans_coreset,
@@ -237,11 +238,16 @@ def test_betweenness_matches_brute_force_weighted():
     assert not np.allclose(brute_betweenness(wg), expected, atol=1e-9)
 
 
-def test_betweenness_weighted_two_components():
+def two_component_graph() -> Graph:
     # weighted path 0-1-2, 4-cycle 3-4-5-6 (two shortest paths between
-    # opposite corners), isolated vertex 7; pairs across components count 0
+    # opposite corners), isolated vertex 7
     edges = np.array([[0, 1], [1, 2], [3, 4], [4, 5], [5, 6], [3, 6]])
-    g = Graph(8, edges, np.array([1.0, 2.0, 1.0, 3.0, 1.0, 0.5]))
+    return Graph(8, edges, np.array([1.0, 2.0, 1.0, 3.0, 1.0, 0.5]))
+
+
+def test_betweenness_weighted_two_components():
+    # pairs across components count 0
+    g = two_component_graph()
     scores = betweenness_scores(g)
     assert np.allclose(scores, brute_betweenness(unit_copy(g)), atol=1e-9)
     assert scores.tolist() == [0.0, 1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0]
@@ -287,6 +293,55 @@ def test_betweenness_weighted_properties():
         assert top == sorted(range(n), key=lambda v: (-public[v], v))[:k]
 
     check()
+
+
+def reference_betweenness_unit(adjacency, batch=256):
+    """The sweep with a distance table that _betweenness_unit must reproduce bit for bit."""
+    n = adjacency.shape[0]
+    scores = np.zeros(n)
+    for start in range(0, n, batch):
+        sources = np.arange(start, min(start + batch, n))
+        b = len(sources)
+        cols = np.arange(b)
+        dist = np.full((n, b), -1, dtype=np.int32)
+        sigma = np.zeros((n, b))
+        dist[sources, cols] = 0
+        sigma[sources, cols] = 1.0
+        frontier = np.zeros((n, b), dtype=bool)
+        frontier[sources, cols] = True
+        levels = [frontier]
+        level = 0
+        while True:
+            level += 1
+            flow = adjacency @ (sigma * levels[-1])
+            fresh = (dist < 0) & (flow > 0)
+            if not fresh.any():
+                break
+            dist[fresh] = level
+            sigma[fresh] = flow[fresh]
+            levels.append(fresh)
+        delta = np.zeros((n, b))
+        safe_sigma = np.where(sigma > 0, sigma, 1.0)
+        for depth in range(len(levels) - 1, 0, -1):
+            coef = np.where(levels[depth], (1.0 + delta) / safe_sigma, 0.0)
+            back = adjacency @ coef
+            delta += np.where(levels[depth - 1], sigma * back, 0.0)
+        delta[sources, cols] = 0.0
+        scores += delta.sum(axis=1)
+    return scores / 2.0
+
+
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_betweenness_unit_matches_reference_loop(batch):
+    graphs = [generate_powerlaw_tree(120, 2.5, seed=s) for s in (0, 1)]
+    graphs += [generate_random_graph(100, 0.05, seed=s) for s in (2, 3)]
+    rng = np.random.default_rng(11)
+    graphs.append(build_knn_kernel_graph(PointCloud(rng.standard_normal((90, 2))), 6, 1.0))
+    graphs.append(two_component_graph())
+    for g in graphs:
+        adjacency = g.hop_adjacency()
+        assert np.array_equal(_betweenness_unit(adjacency, batch=batch),
+                              reference_betweenness_unit(adjacency, batch=batch))
 
 
 def test_betweenness_singleton_and_validation(star4):

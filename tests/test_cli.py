@@ -449,28 +449,31 @@ _DEFERRED_MODULES = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.lina
 
 
 def test_cold_commands_load_only_what_they_run(workdir):
-    """Importing the package loads none of the deferred scipy submodules, and
-    neither do the commands that build no kNN graph, check no connectivity and
-    run no Dijkstra or Lanczos. The commands that do still run from that cold
-    state: a kNN build, a Dijkstra average and a Lanczos spectral baseline (an
-    SBM past the 600-vertex dense cutoff) load their modules at first use.
-    One child interpreter runs the phases in order and reports, after each,
-    the exit codes and which deferred modules are loaded."""
+    """Importing the package loads no scipy module at all, and neither do the
+    commands that build no sparse matrix: generating an SBM or a mixture, a
+    random baseline, an indicator eval of it and that eval's replay. Selection,
+    a smooth eval and a select replay load scipy.sparse but none of the
+    deferred submodules. The commands that need those still run from that
+    cold state: a kNN build, a Dijkstra average and a Lanczos spectral
+    baseline (an SBM past the 600-vertex dense cutoff) load their modules at
+    first use. One child interpreter runs the phases in order and reports,
+    after each, the exit codes and which scipy modules are loaded."""
     phases = [
         [],  # the import alone
         [["generate", "--model", "sbm", "--sizes", "30,30", "--p-in", "0.3",
           "--p-out", "0.05", "--seed", "1", "-o", "g.json"],
-         ["select", "--graph", "g.json", "--k", "5", "--ell", "2", "--uniform-costs", "3",
-          "--kappa", "0.8", "-o", "cs.json"],
-         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "indicator",
+         ["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1",
+          "--n", "60", "--seed", "2", "-o", "c.csv"],
+         ["baseline", "--method", "random", "--graph", "g.json", "--k", "5", "-o", "r.json"],
+         ["eval", "--graph", "g.json", "--coreset", "r.json", "--function", "indicator",
           "-o", "ind.csv"],
+         ["replay", "ind.csv.manifest.json", "--verify"]],
+        [["select", "--graph", "g.json", "--k", "5", "--ell", "2", "--uniform-costs", "3",
+          "--kappa", "0.8", "-o", "cs.json"],
          ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "smooth",
           "-o", "smooth.csv"],
-         ["replay", "cs.json.manifest.json", "--verify"],
-         ["baseline", "--method", "random", "--graph", "g.json", "--k", "5", "-o", "r.json"]],
-        [["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1",
-          "--n", "60", "--seed", "2", "-o", "c.csv"],
-         ["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "6",
+         ["replay", "cs.json.manifest.json", "--verify"]],
+        [["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "6",
           "-o", "knn.json"],
          ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function",
           "average-distance", "-o", "dist.csv"],
@@ -485,16 +488,21 @@ def test_cold_commands_load_only_what_they_run(workdir):
             "for phase in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes = [graphcoreset.cli.main(argv) for argv in phase]\n"
-            f"    report.append([codes, [m for m in {_DEFERRED_MODULES!r} if m in sys.modules]])\n"
+            "    report.append([codes, sorted(m for m in sys.modules\n"
+            "                                 if m == 'scipy' or m.startswith('scipy.'))])\n"
             "print(json.dumps(report))\n")
     src = str(Path(graphcoreset.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", code, json.dumps(phases)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    (_, imported), (cold_codes, cold), (deferred_codes, deferred) = json.loads(done.stdout)
-    assert imported == [] and cold == []
-    assert cold_codes == [0] * len(phases[1]) and deferred_codes == [0] * len(phases[2])
+    (_, imported), (free_codes, free), (sparse_codes, sparse), (deferred_codes, deferred) = (
+        json.loads(done.stdout))
+    assert imported == [] and free == []
+    assert "scipy.sparse" in sparse
+    assert [m for m in _DEFERRED_MODULES if m in sparse] == []
+    assert free_codes == [0] * len(phases[1]) and sparse_codes == [0] * len(phases[2])
+    assert deferred_codes == [0] * len(phases[3])
     assert set(deferred) >= {"scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"}
     assert Graph.load_json("big.json").n > 600
 
