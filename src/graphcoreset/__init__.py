@@ -8,11 +8,13 @@ alignment quality for cheaper vertices.
 
 Importing the package loads numpy and the standard library only: every
 scipy module is imported inside the functions that call it. Generating an
-SBM, power-law tree or Gaussian mixture, the random and k-means baselines
+SBM, power-law tree, random graph or Gaussian mixture (components are
+labelled over the edge array in numpy), the random and k-means baselines
 and an indicator evaluation load no scipy at all; the walk matrix, its
-powers and the adjacency load scipy.sparse; the kNN build loads
-scipy.spatial, connected components and Dijkstra scipy.sparse.csgraph, and
-Lanczos past 600 vertices scipy.sparse.linalg.
+powers and the adjacency load scipy.sparse, and so do betweenness and
+average distances, which are breadth-first sweeps over the hop adjacency;
+the kNN build loads scipy.spatial, and Lanczos past 600 vertices
+scipy.sparse.linalg.
 """
 
 from .baselines import (
@@ -21,10 +23,12 @@ from .baselines import (
     kmeans_coreset,
     random_sampling,
     spectral_clustering_coreset,
+    top_betweenness,
 )
 from .evaluate import (
     ExperimentResult,
     avg_shortest_path_estimate,
+    betweenness_and_distances,
     bound_check,
     error_metric,
     estimate_mean,
@@ -76,6 +80,7 @@ __all__ = [
     "PointCloud",
     "SelectionConfig",
     "avg_shortest_path_estimate",
+    "betweenness_and_distances",
     "betweenness_coreset",
     "betweenness_scores",
     "bound_check",
@@ -102,6 +107,7 @@ __all__ = [
     "source_average_distances",
     "spectral_clustering_coreset",
     "synthesize_smooth_function",
+    "top_betweenness",
     "top_eigenvectors",
     "__version__",
 ]

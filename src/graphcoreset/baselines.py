@@ -18,6 +18,8 @@ from .spectral import lazy_walk_matrix, top_eigenvectors
 # Lloyd stops once every centroid moved less than _LLOYD_TOL, or after _LLOYD_MAX_ITER rounds
 _LLOYD_TOL = 1e-6
 _LLOYD_MAX_ITER = 300
+# sources per breadth-first sweep: the sweep holds a few (n, _BATCH) arrays
+_BATCH = 256
 
 
 def random_sampling(n: int, k: int, seed: int) -> Coreset:
@@ -145,47 +147,106 @@ def betweenness_scores(graph: Graph) -> np.ndarray:
 
     Edge weights are affinities and are not read (Graph.hop_adjacency).
     Brandes per block of sources: batched breadth-first sweeps count the
-    shortest paths σ, and dependencies δ flow back level by level.
+    shortest paths σ (_levels), and dependencies δ flow back level by level.
     Unreachable pairs contribute 0.
     """
     return _betweenness_unit(graph.hop_adjacency())
 
 
-def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = 256) -> np.ndarray:
+def _levels(adjacency: sp.csr_matrix, sources: np.ndarray, sigma: np.ndarray | None = None):
+    """The breadth-first levels from each source, one column per source.
+
+    Yields, depth by depth from the sources' own level, the (n, b) mask of
+    the vertices first reached at that depth. Given sigma, an (n, b) float64
+    zero array, it also counts there the shortest paths to every reached
+    vertex: the frontier carries its σ through the adjacency. Without it the
+    frontier is 0/1 in the adjacency's dtype; a float32 adjacency keeps that
+    exact, since only the sign of a neighbour count is read.
+    """
+    n, b = adjacency.shape[0], len(sources)
+    cols = np.arange(b)
+    level = np.zeros((n, b), dtype=bool)
+    level[sources, cols] = True
+    unreached = ~level
+    frontier = level.astype(adjacency.dtype)
+    if sigma is not None:
+        sigma += frontier
+    while True:
+        yield level
+        flow = adjacency @ frontier
+        level = flow > 0
+        level &= unreached
+        if not level.any():
+            return
+        unreached ^= level
+        if sigma is None:
+            np.copyto(frontier, level)
+        else:
+            # σ of the new level is its flow; σ is 0 there before the sum
+            np.multiply(flow, level, out=frontier)
+            sigma += frontier
+
+
+def _depth_sums(levels) -> np.ndarray:
+    """Each source's summed hop distance to the vertices its levels reach."""
+    total = 0
+    for depth, level in enumerate(levels):
+        # a byte sum into int32 counts twice as fast as a boolean sum
+        total = total + np.int64(depth) * level.view(np.uint8).sum(axis=0, dtype=np.int32)
+    return total
+
+
+def _hop_sums(adjacency: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
+    """_depth_sums of each source, _BATCH sources per sweep, with a 0/1 float32
+    frontier: exact, and half the memory traffic of float64."""
+    adjacency = adjacency.astype(np.float32)
+    return np.concatenate([_depth_sums(_levels(adjacency, sources[start:start + _BATCH]))
+                           for start in range(0, len(sources), _BATCH)])
+
+
+def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
+                      depth_sums: np.ndarray | None = None) -> np.ndarray:
+    """Brandes' sums over every source, batch sources at a time; depth_sums,
+    if given, receives each source's _depth_sums from the same levels."""
     n = adjacency.shape[0]
     scores = np.zeros(n)
     for start in range(0, n, batch):
         sources = np.arange(start, min(start + batch, n))
         b = len(sources)
-        cols = np.arange(b)
         sigma = np.zeros((n, b))
-        sigma[sources, cols] = 1.0
-        frontier = np.zeros((n, b), dtype=bool)
-        frontier[sources, cols] = True
-        levels = [frontier]
-        while True:
-            flow = adjacency @ (sigma * levels[-1])
-            # a reached vertex has at least one shortest path: σ = 0 means unreached
-            fresh = (sigma == 0.0) & (flow > 0)
-            if not fresh.any():
-                break
-            np.copyto(sigma, flow, where=fresh)
-            levels.append(fresh)
+        levels = list(_levels(adjacency, sources, sigma))
+        if depth_sums is not None:
+            depth_sums[sources] = _depth_sums(levels)
+        # σ is 0 exactly off the levels, where no coefficient reads it: 1 keeps
+        # the division finite
+        np.copyto(sigma, 1.0, where=sigma == 0.0)
         delta = np.zeros((n, b))
-        safe_sigma = np.where(sigma > 0, sigma, 1.0)
+        coef = np.empty((n, b))
         for depth in range(len(levels) - 1, 0, -1):
-            coef = np.where(levels[depth], (1.0 + delta) / safe_sigma, 0.0)
+            # (1 + δ)/σ on level depth and 0 elsewhere, as a product with the mask
+            np.add(delta, 1.0, out=coef)
+            coef /= sigma
+            coef *= levels[depth]
             back = adjacency @ coef
-            delta += np.where(levels[depth - 1], sigma * back, 0.0)
-        delta[sources, cols] = 0.0
+            back *= sigma
+            back *= levels[depth - 1]
+            delta += back
+        delta[sources, np.arange(b)] = 0.0
         scores += delta.sum(axis=1)
     return scores / 2.0
 
 
 def betweenness_coreset(graph: Graph, k: int) -> Coreset:
     """Top-k vertices by betweenness, uniform 1/k weights, index tie-break."""
-    if not (1 <= k <= graph.n):
+    if not (1 <= k <= graph.n):  # before the sweep, which is the costly part
         raise ValueError("k must be in 1..n")
-    scores = betweenness_scores(graph)
+    return top_betweenness(betweenness_scores(graph), k)
+
+
+def top_betweenness(scores: np.ndarray, k: int) -> Coreset:
+    """betweenness_coreset from given scores: the k highest, highest first and
+    ties to the lower index."""
+    if not (1 <= k <= len(scores)):
+        raise ValueError("k must be in 1..n")
     order = np.argsort(-scores, kind="stable")[:k]
     return Coreset([int(i) for i in order], np.full(k, 1.0 / k), method="betweenness")

@@ -4,7 +4,11 @@ shortest-path (hop count) averages used by the experiment drivers.
 Every evaluated statistic is a GraphFunction: its estimate is estimate_mean,
 its truth GraphFunction.mean() and its error error_metric. The average
 distance is GraphFunction(source_average_distances(graph, np.arange(n)));
-avg_shortest_path_estimate is the paper's K-source estimator of its mean."""
+avg_shortest_path_estimate is the paper's K-source estimator of its mean.
+Hop counts have one kernel, the batched breadth-first level sweep that also
+runs Brandes' forward pass (baselines._levels): a source's average distance
+is its exact integer sum of depth times level size, divided by n, and
+betweenness_and_distances reads both statistics off one sweep."""
 
 import math
 from dataclasses import dataclass
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write_text, fmt_float
+from .baselines import _betweenness_unit, _hop_sums
 from .graphs import Graph
 from .spectral import GraphFunction, NormalizedColumns, smoothness_norm
 
@@ -105,45 +110,66 @@ def bound_check(
 
 
 def eta_diagnostic(columns: NormalizedColumns, kappa: float) -> float:
-    """Worst-case per-step contraction factor implied by the slack parameter."""
+    """sqrt(1 - (kappa * s0)^2), with s0 the best round-0 alignment.
+
+    It bounds the first round only: any pick in the round-0 slack set leaves
+    J_0 <= eta^2. It is not a per-round guarantee, since later rounds' best
+    scores differ: on an SBM(80, 120, 100) at ell 2 (demos/kappa_sweep.py),
+    11 of 12 rounds at kappa = 1 shrink J by less than eta^2. What holds in
+    every round is J_k = J_(k-1) * (1 - s_k^2), with s_k the pick's recorded
+    alignment (tests/test_acceptance.py::test_per_round_residual_identity).
+    """
     if not (0.0 < kappa <= 1.0):
         raise ValueError("kappa must be in (0, 1]")
     best = float(np.max(columns.alignments(columns.target)))
     return float(np.sqrt(max(0.0, 1.0 - (kappa * best) ** 2)))
 
 
-def _sp_dijkstra(matrix, directed, indices):
-    """scipy's dijkstra, imported at its first call. Tests replace this function
-    to count the Dijkstra sources."""
-    from scipy.sparse.csgraph import dijkstra
-
-    return dijkstra(matrix, directed=directed, indices=indices)
+def _require_connected(graph: Graph, source: int) -> None:
+    """Raise unless every vertex is reachable from source, naming source and
+    the lowest vertex it cannot reach: on a disconnected graph no source
+    reaches every vertex, so the first source checked is the one to name."""
+    root = graph.components()
+    apart = np.flatnonzero(root != root[source])
+    if len(apart):
+        raise ValueError(f"no path between {int(source)} and {int(apart[0])}; "
+                         "graph must be connected")
 
 
 def source_average_distances(graph: Graph, sources) -> np.ndarray:
     """Average hop distance from each source to all vertices.
 
     Edge weights are affinities and are not read: every edge has length 1
-    (Graph.hop_adjacency). One Dijkstra per source via the sparse graph
-    routines. Unreachable pairs raise, naming the first offending pair.
+    (Graph.hop_adjacency). One breadth-first sweep per block of sources
+    (baselines._hop_sums, without path counts): a source's average is its
+    exact integer sum of depth times level size, divided by n. A
+    disconnected graph raises, naming the first source and the lowest vertex
+    it cannot reach.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
         return np.zeros(0)
-    dist = _sp_dijkstra(graph.hop_adjacency(), directed=False, indices=sources)
-    dist = np.atleast_2d(dist)
-    if np.isinf(dist).any():
-        src_pos, tgt = np.argwhere(np.isinf(dist))[0]
-        raise ValueError(
-            f"no path between {int(sources[src_pos])} and {int(tgt)}; "
-            "graph must be connected"
-        )
-    return dist.mean(axis=1)
+    if sources.min() < 0 or sources.max() >= graph.n:
+        raise ValueError(f"source index out of range for {graph.n} vertices")
+    _require_connected(graph, sources[0])
+    return _hop_sums(graph.hop_adjacency(), sources) / graph.n
+
+
+def betweenness_and_distances(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """betweenness_scores(graph) and source_average_distances(graph,
+    np.arange(n)) from one Brandes sweep, whose forward levels hold every hop
+    distance. Both equal their separate computations bit for bit; a
+    disconnected graph raises as source_average_distances does."""
+    _require_connected(graph, 0)
+    depth_sums = np.zeros(graph.n, dtype=np.int64)
+    scores = _betweenness_unit(graph.hop_adjacency(), depth_sums=depth_sums)
+    return scores, depth_sums / graph.n
 
 
 def avg_shortest_path_estimate(graph: Graph, coreset) -> float:
-    """The paper's K-source estimate of the mean average distance: Dijkstra
-    runs only from the selected vertices. Its exact counterpart is the mean of
+    """The paper's K-source estimate of the mean average distance: the
+    breadth-first sweep runs only from the selected vertices. Its exact
+    counterpart is the mean of
     GraphFunction(source_average_distances(graph, np.arange(graph.n)))."""
     idx = _indices(coreset, graph.n)
     if len(idx) == 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import betweenness_coreset, kmeans_coreset, random_sampling
-from .evaluate import ExperimentResult, error_metric, results_to_csv, source_average_distances
+from .baselines import kmeans_coreset, random_sampling, top_betweenness
+from .evaluate import ExperimentResult, betweenness_and_distances, error_metric, results_to_csv
 from .graphs import (
     CostVector,
     Graph,
@@ -31,7 +31,7 @@ from .graphs import (
     load_edge_list,
     sample_costs_uniform,
 )
-from .selection import Coreset, select_coreset_grid
+from .selection import select_coreset_grid
 from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns, top_eigenvectors
 from ._util import atomic_write_text, check_fields
 
@@ -47,31 +47,30 @@ class _Instance:
 
     costs holds the placement cost of every vertex and function the vertex
     function whose mean the coresets estimate. grids holds each greedy
-    method's budget grid, ranking the betweenness order, basis the walk's top
-    eigenvectors, and cloud the points k-means clusters (None clusters the
-    spectral embedding instead).
+    method's budget grid, betweenness the vertices' betweenness scores, basis
+    the walk's top eigenvectors, and cloud the points k-means clusters (None
+    clusters the spectral embedding instead).
     """
 
     graph: Graph
     costs: np.ndarray
     function: GraphFunction
     grids: dict
-    ranking: list | None
+    betweenness: np.ndarray | None
     basis: np.ndarray | None
     cloud: PointCloud | None
 
 
 def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: GraphFunction,
-              cloud: PointCloud | None = None) -> _Instance:
+              cloud: PointCloud | None = None,
+              betweenness: np.ndarray | None = None) -> _Instance:
     walk = lazy_walk_matrix(graph)
-    k_max = max(config.k_grid)
     columns = normalized_columns(walk, config.ell)
     grids = {method: select_coreset_grid(columns, costs, kappa, config.k_grid)
              for method, kappa in methods.items() if kappa is not None}
-    ranking = betweenness_coreset(graph, k_max).indices if "betweenness" in methods else None
     clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
-    basis = top_eigenvectors(walk, k_max) if clusters else None
-    return _Instance(graph, costs.costs, function, grids, ranking, basis, cloud)
+    basis = top_eigenvectors(walk, max(config.k_grid)) if clusters else None
+    return _Instance(graph, costs.costs, function, grids, betweenness, basis, cloud)
 
 
 def _embedding(inst: _Instance, K: int) -> PointCloud:
@@ -84,8 +83,7 @@ _BASELINES = {
     "kmeans": lambda inst, K, seed: kmeans_coreset(
         _embedding(inst, K) if inst.cloud is None else inst.cloud, K, seed * 131 + K),
     "spectral": lambda inst, K, seed: kmeans_coreset(_embedding(inst, K), K, seed * 55 + K),
-    "betweenness": lambda inst, K, seed: Coreset(
-        inst.ranking[:K], np.full(K, 1.0 / K), method="betweenness"),
+    "betweenness": lambda inst, K, seed: top_betweenness(inst.betweenness, K),
 }
 
 
@@ -231,13 +229,15 @@ def _shortest_path_graph(config: ShortestPathConfig, seed: int) -> Graph:
 
 
 def run_shortest_path(config: ShortestPathConfig) -> list[ExperimentResult]:
-    """Average-distance estimates from k sources vs the n-source truth."""
+    """Average-distance estimates from k sources vs the n-source truth; the
+    truth and the betweenness baseline come from one Brandes sweep."""
     methods = {"scgiga": config.kappa, "random": None, "betweenness": None}
 
     def instance_for(seed: int) -> _Instance:
         graph = _shortest_path_graph(config, seed)
-        distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
-        return _instance(config, methods, graph, CostVector.zeros(graph.n), distances)
+        scores, distances = betweenness_and_distances(graph)
+        return _instance(config, methods, graph, CostVector.zeros(graph.n),
+                         GraphFunction(distances), betweenness=scores)
 
     return _run(config, methods, instance_for)
 
@@ -271,8 +271,9 @@ def run_ego_centrality(config: EgoCentralityConfig) -> list[ExperimentResult]:
     graph = load_edge_list(config.data_path)
     methods = {"scgiga": 1.0, "scgiga-cost": config.kappa, "random": None, "betweenness": None}
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
-    distances = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
-    shared = _instance(config, methods, graph, costs, distances)
+    scores, distances = betweenness_and_distances(graph)
+    shared = _instance(config, methods, graph, costs, GraphFunction(distances),
+                       betweenness=scores)
     return _run(config, methods, lambda seed: shared)
 
 

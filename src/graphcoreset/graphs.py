@@ -95,6 +95,32 @@ class Graph:
         hops.data = np.ones_like(hops.data)
         return hops
 
+    def components(self) -> np.ndarray:
+        """Each vertex's connected component, named by its lowest vertex.
+
+        Hook and shortcut over the edge array: every round, each root hooks
+        to the lowest root it shares an edge with, then pointer jumping
+        flattens every tree to a star. A root only ever points lower, so no
+        cycle forms. A round merges whole trees rather than moving labels one
+        hop, so unlike label propagation the rounds do not step along the
+        diameter.
+        """
+        root = np.arange(self.n)
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        while True:
+            ru, rv = root[u], root[v]
+            cross = ru != rv
+            if not cross.any():
+                return root
+            # an edge inside one component stays inside it
+            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+
     def degrees(self) -> np.ndarray:
         """Weighted degree of each vertex, D_ii = sum_j W_ij."""
         deg = np.zeros(self.n)
@@ -398,14 +424,15 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
 
 
 def largest_connected_component(graph: Graph) -> Graph:
-    """Induced subgraph on the largest component, vertices renumbered in order."""
-    from scipy.sparse.csgraph import connected_components
+    """Induced subgraph on the largest component, vertices renumbered in order.
 
-    count, member = connected_components(graph.adjacency(), directed=False)
-    if count == 1:
+    Of components tied in size, the one holding the lowest vertex is kept.
+    """
+    root = graph.components()
+    # a component's root is its lowest vertex, so argmax breaks ties that way
+    keep = root == int(np.argmax(np.bincount(root, minlength=graph.n)))
+    if keep.all():
         return graph
-    sizes = np.bincount(member, minlength=count)
-    keep = member == int(np.argmax(sizes))
     old_ids = np.flatnonzero(keep)
     remap = -np.ones(graph.n, dtype=np.int64)
     remap[old_ids] = np.arange(len(old_ids))

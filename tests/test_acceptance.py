@@ -5,7 +5,9 @@ pytest -s, or in the failure report) and then asserts. Criterion 8 has two
 clauses; its estimation-quality clause fails, and the failure is real, not a
 bug in the harness: see test_criterion_8_estimation_comparison for why the
 method cannot win that comparison. test_certificate_identities checks two
-exact identities of every greedy coreset on the instances of criteria 1-7.
+exact identities of every greedy coreset on the instances of criteria 1-7,
+and test_per_round_residual_identity the residual's exact per-round factor
+on every round of their trajectories.
 """
 
 import os
@@ -15,13 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import graphcoreset.evaluate as evaluate_mod
+import graphcoreset.baselines as baselines_mod
 import graphcoreset.experiments as experiments_mod
 from graphcoreset import (
     CostVector,
     Graph,
     SelectionConfig,
     avg_shortest_path_estimate,
+    betweenness_and_distances,
     bound_check,
     build_knn_kernel_graph,
     eigendecomposition,
@@ -90,25 +93,61 @@ def selection_sweep():
 @pytest.fixture(scope="module")
 def study_runs():
     """The studies of criteria 6 and 7, each run once: its rows, its wall time,
-    and the certificate gaps (see _certificate_gaps) of every greedy grid it built."""
+    and the certificate gaps (see _certificate_gaps) and trajectories of every
+    greedy grid it built."""
     real = experiments_mod.select_coreset_grid
     runs = {}
     for criterion, runner, config in (
             (6, run_cluster_indicator, ClusterIndicatorConfig(n=2000, k_grid=(14,))),
             (7, run_sbm_indicator, SbmIndicatorConfig())):
-        gaps = []
+        gaps, trajectories = [], []
 
         def keeping_gaps(columns, costs, kappa, budgets):
             grid = real(columns, costs, kappa, budgets)
             gaps.extend(_certificate_gaps(columns, grid))
+            trajectories.extend(coreset.trajectory for coreset in grid.values())
             return grid
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments_mod, "select_coreset_grid", keeping_gaps)
             start = time.monotonic()
             rows = runner(config)
-            runs[criterion] = (rows, time.monotonic() - start, gaps)
+            runs[criterion] = (rows, time.monotonic() - start, gaps, trajectories)
     return runs
+
+
+@pytest.fixture(scope="module")
+def criteria_grids(selection_sweep):
+    """The certificate gaps (see _certificate_gaps) and trajectories of a greedy
+    budget grid on every instance of criteria 1-5: every budget up to each
+    run's support on the criteria 1 and 2 sweep, and the criteria's own
+    budgets on the others."""
+    gaps, trajectories = [], []
+
+    def keep(cols, grid):
+        gaps.extend(_certificate_gaps(cols, grid))
+        trajectories.extend(coreset.trajectory for coreset in grid.values())
+
+    for _, cols, out, costs, kappa in selection_sweep[0]:  # criteria 1 and 2
+        keep(cols, select_coreset_grid(cols, costs, kappa, range(1, len(out.indices) + 1)))
+    for trial in range(30):  # criterion 3
+        g = generate_random_graph(60 + (trial * 37) % 440, 0.05, seed=trial)
+        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 3)
+        keep(cols, select_coreset_grid(cols, CostVector.zeros(g.n), 1.0, range(1, 4 + trial % 18)))
+    for trial in range(20):  # criterion 4
+        n = 6 + trial % 7
+        if trial % 3 == 0:
+            g = generate_sbm([n // 2, n - n // 2], 0.7, 0.2, seed=trial)
+        else:
+            g = generate_random_graph(n, 0.45, seed=trial)
+        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 2)
+        keep(cols, select_coreset_grid(cols, CostVector.zeros(g.n), 1.0, [1, 2]))
+    for seed in range(20):  # criterion 5
+        g = generate_random_graph(50, 0.12, seed=seed)
+        cols = normalized_columns(lazy_walk_matrix(g), 1)
+        for costs in (CostVector.zeros(g.n), sample_costs_uniform(g.n, seed=seed + 100)):
+            keep(cols, select_coreset_grid(cols, costs, 1.0, range(1, 9)))
+    return gaps, trajectories
 
 
 def test_criterion_1_residual_monotone(selection_sweep):
@@ -214,7 +253,7 @@ def test_criterion_5_kappa_one_cost_blind():
 def test_criterion_6_cost_aware_selection_is_cheaper(study_runs):
     """Mixture graph, n = 2000, kappa 0.8, K = 14: the cost-aware run pays at
     most half the cost-blind median."""
-    rows, elapsed, _ = study_runs[6]
+    rows, elapsed = study_runs[6][:2]
     c_cso, c_cos = cost_report(rows)
     ok = c_cso <= 0.5 * c_cos
     report(6, ok, f"median costs {c_cso:.3f} vs {c_cos:.3f} "
@@ -225,7 +264,7 @@ def test_criterion_6_cost_aware_selection_is_cheaper(study_runs):
 def test_criterion_7_sbm_indicator_comparison(study_runs):
     """Small-block indicator on the three-block model: beats random sampling at
     every budget and the clustering baselines from K = 8 up."""
-    rows, elapsed, _ = study_runs[7]
+    rows, elapsed = study_runs[7][:2]
     med = {(r.method, r.K): r.err for r in rows}
     k_grid = SbmIndicatorConfig().k_grid
     vs_random = all(med[("scgiga", k)] <= med[("random", k)] for k in k_grid)
@@ -253,36 +292,14 @@ def _certificate_gaps(columns, grid: dict) -> list:
     return gaps
 
 
-def test_certificate_identities(selection_sweep, study_runs):
+def test_certificate_identities(criteria_grids, study_runs):
     """Every greedy coreset has sum(w) = 1 - J and r = sqrt(J / n), because P^ell
     is doubly stochastic and P^ell w = beta * y. Checked on every budget of the
     instances of criteria 1-7: sum(w) to 1e-12 relative, and r through n * r^2,
     to J within 1e-13. J = 1 - align^2 carries rounding of a few ulps of 1, so
     near the convergence floor r = sqrt(J / n) holds only to that absolute
     precision, not relatively."""
-    gaps = []
-    for _, cols, out, costs, kappa in selection_sweep[0]:  # criteria 1 and 2
-        budgets = range(1, len(out.indices) + 1)
-        gaps += _certificate_gaps(cols, select_coreset_grid(cols, costs, kappa, budgets))
-    for trial in range(30):  # criterion 3
-        g = generate_random_graph(60 + (trial * 37) % 440, 0.05, seed=trial)
-        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 3)
-        grid = select_coreset_grid(cols, CostVector.zeros(g.n), 1.0, range(1, 4 + trial % 18))
-        gaps += _certificate_gaps(cols, grid)
-    for trial in range(20):  # criterion 4
-        n = 6 + trial % 7
-        if trial % 3 == 0:
-            g = generate_sbm([n // 2, n - n // 2], 0.7, 0.2, seed=trial)
-        else:
-            g = generate_random_graph(n, 0.45, seed=trial)
-        cols = normalized_columns(lazy_walk_matrix(g), 1 + trial % 2)
-        gaps += _certificate_gaps(cols, select_coreset_grid(cols, CostVector.zeros(g.n), 1.0,
-                                                            [1, 2]))
-    for seed in range(20):  # criterion 5
-        g = generate_random_graph(50, 0.12, seed=seed)
-        cols = normalized_columns(lazy_walk_matrix(g), 1)
-        for costs in (CostVector.zeros(g.n), sample_costs_uniform(g.n, seed=seed + 100)):
-            gaps += _certificate_gaps(cols, select_coreset_grid(cols, costs, 1.0, range(1, 9)))
+    gaps = list(criteria_grids[0])
     for criterion in (6, 7):
         gaps += study_runs[criterion][2]
     worst_sum, worst_r = np.max(gaps, axis=0)
@@ -292,30 +309,58 @@ def test_certificate_identities(selection_sweep, study_runs):
     assert ok
 
 
+def test_per_round_residual_identity(criteria_grids, study_runs):
+    """Each greedy round multiplies the residual by 1 - s^2, where s is the
+    picked vertex's score (the trajectory's alignment): J_k = J_{k-1} (1 - s_k^2),
+    from J = 1 before round 0. This exact per-round identity, not eta (a
+    round-0 quantity), is what bounds each round's progress. Checked on every
+    round of every trajectory on the instances of criteria 1-7, to 1e-12
+    absolute in J."""
+    trajectories = list(criteria_grids[1])
+    for criterion in (6, 7):
+        trajectories += study_runs[criterion][3]
+    worst, rounds = 0.0, 0
+    for trajectory in trajectories:
+        before = 1.0
+        for record in trajectory:
+            worst = max(worst, abs(record.residual - before * (1.0 - record.alignment ** 2)))
+            before = record.residual
+            rounds += 1
+    ok = worst <= 1e-12
+    report("residual", ok, f"{len(trajectories)} trajectories, {rounds} rounds, "
+                           f"worst |J_k - J_(k-1) (1 - s_k^2)| {worst:.2g}")
+    assert ok
+
+
 def test_criterion_8_dijkstra_counts(monkeypatch, two_triangles):
-    """Estimating the average-distance statistic runs one Dijkstra per selected
-    vertex; the exact value needs one per vertex."""
+    """Estimating the average-distance statistic runs one single-source search
+    per selected vertex; the exact value needs one per vertex, whether alone
+    (source_average_distances, as eval computes it) or beside betweenness
+    (betweenness_and_distances, as the studies do). Each call of the
+    breadth-first sweep (baselines._levels) searches from a block of sources
+    at once, so the searches are counted as the sources it is given."""
     calls = []
-    real = evaluate_mod._sp_dijkstra
+    real = baselines_mod._levels
 
-    def counting(matrix, directed, indices):
-        calls.append(len(np.atleast_1d(indices)))
-        return real(matrix, directed=directed, indices=indices)
+    def counting(adjacency, sources, sigma=None):
+        calls.append(len(sources))
+        return real(adjacency, sources, sigma)
 
-    monkeypatch.setattr(evaluate_mod, "_sp_dijkstra", counting)
+    monkeypatch.setattr(baselines_mod, "_levels", counting)
     g = generate_random_graph(60, 0.1, seed=1)
     cols = normalized_columns(lazy_walk_matrix(g), 2)
     out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=5))
     k = len(out.indices)
-    calls.clear()
-    avg_shortest_path_estimate(g, out)
-    estimate_calls = list(calls)
-    calls.clear()
-    source_average_distances(g, np.arange(g.n)).mean()
-    truth_calls = list(calls)
-    ok = estimate_calls == [k] and truth_calls == [g.n]
-    report("8a", ok, f"estimate ran {sum(estimate_calls)} Dijkstras for K={k}, "
-                     f"exact ran {sum(truth_calls)} for n={g.n}")
+    counts = []
+    for compute in (lambda: avg_shortest_path_estimate(g, out),
+                    lambda: source_average_distances(g, np.arange(g.n)).mean(),
+                    lambda: betweenness_and_distances(g)):
+        calls.clear()
+        compute()
+        counts.append(sum(calls))
+    ok = counts == [k, g.n, g.n]
+    report("8a", ok, f"estimate searched from {counts[0]} sources for K={k}, exact from "
+                     f"{counts[1]} alone and {counts[2]} beside betweenness for n={g.n}")
     assert ok
 
 

@@ -1,6 +1,8 @@
 """Reference schemes: random, k-means, spectral clustering, betweenness."""
 
 import dataclasses
+import re
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from graphcoreset import (
     Graph,
     GraphFunction,
     PointCloud,
+    betweenness_and_distances,
     betweenness_coreset,
     betweenness_scores,
     build_knn_kernel_graph,
@@ -20,9 +23,12 @@ from graphcoreset import (
     generate_sbm,
     kmeans_coreset,
     random_sampling,
+    source_average_distances,
     spectral_clustering_coreset,
 )
+from graphcoreset import baselines as baselines_mod
 from graphcoreset.baselines import _betweenness_unit, _kmeans_plus_plus, _lloyd
+from graphcoreset.experiments import _BASELINES
 
 
 def test_random_sampling_basics():
@@ -342,6 +348,75 @@ def test_betweenness_unit_matches_reference_loop(batch):
         adjacency = g.hop_adjacency()
         assert np.array_equal(_betweenness_unit(adjacency, batch=batch),
                               reference_betweenness_unit(adjacency, batch=batch))
+
+
+def floyd_warshall_hops(graph: Graph) -> np.ndarray:
+    """All-pairs hop counts, inf between components."""
+    dist = np.full((graph.n, graph.n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for u, v in graph.edges:
+        dist[u, v] = dist[v, u] = 1.0
+    for m in range(graph.n):
+        dist = np.minimum(dist, dist[:, m:m + 1] + dist[m:m + 1, :])
+    return dist
+
+
+def test_hop_kernel_matches_oracles():
+    """The breadth-first sweep on graphs of up to 30 vertices, connected or not,
+    with the sources in any order (repeats too) and any block size:
+    source_average_distances equals the Floyd-Warshall mean exactly, or raises
+    naming the pair Dijkstra's distance table named, the first source in input
+    order and its lowest unreachable vertex; the betweenness of the fused
+    sweep is bit-equal to the reference loop; and the studies' ranking from the
+    fused scores is betweenness_coreset's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 30))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2 * n))
+        if data.draw(st.booleans()):  # a random spanning tree under the pairs: connected
+            parents = data.draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+            pairs += [(p % v, v) for v, p in enumerate(parents, start=1)]
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        if n >= 2 and not edges:
+            edges = [(0, n - 1)]
+        g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), np.ones(len(edges)))
+        dist = floyd_warshall_hops(g)
+        sources = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                              max_size=2 * n)))
+        batch = data.draw(st.integers(1, n))
+        adjacency = g.hop_adjacency()
+        depth_sums = np.zeros(n, dtype=np.int64)
+        fused = _betweenness_unit(adjacency, batch=batch, depth_sums=depth_sums)
+        assert np.array_equal(fused, reference_betweenness_unit(adjacency, batch=batch))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines_mod, "_BATCH", batch)
+            if np.isinf(dist).any():
+                row, target = np.argwhere(np.isinf(dist[sources]))[0]
+                message = (f"no path between {sources[row]} and {target}; "
+                           "graph must be connected")
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    source_average_distances(g, sources)
+                first = np.flatnonzero(np.isinf(dist[0]))[0]
+                with pytest.raises(ValueError, match=f"no path between 0 and {first};"):
+                    betweenness_and_distances(g)
+                return
+            averages = source_average_distances(g, sources)
+        assert np.array_equal(averages, dist[sources].mean(axis=1))
+        assert np.array_equal(depth_sums / n, dist.mean(axis=1))
+        scores, everywhere = betweenness_and_distances(g)
+        assert np.array_equal(scores, betweenness_scores(g))
+        assert np.array_equal(everywhere, dist.mean(axis=1))
+        k_max = data.draw(st.integers(1, n))
+        study = types.SimpleNamespace(betweenness=scores)
+        ranked = _BASELINES["betweenness"](study, k_max, 0)
+        assert ranked.indices == betweenness_coreset(g, k_max).indices
+
+    check()
 
 
 def test_betweenness_singleton_and_validation(star4):

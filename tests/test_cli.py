@@ -444,24 +444,27 @@ def test_out_of_memory_exits_two(workdir):
 
 
 # scipy submodules the package imports only inside the functions that call them
-_DEFERRED_MODULES = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-                     "scipy.linalg")
+_DEFERRED_MODULES = ("scipy.spatial", "scipy.sparse.linalg", "scipy.linalg")
 
 
 def test_cold_commands_load_only_what_they_run(workdir):
     """Importing the package loads no scipy module at all, and neither do the
-    commands that build no sparse matrix: generating an SBM or a mixture, a
-    random baseline, an indicator eval of it and that eval's replay. Selection,
-    a smooth eval and a select replay load scipy.sparse but none of the
-    deferred submodules. The commands that need those still run from that
-    cold state: a kNN build, a Dijkstra average and a Lanczos spectral
-    baseline (an SBM past the 600-vertex dense cutoff) load their modules at
-    first use. One child interpreter runs the phases in order and reports,
-    after each, the exit codes and which scipy modules are loaded."""
+    commands that build no sparse matrix: generating an SBM, a random graph
+    (its largest component is found in numpy) or a mixture, a random baseline,
+    an indicator eval of it and that eval's replay. Selection, a smooth eval,
+    an average-distance eval (breadth-first sweeps over the sparse hop
+    adjacency) and a select replay load scipy.sparse but none of the deferred
+    submodules. The commands that need those still run from that cold state:
+    a kNN build and a Lanczos spectral baseline (an SBM past the 600-vertex
+    dense cutoff) load their modules at first use. No command loads
+    scipy.sparse.csgraph. One child interpreter runs the phases in order and
+    reports, after each, the exit codes and which scipy modules are loaded."""
     phases = [
         [],  # the import alone
         [["generate", "--model", "sbm", "--sizes", "30,30", "--p-in", "0.3",
           "--p-out", "0.05", "--seed", "1", "-o", "g.json"],
+         ["generate", "--model", "random", "--n", "40", "--edge-probability", "0.1",
+          "--seed", "1", "-o", "rg.json"],
          ["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1",
           "--n", "60", "--seed", "2", "-o", "c.csv"],
          ["baseline", "--method", "random", "--graph", "g.json", "--k", "5", "-o", "r.json"],
@@ -472,11 +475,11 @@ def test_cold_commands_load_only_what_they_run(workdir):
           "--kappa", "0.8", "-o", "cs.json"],
          ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "smooth",
           "-o", "smooth.csv"],
+         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function",
+          "average-distance", "-o", "dist.csv"],
          ["replay", "cs.json.manifest.json", "--verify"]],
         [["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "6",
           "-o", "knn.json"],
-         ["eval", "--graph", "g.json", "--coreset", "cs.json", "--function",
-          "average-distance", "-o", "dist.csv"],
          ["generate", "--model", "sbm", "--sizes", "210,200,200", "--p-in", "0.05",
           "--p-out", "0.005", "--seed", "1", "-o", "big.json"],
          ["baseline", "--method", "spectral", "--graph", "big.json", "--k", "3",
@@ -503,8 +506,10 @@ def test_cold_commands_load_only_what_they_run(workdir):
     assert [m for m in _DEFERRED_MODULES if m in sparse] == []
     assert free_codes == [0] * len(phases[1]) and sparse_codes == [0] * len(phases[2])
     assert deferred_codes == [0] * len(phases[3])
-    assert set(deferred) >= {"scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"}
-    assert Graph.load_json("big.json").n > 600
+    assert set(deferred) >= {"scipy.spatial", "scipy.sparse.linalg"}
+    # the modules of a phase stay loaded in the next, so the last phase holds them all
+    assert not [m for m in deferred if m.startswith("scipy.sparse.csgraph")]
+    assert Graph.load_json("rg.json").n > 1 and Graph.load_json("big.json").n > 600
 
 
 @pytest.mark.parametrize("coreset, function", [

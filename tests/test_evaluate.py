@@ -62,6 +62,8 @@ def test_estimators_reject_out_of_range_indices(path3):
             avg_shortest_path_estimate(path3, cs)
         with pytest.raises(ValueError):
             bound_check(f, 0.5, cs, cols)
+        with pytest.raises(ValueError, match="source index out of range for 3 vertices"):
+            source_average_distances(path3, bad)
 
 
 def test_estimate_mean_full_support_recovers_mean():

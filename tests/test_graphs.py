@@ -425,6 +425,55 @@ def test_largest_connected_component_renumbers():
     assert sub.labels.tolist() == [7, 7, 7]
 
 
+def test_components_match_csgraph():
+    """Graph.components partitions the vertices as scipy's connected_components
+    does and names each part by its lowest vertex; largest_connected_component
+    keeps the part scipy's label order and argmax keep, the one holding the
+    lowest vertex when sizes tie, with the same renumbering. The graphs have
+    several components, relabelled at random so that no component is a run of
+    consecutive vertices, and some have ties in size."""
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(5)
+    # two triangles and a path of three, then two paths of four around an edge
+    fixed = [Graph(9, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [6, 7], [7, 8]], np.ones(8)),
+             Graph(10, [[8, 9], [0, 5], [5, 6], [6, 7], [1, 2], [2, 3], [3, 4]], np.ones(7))]
+    drawn = []
+    for trial in range(200):
+        n = int(rng.integers(2, 80))
+        perm = rng.permutation(n)
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(len(iu)) < rng.uniform(0.005, 0.08)
+        keep[int(rng.integers(len(iu)))] = True
+        drawn.append(Graph(n, np.column_stack([perm[iu[keep]], perm[iv[keep]]]),
+                           rng.uniform(0.5, 2.0, keep.sum()), labels=rng.integers(0, 3, n)))
+    ties = 0
+    for g in fixed + drawn:
+        count, member = connected_components(g.adjacency(), directed=False)
+        root = g.components()
+        lowest = np.array([np.flatnonzero(member == c)[0] for c in range(count)])
+        assert np.array_equal(root, lowest[member])
+        sizes = np.bincount(member)
+        ties += int(np.sum(sizes == sizes.max()) > 1)
+        keep = member == int(np.argmax(sizes))
+        sub = largest_connected_component(g)
+        if count == 1:
+            assert sub is g
+            continue
+        old_ids = np.flatnonzero(keep)
+        remap = -np.ones(g.n, dtype=np.int64)
+        remap[old_ids] = np.arange(len(old_ids))
+        inside = keep[g.edges[:, 0]] & keep[g.edges[:, 1]]
+        assert sub.n == len(old_ids)
+        assert np.array_equal(sub.edges, remap[g.edges[inside]])
+        assert np.array_equal(sub.weights, g.weights[inside])
+        assert (sub.labels is None if g.labels is None
+                else np.array_equal(sub.labels, g.labels[old_ids]))
+    assert ties >= 20
+    assert largest_connected_component(fixed[0]).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert largest_connected_component(fixed[1]).edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 
