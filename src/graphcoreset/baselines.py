@@ -18,6 +18,9 @@ from .spectral import lazy_walk_matrix, top_eigenvectors
 # Lloyd stops once every centroid moved less than _LLOYD_TOL, or after _LLOYD_MAX_ITER rounds
 _LLOYD_TOL = 1e-6
 _LLOYD_MAX_ITER = 300
+# From this many points per column up, one bincount per column sums the clusters
+# faster than one over (cluster, column) keys (n 300 to 2,000, 2 to 28 columns)
+_PER_COORDINATE = 100
 # sources per breadth-first sweep: the sweep holds a few (n, _BATCH) arrays
 _BATCH = 256
 
@@ -48,21 +51,43 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centroids
 
 
-def _squared_distances(row_norms: np.ndarray, twice: np.ndarray, centroids: np.ndarray):
-    """|x|^2 - 2 x.c + |c|^2 for every point and centroid, in that operation order."""
-    dist2 = twice @ centroids.T
-    np.subtract(row_norms, dist2, out=dist2)
-    dist2 += np.sum(centroids * centroids, axis=1)[None, :]
+def _squared_distances(norms: np.ndarray, twice_t: np.ndarray, centroids: np.ndarray):
+    """The (k, n) table |x|^2 - 2 x.c + |c|^2 of every centroid and point, in
+    that operation order; norms holds each point's |x|^2 and twice_t is 2 points^T."""
+    dist2 = centroids @ twice_t
+    np.subtract(norms, dist2, out=dist2)
+    dist2 += np.sum(centroids * centroids, axis=1)[:, None]
     return dist2
 
 
-def _cluster_sums(points: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _first_minimum(dist2: np.ndarray) -> np.ndarray:
+    """np.argmin(dist2, axis=0): the first row holding each column's minimum.
+
+    Whole-row passes over the (k, n) table instead of n short columns: each
+    row that holds its column's minimum scores k minus its index, in the
+    smallest unsigned type that holds k, and the top score names the first.
+    A column holding NaN has no row equal to its minimum, so it scores 0 and
+    falls back to argmin, which returns its first NaN.
+    """
+    k = len(dist2)
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    top = ((dist2 == dist2.min(axis=0)) * rank).max(axis=0)
+    first = k - top.astype(np.intp)
+    missed = top == 0
+    if missed.any():
+        first[missed] = np.argmin(dist2[:, missed], axis=0)
+    return first
+
+
+def _cluster_sums(points: np.ndarray, points_t: np.ndarray, assign: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
     """Per-cluster coordinate sums, each added in the order mean(axis=0) adds it.
 
-    Two or more columns: one bincount over (cluster, column) keys adds each
-    cluster's rows in index order, as numpy's axis-0 reduction does. One
-    column: numpy sums it pairwise, so each cluster's run of a stable sort is
-    summed by the same reduction.
+    Two or more columns: numpy's axis-0 reduction adds each cluster's rows
+    in index order, as a bincount does: one per row of points_t (points^T)
+    from _PER_COORDINATE points per column up, else one over (cluster,
+    column) keys. One column: numpy sums it pairwise, so each cluster's run
+    of a stable sort is summed by the same reduction.
     """
     k, d = len(counts), points.shape[1]
     if d == 1:
@@ -70,6 +95,9 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, counts: np.ndarray) ->
         stops = np.cumsum(counts)
         return np.array([[column[stop - count:stop].sum()]
                          for stop, count in zip(stops.tolist(), counts.tolist())])
+    if d * _PER_COORDINATE <= len(points):
+        return np.stack([np.bincount(assign, weights=row, minlength=k) for row in points_t],
+                        axis=1)
     keys = (assign * d)[:, None] + np.arange(d)
     return np.bincount(keys.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
 
@@ -78,33 +106,42 @@ def _lloyd(points: np.ndarray, k: int, seed: int):
     """Lloyd iterations from a kmeans++ start; empty clusters re-seed, in
     ascending cluster order, at the point farthest from its assigned centroid.
 
-    Each iteration is a fixed set of whole-array operations: one distance
-    matrix, one argmin, one set of cluster sums and counts, and a loop over
-    the empty clusters only. Centroids are bit-equal to per-cluster
+    Each iteration is a fixed set of whole-array operations: one (k, n)
+    distance table, one first-minimum pass along it, one set of cluster
+    sums and counts, and a loop over the empty clusters only, which alone
+    read the nearest distances. Centroids are bit-equal to per-cluster
     points[members].mean(axis=0) (see _cluster_sums), and the distances
-    keep one formula and operation order, so argmin ties break the same way.
+    keep one formula and operation order, so ties break the same way. An
+    assignment that repeats with no cluster re-seeded since ends the loop:
+    its means are the current centroids, so every later iteration would
+    repeat it.
     """
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plus_plus(points, k, rng)
-    rows = np.arange(len(points))
-    row_norms = np.sum(points * points, axis=1)[:, None]
-    twice = 2.0 * points
+    norms = np.sum(points * points, axis=1)
+    points_t = np.ascontiguousarray(points.T)
+    twice_t = 2.0 * points_t
+    assign, reseeded = None, True
     for _ in range(_LLOYD_MAX_ITER):
-        dist2 = _squared_distances(row_norms, twice, centroids)
-        assign = np.argmin(dist2, axis=1)
-        nearest = dist2[rows, assign]
+        dist2 = _squared_distances(norms, twice_t, centroids)
+        previous, assign = assign, _first_minimum(dist2)
+        if not reseeded and np.array_equal(assign, previous):
+            return centroids, assign
         counts = np.bincount(assign, minlength=k)
-        new = _cluster_sums(points, assign, counts) / np.maximum(counts, 1)[:, None]
-        for j in np.flatnonzero(counts == 0).tolist():
-            far = int(np.argmax(nearest))
-            new[j] = points[far]
-            nearest[far] = 0.0
+        new = _cluster_sums(points, points_t, assign, counts) / np.maximum(counts, 1)[:, None]
+        empty = np.flatnonzero(counts == 0).tolist()
+        reseeded = bool(empty)
+        if empty:
+            nearest = dist2[assign, np.arange(len(points))]
+            for j in empty:
+                far = int(np.argmax(nearest))
+                new[j] = points[far]
+                nearest[far] = 0.0
         moved = float(np.max(np.linalg.norm(new - centroids, axis=1)))
         centroids = new
         if moved < _LLOYD_TOL:
             break
-    assign = np.argmin(_squared_distances(row_norms, twice, centroids), axis=1)
-    return centroids, assign
+    return centroids, _first_minimum(_squared_distances(norms, twice_t, centroids))
 
 
 def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray):

@@ -48,7 +48,7 @@ class Graph:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+            self.labels = np.array(self.labels, dtype=np.int64).reshape(-1)
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
         if len(self.edges) != len(self.weights):
@@ -64,16 +64,20 @@ class Graph:
                 raise ValueError("self loops are not allowed")
             if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("edge weights must be positive and finite")
-            # canonical form: u < v, lexicographic order, no duplicates
-            u = np.minimum(self.edges[:, 0], self.edges[:, 1])
-            v = np.maximum(self.edges[:, 0], self.edges[:, 1])
-            order = np.lexsort((v, u))
-            self.edges = np.column_stack([u[order], v[order]])
-            self.weights = self.weights[order]
-            if len(self.edges) > 1:
-                same = np.all(self.edges[1:] == self.edges[:-1], axis=1)
-                if np.any(same):
-                    raise ValueError("duplicate edges are not allowed")
+            if _is_canonical(self.edges):
+                # the graph owns its arrays, whatever the caller does with theirs
+                self.edges, self.weights = self.edges.copy(), self.weights.copy()
+            else:
+                # canonical form: u < v, lexicographic order, no duplicates
+                u = np.minimum(self.edges[:, 0], self.edges[:, 1])
+                v = np.maximum(self.edges[:, 0], self.edges[:, 1])
+                order = np.lexsort((v, u))
+                self.edges = np.column_stack([u[order], v[order]])
+                self.weights = self.weights[order]
+                if len(self.edges) > 1:
+                    same = np.all(self.edges[1:] == self.edges[:-1], axis=1)
+                    if np.any(same):
+                        raise ValueError("duplicate edges are not allowed")
 
     @property
     def m(self) -> int:
@@ -144,10 +148,13 @@ class Graph:
         n, edges = data["n"], data["edges"]
         if n >= 2**63:
             raise ValueError("graph n must fit in int64")
-        table = _number_array(edges, np.float64)
-        # np.array also converts numeric strings and booleans; JSON numbers are int or float
-        if edges and (table is None or table.ndim != 2 or table.shape[1] != 3
-                      or not {type(x) for edge in edges for x in edge} <= {int, float}):
+        # one pass over the rows, one over their numbers: JSON numbers are int
+        # or float, where np.array would also take numeric strings and booleans
+        flat = [x for edge in edges if type(edge) is list and len(edge) == 3 for x in edge]
+        table = None
+        if len(flat) == 3 * len(edges) and set(map(type, flat)) <= {int, float}:
+            table = _number_array(flat, np.float64)  # None past the float range
+        if table is None:
             raise ValueError("graph edges must be [u, v, w] triples of numbers")
         table = table.reshape(-1, 3)
         ends = table[:, :2]
@@ -180,6 +187,13 @@ class Graph:
     @classmethod
     def load_json(cls, path: str) -> "Graph":
         return cls.from_dict(read_json(path))
+
+
+def _is_canonical(edges: np.ndarray) -> bool:
+    """Whether every row has u < v and the rows strictly increase as (u, v) pairs."""
+    u, v = edges[:, 0], edges[:, 1]
+    du = np.diff(u)
+    return bool(np.all(u < v) and np.all(du >= 0) and np.all((du > 0) | (np.diff(v) > 0)))
 
 
 def _number_array(values: list, dtype) -> np.ndarray | None:
@@ -414,8 +428,10 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
     degree[0] = degree[1] = 1.0  # first edge 0-1
     for t in range(2, n):
         weight = degree[:t] ** tilt
-        probs = weight / weight.sum()
-        target = int(rng.choice(t, p=probs))
+        # rng.choice(t, p=weight / weight.sum())'s inverse-CDF draw, less its checks
+        cdf = np.cumsum(weight / weight.sum())
+        cdf /= cdf[-1]
+        target = int(cdf.searchsorted(rng.random(), side="right"))
         targets[t - 1] = target
         degree[t] = 1.0
         degree[target] += 1.0

@@ -27,7 +27,7 @@ from graphcoreset import (
     spectral_clustering_coreset,
 )
 from graphcoreset import baselines as baselines_mod
-from graphcoreset.baselines import _betweenness_unit, _kmeans_plus_plus, _lloyd
+from graphcoreset.baselines import _betweenness_unit, _first_minimum, _kmeans_plus_plus, _lloyd
 from graphcoreset.experiments import _BASELINES
 
 
@@ -127,15 +127,23 @@ def reference_lloyd(points, k, seed, tol=1e-6, max_iter=300):
 
 def test_lloyd_matches_reference_loop():
     """Grid clouds give duplicate points, so clusters empty out and re-seed; a
-    grid half next to a Gaussian half empties several clusters at once."""
+    grid half next to a Gaussian half empties several clusters at once.
+    Small clouds run every k in 1..n; runner-shaped ones (up to 300 points,
+    30 dimensions and k = 30) run a few k each."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=60)
+    @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.data())
     def check(data):
-        n = data.draw(st.integers(2, 60))
-        dim = data.draw(st.integers(1, 6))
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(2, 60))
+            dim = data.draw(st.integers(1, 6))
+            ks = range(1, n + 1)
+        else:
+            n = data.draw(st.integers(30, 300))
+            dim = data.draw(st.integers(1, 30))
+            ks = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         normal = rng.standard_normal((n, dim))
         grid = rng.integers(0, data.draw(st.integers(1, 3)), (n, dim)).astype(float)
@@ -143,13 +151,68 @@ def test_lloyd_matches_reference_loop():
         points = {"normal": normal, "grid": grid,
                   "mixed": np.vstack([grid[:n // 2], normal[n // 2:]])}[cloud]
         seed = data.draw(st.integers(0, 1000))
-        for k in range(1, n + 1):
+        for k in ks:
             got_centroids, got_assign = _lloyd(points, k, seed)
             want_centroids, want_assign = reference_lloyd(points, k, seed)
             assert np.array_equal(got_centroids, want_centroids)
             assert np.array_equal(got_assign, want_assign)
 
     check()
+
+
+def test_lloyd_goes_on_after_a_reseed_that_repeats_the_assignment(monkeypatch):
+    """From centroids 3, 10.5 and 100, the empty third cluster re-seeds at 0,
+    where the first centroid also lands, so the next assignment repeats. Its
+    means are not the centroids yet: the next re-seed, at 10, moves them on."""
+    monkeypatch.setattr(baselines_mod, "_kmeans_plus_plus",
+                        lambda points, k, rng: np.array([[3.0], [10.5], [100.0]]))
+    centroids, assign = _lloyd(np.array([[0.0], [0.0], [10.0], [11.0]]), 3, seed=0)
+    assert centroids.ravel().tolist() == [0.0, 11.0, 10.0]
+    assert assign.tolist() == [0, 0, 2, 1]
+
+
+def test_first_minimum_matches_argmin():
+    """Ties, signed zeros, infinities and NaN columns, k from 1 up."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 1e300])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 20))
+        table = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n)))
+        table = table.reshape(k, n)
+        got, want = _first_minimum(table), np.argmin(table, axis=0)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    check()
+    # past 255 rows the scores take a wider type
+    table = np.zeros((300, 4))
+    table[[299, 7, 256, 0], [0, 1, 2, 3]] = -1.0
+    assert _first_minimum(table).tolist() == [299, 7, 256, 0]
+
+
+def test_kmeans_on_huge_coordinates():
+    """Points at 1e200 overflow their squared norms, so the distance table
+    holds inf ties and NaN columns; the coresets are the ones the per-row
+    argmin loop returned, and _lloyd still equals the reference loop."""
+    coords = np.random.default_rng(0).standard_normal((24, 3))
+    coords[::3] *= 1e200
+    cloud = PointCloud(coords)
+    want = {2: ([1, 0], [22, 2]), 3: ([11, 0, 3], [16, 2, 6]), 6: ([11, 0, 3], [16, 2, 6])}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (indices, sizes) in want.items():
+            for seed in (0, 1):
+                out = kmeans_coreset(cloud, k, seed)
+                assert out.indices == indices
+                assert np.array_equal(out.weights, np.array(sizes) / 24)
+                got_centroids, got_assign = _lloyd(coords, k, seed)
+                want_centroids, want_assign = reference_lloyd(coords, k, seed)
+                assert np.array_equal(got_centroids, want_centroids, equal_nan=True)
+                assert np.array_equal(got_assign, want_assign)
 
 
 def test_spectral_clustering_splits_weak_bridge(two_triangles):

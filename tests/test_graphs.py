@@ -52,6 +52,48 @@ def test_graph_rejects_bad_input():
         Graph(3, np.array([[0, 1]]), np.ones(1), labels=np.array([1, 2]))
 
 
+def test_graph_canonical_shuffled_and_flipped_tables_agree():
+    """A canonical table keeps its rows; shuffled and flipped copies sort to them."""
+    rng = np.random.default_rng(5)
+    canonical = build_knn_kernel_graph(PointCloud(rng.standard_normal((60, 2))), 4, 1.0)
+    edges, weights = canonical.edges, canonical.weights
+    order = rng.permutation(len(edges))
+    flip = rng.random(len(edges)) < 0.5
+    flipped = np.where(flip[:, None], edges[:, ::-1], edges)
+    for table, w in [(edges, weights), (edges[order], weights[order]), (flipped, weights),
+                     (flipped[order], weights[order])]:
+        g = Graph(60, table, w)
+        assert g.edges.dtype == np.int64 and g.weights.dtype == np.float64
+        assert g.edges.tobytes() == edges.tobytes()
+        assert g.weights.tobytes() == weights.tobytes()
+    # u falls while v rises: every row has u < v, yet the rows are out of order
+    g = Graph(4, np.array([[1, 2], [0, 3]]), np.array([1.0, 2.0]))
+    assert g.edges.tolist() == [[0, 3], [1, 2]] and g.weights.tolist() == [2.0, 1.0]
+
+
+def test_graph_canonical_looking_duplicate_raises():
+    """Sorted rows with u < v and one repeat are not canonical: they still raise."""
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph(4, np.array([[0, 1], [1, 2], [1, 2], [2, 3]]), np.ones(4))
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph(3, np.array([[0, 1], [0, 2], [0, 1]]), np.ones(3))
+
+
+def test_graph_owns_its_arrays():
+    """Mutating the caller's edge, weight and label arrays leaves a built graph
+    alone, whether its table was canonical or had to be sorted."""
+    for rows in ([[0, 1], [0, 2], [1, 2]], [[1, 2], [0, 2], [1, 0]]):
+        edges, weights = np.array(rows, dtype=np.int64), np.array([1.0, 2.0, 3.0])
+        labels = np.array([4, 5, 6], dtype=np.int64)
+        g = Graph(3, edges, weights, labels)
+        before = g.edges.copy(), g.weights.copy()
+        edges[:] = [[0, 0]]
+        weights[:] = -1.0
+        labels[:] = 0
+        assert np.array_equal(g.edges, before[0]) and np.array_equal(g.weights, before[1])
+        assert g.labels.tolist() == [4, 5, 6]
+
+
 def test_adjacency_and_degrees(two_triangles):
     adj = two_triangles.adjacency()
     assert (adj != adj.T).nnz == 0
@@ -389,6 +431,32 @@ def test_powerlaw_tree_is_a_tree():
     a = generate_powerlaw_tree(50, 2.5, seed=7)
     b = generate_powerlaw_tree(50, 2.5, seed=7)
     assert np.array_equal(a.edges, b.edges)
+
+
+def frozen_powerlaw_targets(n, exponent, seed):
+    """Each vertex's attachment target as the tree generator drew it through rng.choice."""
+    tilt = 1.0 / (exponent - 2.0)
+    rng = np.random.default_rng(seed)
+    degree = np.zeros(n)
+    targets = np.zeros(n - 1, dtype=np.int64)
+    degree[0] = degree[1] = 1.0
+    for t in range(2, n):
+        weight = degree[:t] ** tilt
+        target = int(rng.choice(t, p=weight / weight.sum()))
+        targets[t - 1] = target
+        degree[t] = 1.0
+        degree[target] += 1.0
+    return targets
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 120])
+def test_powerlaw_tree_matches_choice_loop(n):
+    for exponent in (2.05, 2.5, 3.0, 4.5):
+        for seed in range(3):
+            pairs = np.column_stack([np.arange(1, n), frozen_powerlaw_targets(n, exponent, seed)])
+            want = Graph(n, pairs, np.ones(n - 1))
+            got = generate_powerlaw_tree(n, exponent, seed)
+            assert np.array_equal(got.edges, want.edges)
 
 
 def test_powerlaw_tree_validation():
