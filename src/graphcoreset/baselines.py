@@ -145,18 +145,25 @@ def _lloyd(points: np.ndarray, k: int, seed: int):
 
 
 def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray):
-    """Representative of each cluster: member point nearest the centroid."""
-    k = len(centroids)
-    reps, weights = [], []
-    n = len(points)
-    for j in range(k):
-        members = np.flatnonzero(assign == j)
-        if len(members) == 0:
-            continue
-        d = np.sum((points[members] - centroids[j]) ** 2, axis=1)
-        reps.append(int(members[int(np.argmin(d))]))
-        weights.append(len(members) / n)
-    return reps, np.array(weights)
+    """Representative of each non-empty cluster, in cluster order: the member
+    point nearest the centroid, with weight its cluster's fraction of the points.
+
+    Whole-array passes: each point's distance to its own centroid, members
+    grouped by one stable sort of assign (so in index order), and each
+    group's first minimum, or first NaN, as np.argmin over the members
+    would pick it.
+    """
+    dist = np.sum((points - centroids[assign]) ** 2, axis=1)
+    order = np.argsort(assign, kind="stable")
+    sizes = np.bincount(assign)
+    sizes = sizes[sizes > 0]
+    ordered = dist[order]
+    # a group holding a NaN has NaN for its minimum, equal to no member
+    low = np.repeat(np.minimum.reduceat(ordered, np.cumsum(sizes) - sizes), sizes)
+    hits = np.flatnonzero((ordered == low) | np.isnan(ordered))
+    group = np.repeat(np.arange(len(sizes)), sizes)[hits]
+    first = hits[np.concatenate(([True], group[1:] != group[:-1]))]
+    return order[first].tolist(), sizes / len(points)
 
 
 def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> Coreset:

@@ -9,6 +9,11 @@ manifest records each relative file path relative to its own directory, and
 replay resolves it against that directory, so a manifest replays from any
 working directory; absolute paths are recorded and read as they are.
 
+`run` parses with one parser per process, built by `build_parser` on the first
+call, so repeated in-process calls skip its construction; a single command in
+a fresh process builds it once, as before. `build_parser` itself returns a
+new parser on every call.
+
 Exit codes: 0 success, 2 validation error (an input too large for memory
 among them), 3 I/O error, 4 numerical failure.
 """
@@ -16,6 +21,7 @@ among them), 3 I/O error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -418,6 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser run uses, built by build_parser on the first call.
+    Parsing does not change a parser, so every call can share it."""
+    return build_parser()
+
+
 def _params_from_args(args: argparse.Namespace) -> dict:
     types = _parameter_types(args.command, vars(args))
     params = {key: getattr(args, key) for key in types}
@@ -448,7 +461,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     params = _params_from_args(args)
     if args.command == "replay":
         lines = _execute_replay(params)

@@ -379,7 +379,13 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
 
 
 def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int) -> Graph:
-    """Stochastic block model with unit edge weights and block labels."""
+    """Stochastic block model with unit edge weights and block labels.
+
+    The edges are drawn block by block: for each block a, the pairs inside
+    it, then its pairs with each later block b. Each piece is row-major and
+    a vertex's pieces cover increasing ranges of v, so one stable sort on u
+    puts the table in canonical order and Graph does not re-sort it.
+    """
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("block sizes must be a non-empty list of positive integers")
@@ -404,8 +410,8 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int) -> Graph:
             edge_u.append(ia[iu2])
             edge_v.append(ib[iv2])
     u = np.concatenate(edge_u)
-    v = np.concatenate(edge_v)
-    edges = np.column_stack([u, v])
+    order = np.argsort(u, kind="stable")
+    edges = np.column_stack([u[order], np.concatenate(edge_v)[order]])
     return Graph(n, edges, np.ones(len(edges)), labels)
 
 

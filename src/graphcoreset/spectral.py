@@ -117,7 +117,7 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     # rounding can carry a huge power past float range; the norm check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
-            power = _dense_to_csc(np.linalg.matrix_power(walk.toarray(), ell))
+            power = _dense_to_csc(_dense_power(walk, ell))
         else:
             power = walk
             for _ in range(ell - 1):
@@ -128,6 +128,23 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
         raise ValueError("walk power has a zero or non-finite column")
     return NormalizedColumns(ell, power, norms)
+
+
+def _dense_power(walk: sp.csr_matrix, ell: int) -> np.ndarray:
+    """np.linalg.matrix_power(walk.toarray(), ell) for ell >= 1, product for
+    product, holding no factor past its last use: the dense walk goes after
+    its first squaring, and each square after the last product that reads it."""
+    square = walk.toarray()
+    if ell == 3:  # numpy's short cut; the chain below would give P @ P^2
+        return (square @ square) @ square
+    power = None
+    while True:
+        ell, bit = divmod(ell, 2)
+        if bit:
+            power = square if power is None else power @ square
+        if not ell:
+            return power
+        square = square @ square
 
 
 def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:

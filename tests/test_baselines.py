@@ -27,7 +27,13 @@ from graphcoreset import (
     spectral_clustering_coreset,
 )
 from graphcoreset import baselines as baselines_mod
-from graphcoreset.baselines import _betweenness_unit, _first_minimum, _kmeans_plus_plus, _lloyd
+from graphcoreset.baselines import (
+    _betweenness_unit,
+    _first_minimum,
+    _kmeans_plus_plus,
+    _lloyd,
+    _snap_to_members,
+)
 from graphcoreset.experiments import _BASELINES
 
 
@@ -193,6 +199,54 @@ def test_first_minimum_matches_argmin():
     table = np.zeros((300, 4))
     table[[299, 7, 256, 0], [0, 1, 2, 3]] = -1.0
     assert _first_minimum(table).tolist() == [299, 7, 256, 0]
+
+
+def reference_snap(points, centroids, assign):
+    """The per-cluster scan _snap_to_members replaced: each cluster's members,
+    their distances to its centroid, and np.argmin over them."""
+    reps, weights = [], []
+    for j in range(len(centroids)):
+        members = np.flatnonzero(assign == j)
+        if len(members) == 0:
+            continue
+        d = np.sum((points[members] - centroids[j]) ** 2, axis=1)
+        reps.append(int(members[int(np.argmin(d))]))
+        weights.append(len(members) / len(points))
+    return reps, np.array(weights)
+
+
+def test_snap_to_members_matches_reference_scan():
+    """Tied and NaN distances, empty clusters, huge and infinite coordinates;
+    then Lloyd's own clusters on Gaussian clouds of 1 to 28 columns, whose
+    distances are rounded sums."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.inf, -np.inf, np.nan,
+                              1e200, -1e200])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 8))
+        points = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)))
+        centroids = np.array(data.draw(st.lists(values, min_size=k * d, max_size=k * d)))
+        assign = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _snap_to_members(points.reshape(n, d), centroids.reshape(k, d), assign)
+            want = reference_snap(points.reshape(n, d), centroids.reshape(k, d), assign)
+        assert got[0] == want[0]
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+
+    check()
+    rng = np.random.default_rng(5)
+    for n, d, k in ((200, 1, 5), (300, 2, 12), (150, 9, 20), (120, 28, 28)):
+        points = rng.standard_normal((n, d))
+        centroids, assign = _lloyd(points, k, seed=d)
+        got = _snap_to_members(points, centroids, assign)
+        want = reference_snap(points, centroids, assign)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_kmeans_on_huge_coordinates():

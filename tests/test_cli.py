@@ -783,6 +783,49 @@ def test_cli_usage_error_exits_two(workdir):
     assert info.value.code == 2
 
 
+def test_parser_is_built_once_and_build_parser_is_fresh():
+    assert cli._parser() is cli._parser()
+    fresh = cli.build_parser()
+    assert fresh is not cli.build_parser() and fresh is not cli._parser()
+    for argv in (["select", "--graph", "g.json", "--k", "3", "-o", "c.json"],
+                 ["experiment", "--name", "sbm-indicator", "--set", "n=60", "--out-dir", "a"],
+                 ["experiment", "--name", "sbm-indicator", "--out-dir", "b"],
+                 ["replay", "m.json"]):
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_experiment_overrides_do_not_carry_into_the_next_call(workdir):
+    """The shared parser's --set list starts empty on every call."""
+    assert run_cli("experiment", "--name", "sbm-indicator", "--set", "n=60", "--set",
+                   "k_grid=[4]", "--set", "seeds=[0]", "--set", "ell=2", "--out-dir", "a") == 0
+    write_json("cfg.json", {"n": 60, "k_grid": [4], "seeds": [0], "ell": 2})
+    assert run_cli("experiment", "--name", "sbm-indicator", "--config", "cfg.json",
+                   "--out-dir", "b") == 0
+    assert run_cli("experiment", "--name", "sbm-indicator", "--config", "cfg.json",
+                   "--set", "seeds=[1]", "--out-dir", "c") == 0
+    assert read_json("a/manifest.json")["parameters"]["overrides"] == {
+        "n": 60, "k_grid": [4], "seeds": [0], "ell": 2}
+    assert read_json("b/manifest.json")["parameters"]["overrides"] == {}
+    assert read_json("c/manifest.json")["parameters"]["overrides"] == {"seeds": [1]}
+    # the same study, set by flags or by the file, writes the same table
+    assert Path("a/comparison.csv").read_bytes() == Path("b/comparison.csv").read_bytes()
+
+
+def test_valid_call_after_a_usage_error_succeeds(sbm_file, capsys):
+    assert run_cli("select", "--graph", "g.json", "--k", "3", "-o", "want.json") == 0
+    want = capsys.readouterr().out
+    for bad in (["select", "--k", "3"], ["generate", "--model", "bogus", "-o", "x.json"],
+                ["select", "--graph", "g.json", "--k", "three", "-o", "x.json"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli("select", "--graph", "g.json", "--k", "3", "-o", "got.json") == 0
+    assert capsys.readouterr().out == want
+    assert Path("got.json").read_bytes() == Path("want.json").read_bytes()
+    assert not os.path.exists("x.json")
+
+
 def test_package_exports_every_public_name():
     """__all__ names exactly the public functions and classes of the library
     modules, so a deleted or added one cannot leave the export list stale, and

@@ -23,6 +23,7 @@ from graphcoreset import (
     load_edge_list,
     sample_costs_uniform,
 )
+from graphcoreset import graphs as graphs_mod
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,51 @@ def test_sbm_extremes_and_determinism():
         generate_sbm([], 0.5, 0.1, seed=0)
     with pytest.raises(ValueError):
         generate_sbm([5, 5], 1.5, 0.1, seed=0)
+
+
+def _reference_sbm_table(sizes, p_in, p_out, seed):
+    """generate_sbm's edge table as its block-by-block loop first drew it, before
+    any sort, with the vertex labels."""
+    starts = np.cumsum([0] + sizes)
+    rng = np.random.default_rng(seed)
+    edge_u, edge_v = [], []
+    for a in range(len(sizes)):
+        ia = np.arange(starts[a], starts[a + 1])
+        iu, iv = np.triu_indices(len(ia), k=1)
+        keep = rng.random(len(iu)) < p_in
+        edge_u.append(ia[iu[keep]])
+        edge_v.append(ia[iv[keep]])
+        for b in range(a + 1, len(sizes)):
+            ib = np.arange(starts[b], starts[b + 1])
+            iu2, iv2 = np.nonzero(rng.random((len(ia), len(ib))) < p_out)
+            edge_u.append(ia[iu2])
+            edge_v.append(ib[iv2])
+    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
+    labels = np.concatenate([np.full(s, b) for b, s in enumerate(sizes)])
+    return edges, labels
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [7], [1, 1], [3, 1, 4], [5, 5], [12, 1, 9, 6]],
+                         ids=str)
+def test_sbm_table_is_canonical_and_matches_reference_loop(monkeypatch, sizes):
+    """The table generate_sbm hands to Graph is already canonical, and it is
+    the reference loop's table in (u, v) order: same draws, same edges."""
+    seen = []
+    monkeypatch.setattr(graphs_mod, "Graph",
+                        lambda n, edges, weights, labels: seen.append((n, edges, weights, labels)))
+    for p_in in (0.0, 0.3, 1.0):
+        for p_out in (0.0, 0.1, 1.0):
+            for seed in (0, 7):
+                generate_sbm(sizes, p_in, p_out, seed=seed)
+                n, edges, weights, labels = seen.pop()
+                want, want_labels = _reference_sbm_table(sizes, p_in, p_out, seed)
+                want = want[np.lexsort((want[:, 1], want[:, 0]))]
+                assert n == sum(sizes)
+                assert edges.dtype == np.int64 and edges.shape == want.shape
+                assert np.array_equal(edges, want)
+                assert graphs_mod._is_canonical(edges)
+                assert np.array_equal(weights, np.ones(len(want)))
+                assert np.array_equal(labels, want_labels)
 
 
 def test_powerlaw_tree_is_a_tree():

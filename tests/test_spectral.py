@@ -106,6 +106,15 @@ def test_normalized_columns_match_matrix_power(two_triangles):
             assert np.allclose(col * cols.column_norms[i], power[:, i], atol=1e-12)
 
 
+def test_dense_power_matches_matrix_power():
+    """The chain that frees its factors computes numpy's products, bit for bit."""
+    walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.05, seed=2))
+    dense = walk.toarray()
+    for ell in range(1, 65):
+        assert spectral._dense_power(walk, ell).tobytes() == \
+            np.linalg.matrix_power(dense, ell).tobytes(), ell
+
+
 def test_normalized_columns_sparse_path_agrees(large_knn_walk):
     """Past the cutoff the sequential sparse product gives the columns and norms of ell matvecs."""
     cols = normalized_columns(large_knn_walk, 3)
