@@ -247,12 +247,16 @@ def _execute_eval(params: dict):
     else:  # smooth
         walk = lazy_walk_matrix(graph)
         f = synthesize_smooth_function(walk, params["threshold"], seed=params["function_seed"])
+    estimate, truth = estimate_mean(f, coreset), f.mean()
+    err, abs_err = error_metric(f, coreset)
+    if not math.isfinite(err):  # finite weights whose sum, or its error, overflows
+        raise ValueError(f"coreset estimate {fmt_float(estimate)} of the mean "
+                         f"{fmt_float(truth)}: its squared error is past float range")
+    if kind == "smooth":
         columns = normalized_columns(walk, params["ell"])
         _, bound_rhs, holds = bound_check(f, params["threshold"], coreset, columns)
         if not holds:
             raise FloatingPointError("smoothness bound violated; selection output is corrupt")
-    estimate, truth = estimate_mean(f, coreset), f.mean()
-    err, abs_err = error_metric(f, coreset)
     row = ExperimentResult(method=kind, K=len(coreset.indices), err=err, abs_err=abs_err,
                            coreset_cost=coreset.total_cost, bound_rhs=bound_rhs)
     results_to_csv([row], params["out"])

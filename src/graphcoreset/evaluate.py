@@ -51,14 +51,16 @@ def _indices(coreset, n: int) -> np.ndarray:
 
 
 def estimate_mean(function: GraphFunction, coreset) -> float:
-    """Weighted sample estimate of the mean of a vertex function."""
+    """Weighted sample estimate of the mean of a vertex function; a weighted
+    sum past float range is returned as inf or nan, without a warning."""
     idx = _indices(coreset, len(function.values))
     weights = np.asarray(coreset.weights, dtype=np.float64)
     if len(idx) != len(weights):
         raise ValueError("indices and weights length mismatch")
     if len(idx) == 0:
         return 0.0
-    return float(weights @ function.values[idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weights @ function.values[idx])
 
 
 def error_metric(function: GraphFunction, coreset) -> tuple:
@@ -88,7 +90,8 @@ def bound_check(
     Returns (lhs, rhs, holds): the actual estimation error, the certificate
     smoothness * threshold^-ell * ||weighted column mix - uniform||, and
     whether lhs <= rhs up to BOUND_SLACK. Where threshold^ell underflows to
-    0.0 the certificate is vacuous: rhs is +inf and holds is True.
+    0.0, or the residual's norm overflows, the certificate is vacuous: rhs is
+    +inf.
     """
     if not (0.0 < eigenvalue_threshold < 1.0):
         raise ValueError("eigenvalue_threshold must be in (0, 1)")
@@ -104,7 +107,9 @@ def bound_check(
         power = eigenvalue_threshold**columns.ell
     except OverflowError:  # an ell past float range: the power underflows all the same
         power = 0.0
-    rhs = norm / power * float(np.linalg.norm(residual_vec)) if power > 0.0 else math.inf
+    with np.errstate(over="ignore"):
+        distance = float(np.linalg.norm(residual_vec))
+    rhs = norm / power * distance if power > 0.0 else math.inf
     lhs = abs(function.mean() - estimate_mean(function, coreset))
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 

@@ -38,15 +38,19 @@ def two_triangles() -> Graph:
 
 
 def _replay_trajectory(columns, trajectory) -> list:
-    """(coefficients, iterate) after each round, rebuilt from each record's vertex
-    and step size with the selection loop's own blend, normalize and coefficient
-    update, so a complete trajectory reproduces the run's state bit for bit."""
+    """(coefficients, iterate, inner) after each round, rebuilt from each record's
+    vertex and step size with the selection loop's own blend, normalize,
+    coefficient update and alignment rule (columns.step_alignments), so a
+    complete trajectory reproduces the run's state bit for bit. inner holds the
+    alignments the next round scores with, as the loop carries them."""
     coeffs = np.zeros(columns.n)
     iterate = np.zeros(columns.n)
+    inner = np.zeros(columns.n)
     states = []
     for rec in trajectory:
         column = columns.column(rec.vertex)
         if rec.k == 0:
+            norm = 1.0
             coeffs[rec.vertex] = 1.0
             iterate = column
         else:
@@ -56,7 +60,8 @@ def _replay_trajectory(columns, trajectory) -> list:
             coeffs *= 1.0 - rec.delta
             coeffs[rec.vertex] += rec.delta
             coeffs /= norm
-        states.append((coeffs.copy(), iterate))
+        inner = columns.step_alignments(inner, iterate, rec.vertex, rec.delta, norm)
+        states.append((coeffs.copy(), iterate, inner))
     return states
 
 

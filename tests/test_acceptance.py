@@ -170,7 +170,7 @@ def test_criterion_2_residual_identity(selection_sweep, replay_trajectory):
     worst = 0.0
     for n, cols, out, *_ in runs:
         j = out.trajectory[-1].residual
-        _, iterate = replay_trajectory(cols, out.trajectory)[-1]
+        _, iterate, _ = replay_trajectory(cols, out.trajectory)[-1]
         dist2 = float(np.sum((out.beta * iterate - np.full(n, 1.0 / n)) ** 2))
         worst = max(worst, abs(j / n - dist2))
     ok = worst <= 1e-10
@@ -439,7 +439,7 @@ def test_criterion_10_ego_network_run(replay_trajectory):
     elapsed = time.monotonic() - start
     js = [rec.residual for rec in out.trajectory]
     monotone = all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-    _, iterate = replay_trajectory(cols, out.trajectory)[-1]
+    _, iterate, _ = replay_trajectory(cols, out.trajectory)[-1]
     gap = abs(js[-1] / g.n - float(np.sum(
         (out.beta * iterate - np.full(g.n, 1.0 / g.n)) ** 2)))
     ok = monotone and gap <= 1e-10 and len(out.indices) <= 30 and elapsed < 600.0

@@ -8,11 +8,20 @@ case runs `main` in process, so an exception that escapes it fails the test.
 """
 
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
 
+from graphcoreset import (
+    Coreset,
+    Graph,
+    bound_check,
+    lazy_walk_matrix,
+    normalized_columns,
+    synthesize_smooth_function,
+)
 from graphcoreset.cli import main
 
 INPUT = "input.json"
@@ -201,3 +210,29 @@ def test_any_one_broken_field(valid):
         run(kind, json.dumps(_changed(valid[kind], path, value)))
 
     check()
+
+
+def _huge_weights(coreset: dict) -> dict:
+    """The coreset with every weight at 1e308: finite, but their sums overflow."""
+    return dict(coreset, weights=[1e308] * len(coreset["weights"]))
+
+
+@pytest.mark.parametrize("function", EVAL_FUNCTIONS)
+def test_eval_rejects_an_estimate_past_float_range(valid, capsys, function):
+    """An overflowing weighted sum exits 2 with one error line, before any table
+    is written and with no numpy warning (the suite turns warnings into errors)."""
+    Path("huge.json").write_text(json.dumps(_huge_weights(valid["coreset"])), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--graph", "g.json", "--coreset", "huge.json", "--function", function,
+                 "--label", "1", "-o", "huge.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: coreset estimate ")
+    assert not os.path.exists("huge.csv")
+
+
+def test_bound_check_reads_an_overflowing_residual_as_vacuous(valid):
+    """A weighted column mix whose norm overflows gives rhs = inf, with no warning."""
+    walk = lazy_walk_matrix(Graph.load_json("g.json"))
+    f = synthesize_smooth_function(walk, 0.5, seed=0)
+    coreset = Coreset.from_dict(_huge_weights(valid["coreset"]))
+    _, rhs, _ = bound_check(f, 0.5, coreset, normalized_columns(walk, 1))
+    assert rhs == math.inf

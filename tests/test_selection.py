@@ -85,7 +85,7 @@ def test_residual_monotone_and_identity(replay_trajectory):
         out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
         js = [rec.residual for rec in out.trajectory]
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-        _, iterate = replay_trajectory(cols, out.trajectory)[-1]
+        _, iterate, _ = replay_trajectory(cols, out.trajectory)[-1]
         uniform = np.full(g.n, 1.0 / g.n)
         dist2 = float(np.sum((out.beta * iterate - uniform) ** 2))
         assert abs(js[-1] / g.n - dist2) < 1e-10
@@ -99,7 +99,7 @@ def test_weights_follow_from_coefficients(tmp_path, replay_trajectory):
     out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=6))
     out.save_json(str(tmp_path / "cs.json"))
     back = Coreset.load_json(str(tmp_path / "cs.json"))
-    coeffs, iterate = replay_trajectory(cols, back.trajectory)[-1]
+    coeffs, iterate, _ = replay_trajectory(cols, back.trajectory)[-1]
     align = float(np.clip(iterate @ cols.target, -1.0, 1.0))
     assert out.beta == (1.0 / math.sqrt(g.n)) * max(0.0, align)
     idx = np.array(out.indices)
@@ -147,7 +147,7 @@ def test_step_size_minimizes_residual(replay_trajectory):
         blend = blend / np.linalg.norm(blend)
         return 1.0 - float(blend @ cols.target) ** 2
 
-    for (_, iterate), step in zip(states, out.trajectory[1:]):
+    for (_, iterate, _), step in zip(states, out.trajectory[1:]):
         probe = minimize_scalar(lambda d: resid_at(iterate, step.vertex, d),
                                 bounds=(0.0, 1.0), method="bounded")
         chosen = resid_at(iterate, step.vertex, step.delta)
@@ -165,14 +165,14 @@ def test_kappa_one_ignores_costs():
         assert np.array_equal(free.weights, priced.weights)
 
 
-def geodesic_scores(cols: NormalizedColumns, iterate, residual) -> np.ndarray:
+def geodesic_scores(cols: NormalizedColumns, iterate, inner, residual) -> np.ndarray:
     """Cosine between the geodesic directions from the iterate toward each
-    column and toward the target, by the masked textbook formula; residual is
-    the iterate's J, 1 at the zero start, where the scores are the plain
-    alignments."""
+    column and toward the target, by the masked textbook formula; inner holds
+    the columns' alignments with the iterate and residual the iterate's J, 1 at
+    the zero start, where the scores are the plain alignments."""
     base = cols.alignments(cols.target)
     align = float(np.clip(iterate @ cols.target, -1.0, 1.0))
-    proj = np.clip(cols.alignments(iterate), -1.0, 1.0)
+    proj = np.clip(inner, -1.0, 1.0)
     denom = math.sqrt(residual) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
     scores = np.full(cols.n, -np.inf)
     usable = denom > 1e-14
@@ -219,10 +219,10 @@ def knn_walk():
 ])
 def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, instance, ell,
                                                 kappa, budget):
-    """Every round, rebuilt from the replayed state and the previous record's J,
-    the masked score formula gives the recorded alignment and slack set size
-    exactly, and the pick is the slack set's cheapest vertex (the argmax at
-    kappa = 1)."""
+    """Every round, rebuilt from the replayed state (its alignments carried by
+    the loop's own rule) and the previous record's J, the masked score formula
+    gives the recorded alignment and slack set size exactly, and the pick is
+    the slack set's cheapest vertex (the argmax at kappa = 1)."""
     if instance == "knn":
         walk = request.getfixturevalue("knn_walk")
     elif instance == "sbm":  # n <= 2048 at ell >= 2: the dense power path
@@ -233,9 +233,10 @@ def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, inst
     costs = sample_costs_uniform(cols.n, seed=3)
     out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=kappa))
     assert len(out.trajectory) > 1
-    iterate, residual = np.zeros(cols.n), 1.0
-    for step, (_, after) in zip(out.trajectory, replay_trajectory(cols, out.trajectory)):
-        scores = geodesic_scores(cols, iterate, residual)
+    iterate, inner, residual = np.zeros(cols.n), np.zeros(cols.n), 1.0
+    for step, (_, after, after_inner) in zip(out.trajectory,
+                                             replay_trajectory(cols, out.trajectory)):
+        scores = geodesic_scores(cols, iterate, inner, residual)
         slack = np.flatnonzero(scores >= kappa * scores.max())
         assert step.alignment == scores[step.vertex]
         assert step.slack_set_size == len(slack)
@@ -243,7 +244,161 @@ def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, inst
             assert step.vertex == int(np.argmax(scores))
         else:
             assert step.vertex == int(slack[np.argmin(costs.costs[slack])])
-        iterate, residual = after, step.residual
+        iterate, inner, residual = after, after_inner, step.residual
+
+
+# ---------------------------------------------------------------------------
+# alignments carried from round to round
+
+
+@pytest.mark.parametrize("instance, ell", [
+    ("knn", 1), ("knn", 3), ("sbm", 1), ("sbm", 2), ("sbm", 12),
+])
+def test_gram_column_is_the_alignments_of_a_column(request, instance, ell):
+    """gram(i) is alignments(column(i)): the same call on a full power, a
+    gather that agrees to rounding on a stored sparse one."""
+    walk = (request.getfixturevalue("knn_walk") if instance == "knn"
+            else lazy_walk_matrix(generate_sbm([60, 60], 0.2, 0.02, seed=4)))
+    cols = normalized_columns(walk, ell)
+    full = cols.matrix.nnz == cols.n * cols.n
+    assert full == (ell == 12)
+    for i in np.random.default_rng(ell).choice(cols.n, 40, replace=False):
+        got, want = cols.gram(i), cols.alignments(cols.column(i))
+        if full:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("ell, budget", [(1, 1000), (3, 800)])
+def test_carried_alignments_stay_on_the_matvec(knn_walk, replay_trajectory, ell, budget):
+    """On a long low-fill run the alignments blended from Gram columns stay
+    within 1e-13 of a fresh matvec with the iterate, every round (the largest
+    gap measured was 9.4e-16)."""
+    cols = normalized_columns(knn_walk, ell)
+    assert cols.gram_steps
+    costs = sample_costs_uniform(cols.n, seed=5)
+    out = select_coreset(cols, costs, SelectionConfig(budget=budget, kappa=0.8))
+    assert len(out.trajectory) > 1000
+    for _, iterate, inner in replay_trajectory(cols, out.trajectory):
+        assert np.max(np.abs(inner - cols.alignments(iterate))) <= 1e-13
+
+
+def _matvec_select(cols: NormalizedColumns, cost, kappa: float, budget: int) -> tuple:
+    """Frozen copy of the greedy loop that scores every round from a fresh
+    matvec with the iterate, for one budget: (indices, weights, each round's
+    (pick, scores))."""
+    n = cols.n
+    base = cols.alignments(cols.target)
+    coeffs, iterate, align, res_after = np.zeros(n), np.zeros(n), 0.0, 1.0
+    support, rounds = [], []
+    for k in range(64 * min(budget, n) + 64):
+        proj = np.clip(cols.alignments(iterate), -1.0, 1.0)
+        denom = math.sqrt(res_after) * np.sqrt(np.maximum(1.0 - proj * proj, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.where(denom <= 1e-14, -np.inf, (base - proj * align) / denom)
+        v = int(np.argmax(scores))
+        if not np.isfinite(scores[v]) or scores[v] <= 0.0:
+            break
+        slack = np.flatnonzero(scores >= kappa * scores[v])
+        if kappa < 1.0:
+            v = int(slack[np.argmin(cost[slack])])
+        if v not in support and len(support) == budget:
+            break
+        column = cols.column(v)
+        if k == 0:
+            delta, norm, iterate = 1.0, 1.0, column
+        else:
+            gain, anchor = base[v] - align * proj[v], align - base[v] * proj[v]
+            if abs(gain + anchor) < 1e-14:
+                break
+            delta = min(max(gain / (gain + anchor), 0.0), 1.0)
+            blended = (1.0 - delta) * iterate + delta * column
+            norm = float(np.linalg.norm(blended))
+            if norm < 1e-14:
+                break
+            iterate = blended / norm
+        align = float(np.clip(iterate @ cols.target, -1.0, 1.0))
+        if v not in support:
+            support.append(v)
+        coeffs *= 1.0 - delta
+        coeffs[v] += delta
+        coeffs /= norm
+        rounds.append((v, scores))
+        res_before, res_after = res_after, max(1.0 - align * align, 0.0)
+        if res_after <= 1e-12 or res_before - res_after <= 1e-12 * res_before:
+            break
+    beta = (1.0 / math.sqrt(n)) * max(0.0, align)
+    return support, beta * coeffs[support] / cols.column_norms[support], rounds
+
+
+def _tie_decides(scores: np.ndarray, kappa: float) -> bool:
+    """Whether a round's pick rests on scores within 1e-12 relative of its
+    slack boundary kappa * best: a second best at kappa = 1, any score below."""
+    best = scores.max()
+    near = np.abs(scores - kappa * best) <= 1e-12 * best
+    return int(near.sum()) > (1 if kappa == 1.0 else 0)
+
+
+def test_carried_alignments_pick_what_the_matvec_picks():
+    """Seeded kNN, SBM and random graphs at ell 1 and 3, low fill or not: the
+    same picks as the frozen matvec loop, round by round, and weights within
+    1e-12 relative. Only a tie within 1e-12 may send the runs apart, as
+    rounding may (SelectionConfig); unit-weight graphs hold exact ties, such as
+    two columns equal up to a permutation of the vertices."""
+    cloud = PointCloud(np.random.default_rng(2).standard_normal((600, 2)))
+    graphs = [build_knn_kernel_graph(cloud, 10, 1.0),
+              generate_sbm([100, 100, 100], 0.04, 0.002, seed=5),
+              generate_random_graph(400, 0.01, seed=6)]
+    carried = tie_free = 0
+    for graph, ell in itertools.product(graphs, (1, 3)):
+        cols = columns_for(graph, ell)
+        carried += cols.gram_steps
+        costs = sample_costs_uniform(cols.n, seed=ell)
+        for kappa in (1.0, 0.8):
+            out = select_coreset(cols, costs, SelectionConfig(budget=40, kappa=kappa))
+            indices, weights, rounds = _matvec_select(cols, costs.costs, kappa, 40)
+            for record, (pick, scores) in zip(out.trajectory, rounds):
+                if record.vertex != pick:
+                    assert _tie_decides(scores, kappa)
+                    break
+            else:
+                assert len(out.trajectory) == len(rounds)
+                assert out.indices == indices
+                assert np.allclose(out.weights, weights, rtol=1e-12, atol=0.0)
+                # a power past the fill threshold still runs the matvec loop
+                assert cols.gram_steps or out.weights.tobytes() == weights.tobytes()
+                tie_free += 1
+    assert 3 <= carried < 6  # every ell-1 power is low fill, not every ell-3 one
+    assert tie_free >= 10
+
+
+@pytest.mark.parametrize("instance", ["knn", "sbm"])
+def test_matvecs_per_run(request, monkeypatch, instance):
+    """A low-fill power takes one matvec per run (round 0's alignments with the
+    target) and a Gram column per round after it; a full power a matvec per
+    round and no Gram column."""
+    if instance == "knn":  # P^3, fill 0.03
+        cols = normalized_columns(request.getfixturevalue("knn_walk"), 3)
+    else:  # P^12, full
+        cols = normalized_columns(lazy_walk_matrix(generate_sbm([60, 60], 0.2, 0.02, seed=4)), 12)
+    calls = []
+
+    def counted(name):
+        method = getattr(NormalizedColumns, name)
+
+        def call(self, x):
+            calls.append(name)
+            return method(self, x)
+        return call
+
+    for name in ("alignments", "gram"):
+        monkeypatch.setattr(NormalizedColumns, name, counted(name))
+    out = select_coreset(cols, sample_costs_uniform(cols.n, seed=3), SelectionConfig(budget=10))
+    assert out.status == "ok"  # every round placed or reweighted, then one more round
+    rounds = len(out.trajectory) + 1
+    want = (1, rounds - 1) if instance == "knn" else (rounds, 0)
+    assert (calls.count("alignments"), calls.count("gram")) == want
 
 
 def test_cost_scale_invariance():
