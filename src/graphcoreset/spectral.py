@@ -1,14 +1,19 @@
 """Lazy random-walk matrix, normalized walk-power columns, smooth functions.
 
-The walk matrix P = (W - D)/d_max + I is symmetric, doubly stochastic, and
-has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a CSR matrix.
-The walk power P^ell is a dense BLAS matrix power for ell >= 2 on graphs of
-at most 2048 vertices and repeated sparse multiplication otherwise, which at
-ell = 1 is no multiplication at all. The path follows from n and ell alone;
-no caller chooses it. The power is stored as CSC either way. A power with no
-zero entry is also multiplied as dense: its CSC data, in column-major order,
-is the row-major (P^ell)^T, so the greedy rounds score it with one BLAS gemv
-on that buffer; any other power is scored by a CSR matvec. A power that
+The walk matrix P = (W - D)/d_max + I is exactly symmetric, doubly
+stochastic, and has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a
+CSR matrix. The walk power P^ell is a dense BLAS matrix power for ell >= 2 on
+graphs of at most 2048 vertices and repeated sparse multiplication otherwise,
+which at ell = 1 is no multiplication at all. The dense power squares each
+factor as X @ X.T, which BLAS computes as a symmetric rank-k update (syrk,
+half the multiply-adds of a general product); that is X @ X only because P,
+and so each such square, is exactly symmetric. A sparse power that comes to
+store all n * n entries before ell finishes with the same dense chain. The
+path follows from n, ell and the power's fill alone; no caller chooses it.
+The power is stored as CSC either way. A power with no zero entry is also
+multiplied as dense: its CSC data, in column-major order, is the row-major
+(P^ell)^T, so the greedy rounds score it with one BLAS gemv on that buffer;
+any other power is scored by a CSR matvec. A power that
 stores at most _GRAM_MAX_FILL of its n * n entries is not scored by a matvec
 after the first round: each round updates the scores from one Gram column,
 a gather over the CSC columns on the picked column's support. These rules
@@ -161,15 +166,21 @@ class NormalizedColumns:
 def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """Normalized columns of P^ell.
 
-    The result carries ell: the selection and the error bound work from these
-    columns and take no ell of their own.
+    walk must be exactly symmetric, as lazy_walk_matrix returns it: the dense
+    power squares by X @ X.T (see _dense_power). The result carries ell: the
+    selection and the error bound work from these columns and take no ell of
+    their own.
     For ell >= 2, graphs of at most _DENSE_POWER_MAX_N vertices go through a
     dense BLAS matrix power (repeated squaring, so large ell stays cheap).
-    Every other case multiplies P by itself ell - 1 times sparsely, so ell = 1
-    is P itself, and copies the power to CSC without explicit zeros: the same
-    arrays a dense round trip would give, without densifying. A dense power
-    with no zero entry becomes CSC straight from its column-major buffer (see
-    _dense_to_csc).
+    Every other case multiplies P by itself sparsely, so ell = 1 is P itself,
+    and copies the power to CSC without explicit zeros: the same arrays a
+    dense round trip would give, without densifying. Once the sparse power
+    P^k stores all n * n entries (k < ell), its dense copy is smaller than
+    its CSR arrays, so P^ell = P^k @ _dense_power(P, ell - k) finishes in
+    about 2 log2(ell) dense products in place of ell - k sparse ones. A
+    power that never fills (on a disconnected or a regular bipartite graph)
+    keeps the sparse chain. A dense power with no zero entry becomes CSC
+    straight from its column-major buffer (see _dense_to_csc).
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -180,11 +191,15 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
         if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
             power = _dense_to_csc(_dense_power(walk, ell))
         else:
-            power = walk
-            for _ in range(ell - 1):
-                power = power @ walk
-            power = sp.csc_matrix(power, copy=True)
-            power.eliminate_zeros()
+            n, power, k = walk.shape[0], walk, 1
+            while k < ell and power.nnz < n * n:
+                power, k = power @ walk, k + 1
+            if k < ell:
+                power = power.toarray()  # frees the CSR arrays before the chain
+                power = _dense_to_csc(power @ _dense_power(walk, ell - k))
+            else:
+                power = sp.csc_matrix(power, copy=True)
+                power.eliminate_zeros()
         norms = np.sqrt(_column_sums_of_squares(power))
     if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
         raise ValueError("walk power has a zero or non-finite column")
@@ -192,12 +207,20 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
 
 
 def _dense_power(walk: sp.csr_matrix, ell: int) -> np.ndarray:
-    """np.linalg.matrix_power(walk.toarray(), ell) for ell >= 1, product for
-    product, holding no factor past its last use: the dense walk goes after
-    its first squaring, and each square after the last product that reads it."""
+    """walk.toarray() to the power ell >= 1, for an exactly symmetric walk.
+
+    The chain is np.linalg.matrix_power's: right-to-left bits, one general
+    product per extra set bit, and the ell == 3 short cut. Each squaring is
+    X @ X.T on one buffer, which numpy hands to BLAS syrk: it computes one
+    triangle and mirrors it, so the square is exactly symmetric and equals
+    X @ X to rounding. That holds for the next squaring too, since a
+    symmetric X is its own transpose. No factor is held past its last use:
+    the dense walk goes after its first squaring, and each square after the
+    last product that reads it, so no n x n buffer beyond numpy's is live.
+    """
     square = walk.toarray()
     if ell == 3:  # numpy's short cut; the chain below would give P @ P^2
-        return (square @ square) @ square
+        return (square @ square.T) @ square
     power = None
     while True:
         ell, bit = divmod(ell, 2)
@@ -205,7 +228,7 @@ def _dense_power(walk: sp.csr_matrix, ell: int) -> np.ndarray:
             power = square if power is None else power @ square
         if not ell:
             return power
-        square = square @ square
+        square = square @ square.T
 
 
 def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:
@@ -213,17 +236,18 @@ def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:
 
     An array with no zero entry skips scipy's COO round trip: its column-major
     copy is the CSC data, every column holds rows 0..n-1 and column j starts
-    at j * n. Its callers keep n <= _DENSE_POWER_MAX_N, so n * n fits the
-    int32 indices scipy picks too.
+    at j * n. The indices are int32, as scipy picks them, while n * n fits;
+    past that both arrays are int64.
     """
     import scipy.sparse as sp
 
     n = dense.shape[0]
     if np.count_nonzero(dense) < n * n:
         return sp.csc_matrix(dense)
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     data = dense.ravel(order="F")
-    indices = np.tile(np.arange(n, dtype=np.int32), n)
-    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    indices = np.tile(np.arange(n, dtype=index), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=index)
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 

@@ -11,14 +11,17 @@ import scipy.sparse as sp
 
 import graphcoreset
 from graphcoreset import (
+    CostVector,
     GraphFunction,
     PointCloud,
     build_knn_kernel_graph,
     eigendecomposition,
     generate_powerlaw_tree,
+    generate_random_graph,
     generate_sbm,
     lazy_walk_matrix,
     normalized_columns,
+    select_coreset_grid,
     smoothness_norm,
     synthesize_smooth_function,
     top_eigenvectors,
@@ -106,13 +109,43 @@ def test_normalized_columns_match_matrix_power(two_triangles):
             assert np.allclose(col * cols.column_norms[i], power[:, i], atol=1e-12)
 
 
+def _reference_dense_power(dense: np.ndarray, ell: int) -> np.ndarray:
+    """np.linalg.matrix_power's chain with every squaring taken as X @ X.T."""
+    if ell == 3:
+        return (dense @ dense.T) @ dense
+    power, square = None, dense
+    while True:
+        ell, bit = divmod(ell, 2)
+        if bit:
+            power = square if power is None else power @ square
+        if not ell:
+            return power
+        square = square @ square.T
+
+
 def test_dense_power_matches_matrix_power():
-    """The chain that frees its factors computes numpy's products, bit for bit."""
+    """The chain that frees its factors computes the reference loop's
+    products, bit for bit, and np.linalg.matrix_power's to rounding. The
+    entries are nonnegative, so no product cancels: each of the at most
+    2 log2(ell) products adds about n * eps of relative rounding per entry,
+    2e-13 in all at n = 75 and ell <= 64."""
     walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.05, seed=2))
     dense = walk.toarray()
     for ell in range(1, 65):
-        assert spectral._dense_power(walk, ell).tobytes() == \
-            np.linalg.matrix_power(dense, ell).tobytes(), ell
+        got = spectral._dense_power(walk, ell)
+        assert got.tobytes() == _reference_dense_power(dense, ell).tobytes(), ell
+        assert np.allclose(got, np.linalg.matrix_power(dense, ell), rtol=1e-12, atol=0), ell
+
+
+def test_squared_dense_powers_are_exactly_symmetric():
+    """Every power-of-two power of the tree study's walk is exactly symmetric:
+    numpy hands X @ X.T on one buffer to BLAS syrk, which mirrors one
+    triangle. A plain X @ X (gemm) square of this walk is not exactly
+    symmetric, so this fails if the squaring stops going through syrk."""
+    walk = lazy_walk_matrix(generate_powerlaw_tree(300, 3.0, seed=0))
+    for ell in (1, 2, 4, 8, 16, 32, 64):
+        power = spectral._dense_power(walk, ell)
+        assert np.array_equal(power, power.T), ell
 
 
 def test_normalized_columns_sparse_path_agrees(large_knn_walk):
@@ -126,6 +159,23 @@ def test_normalized_columns_sparse_path_agrees(large_knn_walk):
         want = _power_column(large_knn_walk, 3, i)
         assert np.allclose(cols.matrix[:, [i]].toarray().ravel(), want, rtol=0, atol=1e-14)
         assert cols.column_norms[i] == pytest.approx(np.linalg.norm(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("ell", [5, 10**9])
+def test_filled_sparse_power_finishes_densely(monkeypatch, ell):
+    """Past the cutoff, a sparse power that stores all n * n entries (P^4
+    here) finishes with the dense chain: P^ell = P^4 @ _dense_power(P, ell - 4).
+    It agrees with the dense branch to rounding; at ell = 10**9 the sparse
+    chain alone would run ell - 1 products."""
+    walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.05, seed=2))
+    want = normalized_columns(walk, ell)
+    assert (walk @ walk @ walk).nnz < walk.shape[0] ** 2 == (walk @ walk @ walk @ walk).nnz
+    monkeypatch.setattr(spectral, "_DENSE_POWER_MAX_N", 1)
+    got = normalized_columns(walk, ell)
+    assert type(got.rows) is np.ndarray  # a full power, stored from the dense chain
+    # nonnegative entries and no cancellation: a few eps of relative rounding
+    assert np.allclose(got.rows, want.rows, rtol=1e-12, atol=0)
+    assert np.allclose(got.column_norms, want.column_norms, rtol=1e-12, atol=0)
 
 
 def _with_stored_zero_diagonal(walk):
@@ -199,12 +249,12 @@ def test_normalized_columns_helpers(two_triangles):
 
 @pytest.fixture(scope="module")
 def full_powers():
-    """(walk, ell, dense P^ell) for walks whose dense-branch power has no zero
-    entry: the SBM study's graph at ell = 12 and the power-law tree study's at
-    ell = 32."""
+    """(walk, ell, dense P^ell from _dense_power) for walks whose dense-branch
+    power has no zero entry: the SBM study's graph at ell = 12 and the
+    power-law tree study's at ell = 32."""
     sbm = lazy_walk_matrix(generate_sbm([100, 500, 400], 0.15, 0.045, seed=1))
     tree = lazy_walk_matrix(generate_powerlaw_tree(300, 3.0, seed=0))
-    return {name: (walk, ell, np.linalg.matrix_power(walk.toarray(), ell))
+    return {name: (walk, ell, spectral._dense_power(walk, ell))
             for name, walk, ell in (("sbm", sbm, 12), ("tree", tree, 32))}
 
 
@@ -226,9 +276,50 @@ def test_full_power_is_scored_by_a_dense_gemv(full_powers, case):
     y = np.random.default_rng(4).standard_normal(cols.n)
     got = cols.alignments(y)
     assert got.tobytes() == ((cols.rows @ y) / cols.column_norms).tobytes()
-    # the CSR matvec sums each column in another order than the gemv
+    # the CSR matvec sums each column in another order than the gemv; the
+    # largest relative gap measured is 1.02e-13 (the SBM's P^12 at 1 BLAS
+    # thread; 0.98e-13 at 2 threads, 0.73e-13 with gemm squares, the tree
+    # 0.31e-13), so the bound allows twice that
     csr = (cols.matrix.T @ y) / cols.column_norms
-    assert np.allclose(got, csr, rtol=1e-13, atol=0)
+    assert np.allclose(got, csr, rtol=2e-13, atol=0)
+
+
+def _matrix_power_columns(walk, ell: int) -> NormalizedColumns:
+    """normalized_columns(walk, ell) with np.linalg.matrix_power's gemm squares."""
+    power = spectral._dense_to_csc(np.linalg.matrix_power(walk.toarray(), ell))
+    return NormalizedColumns(ell, power, np.sqrt(spectral._column_sums_of_squares(power)))
+
+
+@pytest.mark.parametrize("family, seed", [
+    ("sbm", 1000), ("sbm", 1023), ("tree", 1000), ("tree", 1001),
+    ("random", 1000), ("random", 1003)])
+def test_syrk_squares_move_selections_by_rounding_only(family, seed):
+    """The study graphs select the same vertices, statuses and trajectories
+    from the syrk-squared power as from np.linalg.matrix_power's.
+
+    The powers differ by rounding (a few eps per entry), but a high power's
+    columns all lie near the uniform vector, so each step size divides by
+    differences of alignments near 1 and the weights move by far more: at
+    most 3.45e-9 relative over 320 cells (the SBM study at seeds 1000-1031,
+    trees and random graphs at 1000-1015; seed 1023 is that maximum). The
+    bound leaves a 30x margin over it.
+    """
+    if family == "sbm":
+        graph, ell, ks = generate_sbm([100, 500, 400], 0.15, 0.045, seed=seed), 12, \
+            (4, 8, 12, 16, 20, 24, 28)
+    elif family == "tree":
+        graph, ell, ks = generate_powerlaw_tree(300, 3.0, seed=seed), 32, (5, 10, 20)
+    else:
+        graph, ell, ks = generate_random_graph(300, 0.03, seed=seed), 32, (5, 10, 20)
+    walk = lazy_walk_matrix(graph)
+    costs = CostVector.zeros(graph.n)
+    got = select_coreset_grid(normalized_columns(walk, ell), costs, 1.0, ks)
+    want = select_coreset_grid(_matrix_power_columns(walk, ell), costs, 1.0, ks)
+    for k in ks:
+        assert got[k].indices == want[k].indices, k
+        assert got[k].status == want[k].status, k
+        assert [r.vertex for r in got[k].trajectory] == [r.vertex for r in want[k].trajectory]
+        assert np.allclose(got[k].weights, want[k].weights, rtol=1e-7, atol=0), k
 
 
 def test_power_with_a_zero_entry_keeps_the_csr_view(two_triangles):
