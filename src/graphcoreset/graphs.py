@@ -2,13 +2,16 @@
 
 Graphs are undirected, weighted, and stored in canonical form: each edge once
 as (u, v) with u < v, sorted lexicographically, strictly positive weights, no
-self loops. All generators draw from numpy's seeded Generator so identical
-arguments reproduce identical objects.
+self loops. A graph file is JSON in columns, {"n": n, "u": [...], "v": [...],
+"w": [...]} with an optional "labels": [...], edge i being (u[i], v[i], w[i]).
+All generators draw from numpy's seeded Generator so identical arguments
+reproduce identical objects.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -17,11 +20,8 @@ import numpy as np
 
 from ._util import atomic_write_text, check_fields, dump_json, read_json
 
-# the type of each graph field; the edge table's numbers are checked as an array
-_GRAPH_FIELDS = {"n": int, "edges": list, "labels": list[int]}
-# One edge of Graph.to_dict() as json.dumps(indent=2) lays it out; floats
-# take repr(), which is what the json encoder writes for finite values.
-_EDGE_JSON = "    [\n      %d,\n      %d,\n      %r\n    ]"
+# the type of each graph field; the entries of each list are checked by _number_array
+_GRAPH_FIELDS = {"n": int, "u": list, "v": list, "w": list, "labels": list}
 
 
 @dataclass
@@ -133,56 +133,35 @@ class Graph:
         return deg
 
     def to_dict(self) -> dict:
-        out = {
-            "n": int(self.n),
-            "edges": [[int(u), int(v), float(w)] for (u, v), w in zip(self.edges, self.weights)],
-        }
+        """The graph file's columns: n, the edges' u, v and w, and labels if any."""
+        out = {"n": int(self.n), "u": self.edges[:, 0].tolist(), "v": self.edges[:, 1].tolist(),
+               "w": self.weights.tolist()}
         if self.labels is not None:
-            out["labels"] = [int(x) for x in self.labels]
+            out["labels"] = self.labels.tolist()
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        """Inverse of to_dict; raises ValueError on any malformed field."""
+        """Inverse of to_dict; raises ValueError, naming the field, on any malformed one."""
         check_fields(data, _GRAPH_FIELDS, "graph", optional=("labels",))
-        n, edges = data["n"], data["edges"]
+        n = data["n"]
         if n >= 2**63:
             raise ValueError("graph n must fit in int64")
-        # one pass over the rows, one over their numbers: JSON numbers are int
-        # or float, where np.array would also take numeric strings and booleans
-        flat = [x for edge in edges if type(edge) is list and len(edge) == 3 for x in edge]
-        table = None
-        if len(flat) == 3 * len(edges) and set(map(type, flat)) <= {int, float}:
-            table = _number_array(flat, np.float64)  # None past the float range
-        if table is None:
-            raise ValueError("graph edges must be [u, v, w] triples of numbers")
-        table = table.reshape(-1, 3)
-        ends = table[:, :2]
-        if np.any(ends != np.floor(ends)):
-            raise ValueError("edge endpoints must be integers")
-        if len(ends) and (ends.min() < 0 or ends.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        labels = None
-        if "labels" in data:
-            labels = _number_array(data["labels"], np.int64)
-            if labels is None:
-                raise ValueError("graph labels must fit in int64")
-        return cls(n, ends.astype(np.int64), table[:, 2], labels)
+        u, v, w = (_number_array(data, key, np.float64) for key in "uvw")
+        if not len(u) == len(v) == len(w):
+            raise ValueError(f"graph u, v and w must have equal lengths, got "
+                             f"{len(u)}, {len(v)} and {len(w)}")
+        for key, ends in (("u", u), ("v", v)):
+            if np.any(ends != np.floor(ends)):
+                raise ValueError(f"graph {key} must hold integer endpoints")
+            if len(ends) and (ends.min() < 0 or ends.max() >= n):
+                raise ValueError(f"graph {key} holds an endpoint out of range")
+        labels = _number_array(data, "labels", np.int64) if "labels" in data else None
+        return cls(n, np.column_stack([u, v]).astype(np.int64), w, labels)
 
     def save_json(self, path: str) -> None:
-        """Write to_dict() in json.dumps(indent=2) layout, one template per edge."""
-        parts = ['{\n  "n": %d,\n  "edges": ' % self.n]
-        if self.m:
-            u, v = self.edges.T.tolist()
-            parts += ["[\n", ",\n".join([_EDGE_JSON % row for row in
-                                         zip(u, v, self.weights.tolist())]), "\n  ]"]
-        else:
-            parts.append("[]")
-        if self.labels is not None:
-            parts += [',\n  "labels": [\n',
-                      ",\n".join(["    %d" % x for x in self.labels.tolist()]), "\n  ]"]
-        parts.append("\n}\n")
-        atomic_write_text(path, "".join(parts))
+        """Write to_dict() as one line of JSON."""
+        atomic_write_text(path, json.dumps(self.to_dict()) + "\n")
 
     @classmethod
     def load_json(cls, path: str) -> "Graph":
@@ -196,12 +175,17 @@ def _is_canonical(edges: np.ndarray) -> bool:
     return bool(np.all(u < v) and np.all(du >= 0) and np.all((du > 0) | (np.diff(v) > 0)))
 
 
-def _number_array(values: list, dtype) -> np.ndarray | None:
-    """np.array(values, dtype), or None when the nesting or an entry does not fit."""
+def _number_array(data: dict, key: str, dtype) -> np.ndarray:
+    """The list data[key] as a 1-d array of dtype. ValueError, naming the field,
+    unless every entry is a JSON number (an int for an int64 array; never a
+    boolean) that dtype holds."""
+    kinds, what = ({int}, "integers") if dtype is np.int64 else ({int, float}, "numbers")
+    if not set(map(type, data[key])) <= kinds:
+        raise ValueError(f"graph {key} must hold {what} only")
     try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        return None
+        return np.array(data[key], dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"graph {key} must fit in {np.dtype(dtype).name}") from None
 
 
 @dataclass
@@ -358,8 +342,8 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
     """
     if not (0 < k_neighbors < cloud.n):
         raise ValueError("k_neighbors must satisfy 0 < k < n")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (bandwidth > 0 and bandwidth * bandwidth > 0):  # NaN fails too
+        raise ValueError("bandwidth must be positive, with a square that does not underflow to 0")
     from scipy.spatial import cKDTree
 
     tree = cKDTree(cloud.coords)
@@ -373,7 +357,8 @@ def build_knn_kernel_graph(cloud: PointCloud, k_neighbors: int, bandwidth: float
     # unique's stable sort returns each pair's first occurrence in row order
     _, first = np.unique(lo * cloud.n + hi, return_index=True)
     d = dist[keep][first]
-    weights = np.exp(-(d * d) / (bandwidth * bandwidth))
+    with np.errstate(over="ignore"):  # d² / bandwidth² past float range: weight 0, rejected
+        weights = np.exp(-(d * d) / (bandwidth * bandwidth))
     edges = np.column_stack([lo[first], hi[first]])
     return Graph(cloud.n, edges, weights, cloud.labels)
 
@@ -425,7 +410,7 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("tree needs at least 2 vertices")
-    if exponent <= 2:
+    if not exponent > 2:  # NaN fails too
         raise ValueError("exponent must exceed 2")
     tilt = 1.0 / (exponent - 2.0)
     rng = np.random.default_rng(seed)

@@ -87,6 +87,33 @@ def test_generate_validation_exit_codes(workdir):
                    "--p-in", "1.7", "--p-out", "0.1", "-o", "g.json") == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "--model", "powerlaw-tree", "--n", "6", "--exponent", "nan"], "exponent"),
+    (["experiment", "--name", "shortest-path", "--set", "tree_exponent=NaN", "--set", "n=20",
+      "--set", "seeds=[0]", "--set", "k_grid=[2]"], "exponent"),
+    (["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
+      "--bandwidth", "1e-300"], "bandwidth"),
+    (["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
+      "--bandwidth", "nan"], "bandwidth"),
+    (["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
+      "--bandwidth", "1e-160"], "edge weights"),
+], ids=["nan-exponent", "nan-tree-exponent", "underflowing-bandwidth", "nan-bandwidth",
+        "overflowing-distance"])
+def test_generator_parameter_out_of_domain_exits_two(workdir, capsys, argv, named):
+    """A NaN tree exponent, a bandwidth whose square is 0 or NaN, and distances
+    over a bandwidth so small that every weight comes out 0 are exit 2 with an
+    error naming the cause, and no numpy warning (the suite makes warnings errors)."""
+    assert run_cli("generate", "--model", "gaussian-mixture", "--means", "0,0;4,4",
+                   "--fractions", "0.5,0.5", "--n", "12", "--seed", "1", "-o", "c.csv") == 0
+    out = ["--out-dir", "exp"] if argv[0] == "experiment" else ["-o", "g.json"]
+    capsys.readouterr()
+    code = run_cli(*argv, *out)
+    err = capsys.readouterr().err
+    assert (code, err.split(":")[0]) == (2, "error")
+    assert named in err
+    assert not os.path.exists("g.json") and not os.path.exists("exp/comparison.csv")
+
+
 def test_generate_deterministic_bytes(workdir):
     for name in ("a.json", "b.json"):
         run_cli("generate", "--model", "sbm", "--sizes", "15,15", "--p-in", "0.3",
@@ -149,43 +176,55 @@ def test_select_validation_and_io(sbm_file):
     assert run_cli("select", "--graph", "nope.json", "--k", "3", "-o", "x.json") == 3
 
 
-@pytest.mark.parametrize("content", [
-    {"edges": [[0, 1, 1.0]]},
-    {"n": 2, "edges": [[0, 1]]},
-    {"n": 2, "edges": 5},
-    [1, 2],
-    {"n": 2.7, "edges": [[0, 1, 1.0]]},
-    {"n": 2, "edges": [[0.5, 1, 1.0]]},
-    "",
-    '{"n": 2, "edges": [[0, 1, ',
-    {"n": True, "edges": [[0, 1, 1.0]]},
-    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
-    {"n": 2, "edges": [[0, 1, 1.0, 2.0]]},
-    {"n": 2, "edges": [[0, [1], 1.0]]},
-    {"n": 2, "edges": [[0, 1, {"w": 1}]]},
-    {"n": 2, "edges": [[None, 1, 1.0]]},
-    {"n": 2, "edges": [[0, 10**400, 1.0]]},
-    {"n": 2, "edges": [[0, 2, 1.0]]},
-    {"n": 2, "edges": [[0, 1, -1.0]]},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": None},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, 1.5]},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, "a"]},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [[0], 1]},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0]},
-    {"n": 2, "edges": [[0, "1", "0.5"]]},
-    {"n": 2, "edges": [[0, True, 1.0]]},
-    {"n": 2, "edges": [[0, 1, True]]},
-    {"n": 2, "edges": [[0, 1, 1.0]], "labels": [0, True]},
-    {"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
-    None,
-], ids=["no-n", "edge-without-weight", "edges-not-a-list", "not-an-object", "fractional-n",
-        "fractional-endpoint", "empty-file", "truncated", "boolean-n", "pairs-not-triples",
-        "four-entries", "nested-endpoint", "object-weight", "null-endpoint", "huge-endpoint",
-        "endpoint-past-n", "negative-weight", "null-labels", "fractional-label", "string-label",
-        "nested-label", "short-labels", "string-entries", "boolean-endpoint", "boolean-weight",
-        "boolean-label", "overflowing-degree", "directory"])
-def test_select_rejects_malformed_graph(workdir, capsys, content):
-    """Graph.from_dict raises ValueError (exit 2); only I/O failures exit 3."""
+EDGE = {"n": 2, "u": [0], "v": [1], "w": [1.0]}
+
+
+@pytest.mark.parametrize("content, names", [
+    ({"u": [0], "v": [1], "w": [1.0]}, "graph has no n"),
+    ({"n": 2, "u": [0], "v": [1]}, "graph has no w"),
+    ({"n": 2, "edges": [[0, 1, 1.0]]}, "graph has no u, v, w"),
+    ({**EDGE, "u": 5}, "graph u must be list"),
+    ([1, 2], "graph must be a JSON object"),
+    ({**EDGE, "n": 2.7}, "graph n must be int"),
+    ({**EDGE, "u": [0.5]}, "graph u must hold integer endpoints"),
+    ("", "bad.json: Expecting value"),
+    ('{"n": 2, "u": [0], "v": [1], "w": [', "bad.json: Expecting value"),
+    ({**EDGE, "n": True}, "graph n must be int"),
+    ({"n": 3, "u": [0, 1, 0], "v": [1, 2, 2], "w": [1.0, 1.0]}, "graph u, v and w must have equal"),
+    ({**EDGE, "w": [1.0, 2.0]}, "graph u, v and w must have equal"),
+    ({**EDGE, "v": [[1]]}, "graph v must hold numbers"),
+    ({**EDGE, "w": [{"w": 1}]}, "graph w must hold numbers"),
+    ({**EDGE, "u": [None]}, "graph u must hold numbers"),
+    ({**EDGE, "v": [10**400]}, "graph v must fit in float64"),
+    ({**EDGE, "w": [10**400]}, "graph w must fit in float64"),
+    ({**EDGE, "v": [2]}, "graph v holds an endpoint out of range"),
+    ({**EDGE, "u": [-1]}, "graph u holds an endpoint out of range"),
+    ({**EDGE, "w": [-1.0]}, "edge weights must be positive and finite"),
+    ('{"n": 2, "u": [0], "v": [1], "w": [NaN]}', "edge weights must be positive and finite"),
+    ({**EDGE, "u": [1]}, "self loops"),
+    ({"n": 2, "u": [0, 1], "v": [1, 0], "w": [1.0, 1.0]}, "duplicate edges"),
+    ({**EDGE, "labels": None}, "graph labels must be list"),
+    ({**EDGE, "labels": [0, 1.5]}, "graph labels must hold integers"),
+    ({**EDGE, "labels": [0, "a"]}, "graph labels must hold integers"),
+    ({**EDGE, "labels": [[0], 1]}, "graph labels must hold integers"),
+    ({**EDGE, "labels": [0, 2**63]}, "graph labels must fit in int64"),
+    ({**EDGE, "labels": [0]}, "labels length must equal n"),
+    ({**EDGE, "v": ["1"], "w": ["0.5"]}, "graph v must hold numbers"),
+    ({**EDGE, "v": [True]}, "graph v must hold numbers"),
+    ({**EDGE, "w": [True]}, "graph w must hold numbers"),
+    ({**EDGE, "labels": [0, True]}, "graph labels must hold integers"),
+    ({"n": 3, "u": [0, 1], "v": [1, 2], "w": [1e308, 1e308]}, "walk matrix rows"),
+    (None, "Is a directory"),
+], ids=["no-n", "edge-without-weight", "row-layout", "edges-not-a-list", "not-an-object",
+        "fractional-n", "fractional-endpoint", "empty-file", "truncated", "boolean-n",
+        "pairs-not-triples", "four-entries", "nested-endpoint", "object-weight", "null-endpoint",
+        "huge-endpoint", "huge-weight", "endpoint-past-n", "negative-endpoint", "negative-weight",
+        "nan-weight", "self-loop", "duplicate-edge", "null-labels", "fractional-label",
+        "string-label", "nested-label", "huge-label", "short-labels", "string-entries",
+        "boolean-endpoint", "boolean-weight", "boolean-label", "overflowing-degree", "directory"])
+def test_select_rejects_malformed_graph(workdir, capsys, content, names):
+    """Graph.from_dict raises ValueError (exit 2) with a message that names the
+    field or rule at fault; only I/O failures exit 3."""
     if content is None:
         os.mkdir("bad.json")
     else:
@@ -194,6 +233,7 @@ def test_select_rejects_malformed_graph(workdir, capsys, content):
     code = run_cli("select", "--graph", "bad.json", "--k", "1", "-o", "cs.json")
     err = capsys.readouterr().err
     assert (code, err.split(":")[0]) == ((3, "io error") if content is None else (2, "error"))
+    assert names in err
     assert "Traceback" not in err
 
 
@@ -424,7 +464,7 @@ def test_out_of_memory_exits_two(workdir):
     """A graph whose n fits int64 but whose n-long arrays do not fit memory
     exits 2 with an error line. The child caps its address space first:
     uncapped, an 8 TiB request may be granted lazily and end in the OOM killer."""
-    write_json("huge.json", {"n": 2**40, "edges": [[0, 1, 1.0]]})
+    write_json("huge.json", {"n": 2**40, "u": [0], "v": [1], "w": [1.0]})
     limit = 4 << 30
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY:
@@ -593,7 +633,8 @@ def test_replay_accepts_unread_parameter_keys(sbm_file):
 def test_replay_rejects_changed_inputs(sbm_file):
     run_cli("select", "--graph", sbm_file, "--k", "4", "-o", "cs.json")
     graph = read_json(sbm_file)
-    graph["edges"] = graph["edges"][:-1]
+    for key in "uvw":
+        graph[key] = graph[key][:-1]
     write_json(sbm_file, graph)
     assert run_cli("replay", "cs.json.manifest.json") == 2
 

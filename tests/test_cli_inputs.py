@@ -34,8 +34,9 @@ COMMANDS = {
     "manifest": ["replay", INPUT, "--verify"],
     "config": ["experiment", "--name", "sbm-indicator", "--config", INPUT, "--out-dir", "exp"],
 }
-# the replacement values of a field; DELETE drops the field instead
-DELETE = object()
+# the replacement values of a field; DELETE drops the field instead, and SHORT
+# drops the last entry of a list field
+DELETE, SHORT = object(), object()
 VALUES = [DELETE, None, True, -1, 0.5, 2**63, 10**400, float("nan"), float("inf"),
           float("-inf"), "", "1", [], {}, [[0, [1.5]]]]
 BASELINE_METHODS = ["random", "kmeans", "spectral", "betweenness"]
@@ -141,6 +142,9 @@ def test_broken_json_input(valid, capsys, kind, case, want):
 
 @pytest.mark.parametrize("kind, path, value", [
     ("graph", ("n",), 10**400),
+    ("graph", ("u",), SHORT),
+    ("graph", ("w",), SHORT),
+    ("graph", ("labels",), SHORT),
     ("manifest-generate", ("parameters", "n"), 10**400),
     ("manifest-generate", ("parameters", "means", 0, 0), 10**400),
     ("manifest-generate", ("parameters", "fractions", 0), float("nan")),
@@ -150,13 +154,14 @@ def test_broken_json_input(valid, capsys, kind, case, want):
     ("config", ("block_fractions",), []),
     ("manifest-eval-indicator", ("parameters", "function"), "bogus"),
     ("manifest-baseline-random", ("parameters", "graph"), None),
-], ids=["graph-huge-n", "generate-huge-n", "generate-huge-mean", "generate-nan-fraction",
-        "config-huge-n", "config-infinite-fraction", "config-huge-ell", "config-empty-fractions",
-        "eval-unknown-function", "random-baseline-null-graph"])
+], ids=["graph-huge-n", "graph-short-u", "graph-short-w", "graph-short-labels", "generate-huge-n",
+        "generate-huge-mean", "generate-nan-fraction", "config-huge-n", "config-infinite-fraction",
+        "config-huge-ell", "config-empty-fractions", "eval-unknown-function",
+        "random-baseline-null-graph"])
 def test_broken_field(valid, capsys, kind, path, value):
     """Single fields that once escaped main as an OverflowError or a RuntimeWarning,
-    or ran on an empty list, and a manifest's variant or variant parameter, which
-    replay checks before it runs anything."""
+    or ran on an empty list, a graph column one entry short, and a manifest's
+    variant or variant parameter, which replay checks before it runs anything."""
     capsys.readouterr()
     assert run(kind, json.dumps(_changed(valid[kind], path, value))) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -174,13 +179,16 @@ def _paths(doc, prefix=()):
 
 
 def _changed(doc, path, value):
-    """A copy of doc with the value at path replaced, or dropped for DELETE."""
+    """A copy of doc with the value at path replaced, dropped for DELETE, or
+    shortened by its last entry for SHORT."""
     copy = json.loads(json.dumps(doc))
     parent = copy
     for key in path[:-1]:
         parent = parent[key]
     if value is DELETE:
         del parent[path[-1]]
+    elif value is SHORT:
+        parent[path[-1]] = parent[path[-1]][:-1]
     else:
         parent[path[-1]] = value
     return copy

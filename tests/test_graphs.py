@@ -127,10 +127,14 @@ def test_graph_json_round_trip_unlabeled(tmp_path, path3):
           labels=np.array([0, -2, 1, 10**12, 0])),
 ], ids=["single-vertex", "single-vertex-labeled", "extreme-weights", "labeled"])
 def test_graph_save_json_matches_json_dumps(tmp_path, graph):
-    """save_json writes exactly json.dumps(to_dict(), indent=2), and loads back."""
+    """save_json writes exactly json.dumps(to_dict()) and a newline, one column
+    per field, and loads back bit for bit."""
     path = tmp_path / "g.json"
     graph.save_json(str(path))
-    assert path.read_bytes() == (json.dumps(graph.to_dict(), indent=2) + "\n").encode()
+    doc = graph.to_dict()
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+    assert (doc["u"], doc["v"], doc["w"]) == (graph.edges[:, 0].tolist(),
+                                              graph.edges[:, 1].tolist(), graph.weights.tolist())
     back = Graph.load_json(str(path))
     assert back.n == graph.n
     assert np.array_equal(back.edges, graph.edges)
@@ -391,6 +395,9 @@ def test_knn_kernel_validation():
         build_knn_kernel_graph(cloud, 5, 1.0)
     with pytest.raises(ValueError):
         build_knn_kernel_graph(cloud, 2, 0.0)
+    for bandwidth in (float("nan"), 1e-300):  # NaN, and a square that underflows to 0
+        with pytest.raises(ValueError, match="bandwidth"):
+            build_knn_kernel_graph(cloud, 2, bandwidth)
 
 
 def test_sbm_labels_and_edge_counts():
@@ -510,6 +517,8 @@ def test_powerlaw_tree_validation():
         generate_powerlaw_tree(1, 3.0, seed=0)
     with pytest.raises(ValueError):
         generate_powerlaw_tree(10, 2.0, seed=0)
+    with pytest.raises(ValueError, match="exponent"):
+        generate_powerlaw_tree(10, float("nan"), seed=0)
 
 
 def test_random_graph_extremes():
