@@ -18,12 +18,10 @@ scipy.sparse.linalg.
 """
 
 from .baselines import (
-    betweenness_coreset,
+    BaselineInputs,
     betweenness_scores,
     kmeans_coreset,
     random_sampling,
-    spectral_clustering_coreset,
-    top_betweenness,
 )
 from .evaluate import (
     ExperimentResult,
@@ -70,6 +68,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BaselineInputs",
     "Coreset",
     "CostVector",
     "ExperimentResult",
@@ -81,7 +80,6 @@ __all__ = [
     "SelectionConfig",
     "avg_shortest_path_estimate",
     "betweenness_and_distances",
-    "betweenness_coreset",
     "betweenness_scores",
     "bound_check",
     "build_knn_kernel_graph",
@@ -105,9 +103,7 @@ __all__ = [
     "select_coreset_grid",
     "smoothness_norm",
     "source_average_distances",
-    "spectral_clustering_coreset",
     "synthesize_smooth_function",
-    "top_betweenness",
     "top_eigenvectors",
     "__version__",
 ]

@@ -3,11 +3,15 @@
 Each returns a Coreset with estimator weights that sum to 1 (beta 1, no
 trajectory). These are the standard comparison points for the greedy
 geodesic selector; none of them look at placement costs.
+
+BASELINES is their one table, method -> f(inputs, k, seed), read by the CLI
+and the studies alike. k-means clusters the inputs' point cloud, or else the
+spectral embedding: the first k of the walk's top-k_max eigenvectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,16 +180,6 @@ def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> Coreset:
     return Coreset(reps, weights, method="kmeans")
 
 
-def spectral_clustering_coreset(graph: Graph, k: int, seed: int) -> Coreset:
-    """k-means in the top-k eigenvector embedding of the lazy walk matrix.
-
-    A disconnected graph is handled implicitly: the eigenvalue-1 eigenspace
-    spans component indicators, so clustering splits components first.
-    """
-    embedding = PointCloud(np.ascontiguousarray(top_eigenvectors(lazy_walk_matrix(graph), k)))
-    return replace(kmeans_coreset(embedding, k, seed), method="spectral")
-
-
 def betweenness_scores(graph: Graph) -> np.ndarray:
     """Exact (unnormalized) betweenness centrality; paths count hops.
 
@@ -280,17 +274,44 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
     return scores / 2.0
 
 
-def betweenness_coreset(graph: Graph, k: int) -> Coreset:
-    """Top-k vertices by betweenness, uniform 1/k weights, index tie-break."""
-    if not (1 <= k <= graph.n):  # before the sweep, which is the costly part
-        raise ValueError("k must be in 1..n")
-    return top_betweenness(betweenness_scores(graph), k)
+@dataclass
+class BaselineInputs:
+    """What the baselines read of one graph, or of a point cloud alone. The
+    walk and the betweenness scores, unless given, and the embedding basis
+    (the walk's top k_max eigenvectors) come from graph on first use."""
+
+    graph: Graph | None
+    k_max: int
+    cloud: PointCloud | None = None  # what k-means clusters; None: the embedding
+    walk: sp.csr_matrix | None = None
+    scores: np.ndarray | None = None
+    basis: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def embedding(self, k: int) -> PointCloud:
+        """The first k basis coordinates of each vertex. The eigenvalue-1 vectors
+        span component indicators, so clusters split components first."""
+        if self.basis is None:
+            walk = lazy_walk_matrix(self.graph) if self.walk is None else self.walk
+            self.basis = top_eigenvectors(walk, self.k_max)
+        return PointCloud(np.ascontiguousarray(self.basis[:, :k]))
 
 
-def top_betweenness(scores: np.ndarray, k: int) -> Coreset:
-    """betweenness_coreset from given scores: the k highest, highest first and
-    ties to the lower index."""
-    if not (1 <= k <= len(scores)):
+def _top_betweenness(inputs: BaselineInputs, k: int, seed: int) -> Coreset:
+    """The k vertices of highest betweenness, highest first and ties to the
+    lower index, weight 1/k each."""
+    if not (1 <= k <= inputs.graph.n):  # before the sweep, which is the costly part
         raise ValueError("k must be in 1..n")
-    order = np.argsort(-scores, kind="stable")[:k]
+    if inputs.scores is None:
+        inputs.scores = betweenness_scores(inputs.graph)
+    order = np.argsort(-inputs.scores, kind="stable")[:k]
     return Coreset([int(i) for i in order], np.full(k, 1.0 / k), method="betweenness")
+
+
+BASELINES = {  # betweenness draws nothing, so reads no seed
+    "random": lambda inputs, k, seed: random_sampling(inputs.graph.n, k, seed),
+    "kmeans": lambda inputs, k, seed: kmeans_coreset(
+        inputs.embedding(k) if inputs.cloud is None else inputs.cloud, k, seed),
+    "spectral": lambda inputs, k, seed: replace(
+        kmeans_coreset(inputs.embedding(k), k, seed), method="spectral"),
+    "betweenness": _top_betweenness,
+}

@@ -31,12 +31,7 @@ import numpy as np
 
 from . import experiments
 from ._util import check_fields, dump_json, fmt_float, has_type, read_json, sha256_file
-from .baselines import (
-    betweenness_coreset,
-    kmeans_coreset,
-    random_sampling,
-    spectral_clustering_coreset,
-)
+from .baselines import BASELINES, BaselineInputs
 from .evaluate import (
     ExperimentResult,
     bound_check,
@@ -193,21 +188,14 @@ def _execute_select(params: dict):
 
 
 def _execute_baseline(params: dict):
-    method, k, seed = params["method"], params["k"], params["seed"]
-    if method == "kmeans":
-        inputs = [params["cloud"]]
-        coreset = kmeans_coreset(PointCloud.load_csv(params["cloud"]), k, seed)
-    else:
-        inputs = [params["graph"]]
-        graph = Graph.load_json(params["graph"])
-        if method == "random":
-            coreset = random_sampling(graph.n, k, seed)
-        elif method == "spectral":
-            coreset = spectral_clustering_coreset(graph, k, seed)
-        else:  # betweenness
-            coreset = betweenness_coreset(graph, k)
+    """The method's entry of BASELINES, with k_max = --k."""
+    k, kmeans = params["k"], params["method"] == "kmeans"
+    path = params["cloud" if kmeans else "graph"]
+    inputs = (BaselineInputs(None, k, cloud=PointCloud.load_csv(path)) if kmeans
+              else BaselineInputs(Graph.load_json(path), k))
+    coreset = BASELINES[params["method"]](inputs, k, params["seed"])
     coreset.save_json(params["out"])
-    return inputs, [params["out"]], []
+    return [path], [params["out"]], []
 
 
 def _execute_experiment(params: dict):

@@ -4,10 +4,12 @@ Each study is a frozen config dataclass and a runner that supplies only its
 instance for a seed: the graph, its vertex costs, and the vertex function
 whose mean its methods estimate. One loop runs the study's method table over
 that instance for every K and seed, scores each coreset with error_metric and
-returns median-aggregated ExperimentResult rows. Runners are deterministic
-given their config: every random draw flows through seeds derived from the
-config's seed list, so a rerun reproduces the same rows bit for bit. The CLI
-feeds configs from JSON files; tests call the runners directly.
+returns median-aggregated ExperimentResult rows. A baseline method is its
+entry of baselines.BASELINES with k_max = max(k_grid), seeded at K with
+seed * stride + K (_SEED_STRIDES). Runners are deterministic given their
+config: every random draw flows through seeds derived from the config's seed
+list, so a rerun reproduces the same rows bit for bit. The CLI feeds configs
+from JSON files; tests call the runners directly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import kmeans_coreset, random_sampling, top_betweenness
+from .baselines import BASELINES, BaselineInputs
 from .evaluate import ExperimentResult, betweenness_and_distances, error_metric, results_to_csv
 from .graphs import (
     CostVector,
@@ -32,13 +34,16 @@ from .graphs import (
     sample_costs_uniform,
 )
 from .selection import select_coreset_grid
-from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns, top_eigenvectors
+from .spectral import GraphFunction, lazy_walk_matrix, normalized_columns
 from ._util import atomic_write_text, check_fields
 
 
 # ---------------------------------------------------------------------------
 # the one experiment loop over a method table: greedy method names map to
-# their kappa, baseline names (keys of _BASELINES) to None
+# their kappa, baseline names (keys of baselines.BASELINES) to None
+
+# a baseline's seed at K is seed * stride + K; betweenness draws nothing
+_SEED_STRIDES = {"random": 1000, "kmeans": 131, "spectral": 55, "betweenness": 0}
 
 
 @dataclass
@@ -47,18 +52,14 @@ class _Instance:
 
     costs holds the placement cost of every vertex and function the vertex
     function whose mean the coresets estimate. grids holds each greedy
-    method's budget grid, betweenness the vertices' betweenness scores, basis
-    the walk's top eigenvectors, and cloud the points k-means clusters (None
-    clusters the spectral embedding instead).
+    method's budget grid and baselines what the baseline methods read, with
+    k_max the largest K of the grid.
     """
 
-    graph: Graph
     costs: np.ndarray
     function: GraphFunction
     grids: dict
-    betweenness: np.ndarray | None
-    basis: np.ndarray | None
-    cloud: PointCloud | None
+    baselines: BaselineInputs
 
 
 def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: GraphFunction,
@@ -68,23 +69,9 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: 
     columns = normalized_columns(walk, config.ell)
     grids = {method: select_coreset_grid(columns, costs, kappa, config.k_grid)
              for method, kappa in methods.items() if kappa is not None}
-    clusters = "spectral" in methods or ("kmeans" in methods and cloud is None)
-    basis = top_eigenvectors(walk, max(config.k_grid)) if clusters else None
-    return _Instance(graph, costs.costs, function, grids, betweenness, basis, cloud)
-
-
-def _embedding(inst: _Instance, K: int) -> PointCloud:
-    """The vertices in the walk's top-K eigenvector coordinates."""
-    return PointCloud(np.ascontiguousarray(inst.basis[:, :K]))
-
-
-_BASELINES = {
-    "random": lambda inst, K, seed: random_sampling(inst.graph.n, K, seed * 1000 + K),
-    "kmeans": lambda inst, K, seed: kmeans_coreset(
-        _embedding(inst, K) if inst.cloud is None else inst.cloud, K, seed * 131 + K),
-    "spectral": lambda inst, K, seed: kmeans_coreset(_embedding(inst, K), K, seed * 55 + K),
-    "betweenness": lambda inst, K, seed: top_betweenness(inst.betweenness, K),
-}
+    baselines = BaselineInputs(graph, max(config.k_grid), cloud=cloud, walk=walk,
+                               scores=betweenness)
+    return _Instance(costs.costs, function, grids, baselines)
 
 
 def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
@@ -107,7 +94,7 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
             if method in inst.grids:
                 coreset = inst.grids[method][K]
             else:
-                coreset = _BASELINES[method](inst, K, seed)
+                coreset = BASELINES[method](inst.baselines, K, seed * _SEED_STRIDES[method] + K)
             # priced as the greedy finish prices its own support
             idx = np.array(coreset.indices, dtype=np.int64)
             out.append((error_metric(inst.function, coreset)[0], float(inst.costs[idx].sum())))
@@ -319,8 +306,9 @@ def config_from_mapping(name: str, overrides: dict):
     """Build an experiment config from a flat key-value mapping.
 
     Unknown keys are rejected, and so are a value of another type than its
-    field's default (see _kind) and an empty list; list values are frozen to
-    tuples so configs stay hashable.
+    field's default (see _kind), an empty list and a k_grid or ells that
+    repeats an entry (its rows would be written twice); list values are
+    frozen to tuples so configs stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
@@ -336,6 +324,8 @@ def config_from_mapping(name: str, overrides: dict):
     for key, value in overrides.items():
         if isinstance(value, (list, tuple)) and not value:
             raise ValueError(f"{name} config {key} must not be empty")
+        if key in ("k_grid", "ells") and len(set(value)) < len(value):
+            raise ValueError(f"{name} config {key} must not repeat an entry")
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
 
 

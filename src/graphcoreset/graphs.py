@@ -316,8 +316,8 @@ def generate_gaussian_mixture(means, fractions, covariance_scale: float, n: int,
         raise ValueError("means must be (c, d) with one fraction per component")
     if not (np.all(fractions > 0) and abs(fractions.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("fractions must be positive and sum to 1")
-    if covariance_scale <= 0:
-        raise ValueError("covariance_scale must be positive")
+    if not 0 < covariance_scale < np.inf:  # NaN fails too
+        raise ValueError("covariance_scale must be positive and finite")
     if not len(fractions) <= n < 2**63:
         raise ValueError("need at least one point per component and n within int64")
     counts = np.floor(fractions * n).astype(int)
@@ -417,15 +417,19 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
     degree = np.zeros(n)
     targets = np.zeros(n - 1, dtype=np.int64)
     degree[0] = degree[1] = 1.0  # first edge 0-1
-    for t in range(2, n):
-        weight = degree[:t] ** tilt
-        # rng.choice(t, p=weight / weight.sum())'s inverse-CDF draw, less its checks
-        cdf = np.cumsum(weight / weight.sum())
-        cdf /= cdf[-1]
-        target = int(cdf.searchsorted(rng.random(), side="right"))
-        targets[t - 1] = target
-        degree[t] = 1.0
-        degree[target] += 1.0
+    with np.errstate(over="ignore"):  # a power past float range makes its sum inf
+        for t in range(2, n):
+            weight = degree[:t] ** tilt
+            total = weight.sum()
+            if total == np.inf:
+                raise ValueError(f"exponent {exponent!r} overflows degree ** (1 / (exponent - 2))")
+            # rng.choice(t, p=weight / total)'s inverse-CDF draw, less its checks
+            cdf = np.cumsum(weight / total)
+            cdf /= cdf[-1]
+            target = int(cdf.searchsorted(rng.random(), side="right"))
+            targets[t - 1] = target
+            degree[t] = 1.0
+            degree[target] += 1.0
     edges = np.column_stack([np.arange(1, n), targets])
     return Graph(n, edges, np.ones(n - 1))
 

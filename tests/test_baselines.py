@@ -2,7 +2,6 @@
 
 import dataclasses
 import re
-import types
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from graphcoreset import (
     Graph,
     GraphFunction,
     PointCloud,
+    BaselineInputs,
     betweenness_and_distances,
-    betweenness_coreset,
     betweenness_scores,
     build_knn_kernel_graph,
     estimate_mean,
@@ -24,17 +23,27 @@ from graphcoreset import (
     kmeans_coreset,
     random_sampling,
     source_average_distances,
-    spectral_clustering_coreset,
 )
 from graphcoreset import baselines as baselines_mod
 from graphcoreset.baselines import (
+    BASELINES,
     _betweenness_unit,
     _first_minimum,
     _kmeans_plus_plus,
     _lloyd,
     _snap_to_members,
 )
-from graphcoreset.experiments import _BASELINES
+
+
+def run_spectral(graph: Graph, k: int, seed: int) -> Coreset:
+    """The table's spectral entry as the CLI runs it: k-means in all k of the
+    walk's top-k eigenvectors."""
+    return BASELINES["spectral"](BaselineInputs(graph, k), k, seed)
+
+
+def run_betweenness(graph: Graph, k: int) -> Coreset:
+    """The table's betweenness entry, its scores computed from the graph."""
+    return BASELINES["betweenness"](BaselineInputs(graph, k), k, 0)
 
 
 def test_random_sampling_basics():
@@ -271,7 +280,7 @@ def test_kmeans_on_huge_coordinates():
 
 def test_spectral_clustering_splits_weak_bridge(two_triangles):
     for seed in range(20):
-        out = spectral_clustering_coreset(two_triangles, 2, seed=seed)
+        out = run_spectral(two_triangles, 2, seed=seed)
         groups = {tuple(sorted(i for i in out.indices if i < 3)),
                   tuple(sorted(i for i in out.indices if i >= 3))}
         assert all(len(g) == 1 for g in groups)  # one representative per triangle
@@ -282,7 +291,7 @@ def test_spectral_clustering_on_sbm():
     g = generate_sbm([50, 50], 0.5, 0.01, seed=3)
     exact = 0
     for seed in range(20):
-        out = spectral_clustering_coreset(g, 2, seed=seed)
+        out = run_spectral(g, 2, seed=seed)
         blocks = sorted(g.labels[i] for i in out.indices)
         if blocks == [0, 1] and np.allclose(sorted(out.weights), [0.5, 0.5]):
             exact += 1
@@ -334,7 +343,7 @@ def test_betweenness_path_and_star(path3, star4):
     scores = betweenness_scores(star4)
     assert scores[0] == 3.0  # center carries all C(3,2) leaf pairs
     assert scores[1:].tolist() == [0.0, 0.0, 0.0]
-    top = betweenness_coreset(star4, 2)
+    top = run_betweenness(star4, 2)
     assert top.indices == [0, 1]  # hub, then lowest-index leaf on the tie
     assert np.allclose(top.weights, 0.5)
 
@@ -388,7 +397,7 @@ def test_betweenness_matches_networkx_on_knn_graph():
     bc = nx.betweenness_centrality(reference, weight=None, normalized=False)
     expected = np.array([bc[v] for v in range(g.n)])
     assert np.allclose(betweenness_scores(g), expected, rtol=1e-12, atol=0.0)
-    top = betweenness_coreset(g, 10).indices
+    top = run_betweenness(g, 10).indices
     assert top == sorted(range(g.n), key=lambda v: (-expected[v], v))[:10]
 
 
@@ -412,7 +421,7 @@ def test_betweenness_weighted_properties():
         blocked = _betweenness_unit(g.hop_adjacency(), batch=data.draw(st.integers(1, n - 1)))
         assert np.allclose(blocked, public, rtol=0.0, atol=1e-12)
         k = data.draw(st.integers(1, n))
-        top = betweenness_coreset(g, k).indices
+        top = run_betweenness(g, k).indices
         assert top == sorted(range(n), key=lambda v: (-public[v], v))[:k]
 
     check()
@@ -485,7 +494,7 @@ def test_hop_kernel_matches_oracles():
     naming the pair Dijkstra's distance table named, the first source in input
     order and its lowest unreachable vertex; the betweenness of the fused
     sweep is bit-equal to the reference loop; and the studies' ranking from the
-    fused scores is betweenness_coreset's."""
+    fused scores is the table's ranking from the graph."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -529,9 +538,8 @@ def test_hop_kernel_matches_oracles():
         assert np.array_equal(scores, betweenness_scores(g))
         assert np.array_equal(everywhere, dist.mean(axis=1))
         k_max = data.draw(st.integers(1, n))
-        study = types.SimpleNamespace(betweenness=scores)
-        ranked = _BASELINES["betweenness"](study, k_max, 0)
-        assert ranked.indices == betweenness_coreset(g, k_max).indices
+        ranked = BASELINES["betweenness"](BaselineInputs(g, k_max, scores=scores), k_max, 0)
+        assert ranked.indices == run_betweenness(g, k_max).indices
 
     check()
 
@@ -540,7 +548,7 @@ def test_betweenness_singleton_and_validation(star4):
     lonely = Graph(1, np.empty((0, 2), dtype=np.int64), np.empty(0))
     assert betweenness_scores(lonely).tolist() == [0.0]
     with pytest.raises(ValueError):
-        betweenness_coreset(star4, 0)
+        run_betweenness(star4, 0)
 
 
 # ---------------------------------------------------------------------------

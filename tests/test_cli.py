@@ -30,7 +30,8 @@ from graphcoreset import (
     select_coreset,
     source_average_distances,
 )
-from graphcoreset import cli
+from graphcoreset import cli, experiments
+from graphcoreset.baselines import BASELINES
 from graphcoreset.cli import main
 from graphcoreset.experiments import config_from_mapping
 
@@ -97,12 +98,25 @@ def test_generate_validation_exit_codes(workdir):
       "--bandwidth", "nan"], "bandwidth"),
     (["generate", "--model", "knn-kernel", "--cloud", "c.csv", "--k-neighbors", "3",
       "--bandwidth", "1e-160"], "edge weights"),
+    (["generate", "--model", "powerlaw-tree", "--n", "6", "--exponent", "2.0000000000000004"],
+     "exponent 2.0000000000000004"),
+    (["experiment", "--name", "shortest-path", "--set", "tree_exponent=2.0000000000000004",
+      "--set", "n=20", "--set", "seeds=[0]", "--set", "k_grid=[2]"], "exponent 2.0000000000000004"),
+    (["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1", "--n", "6",
+      "--covariance-scale", "nan"], "covariance_scale"),
+    (["generate", "--model", "gaussian-mixture", "--means", "0,0", "--fractions", "1", "--n", "6",
+      "--covariance-scale", "inf"], "covariance_scale"),
+    (["experiment", "--name", "cluster-indicator", "--set", "covariance_scale=NaN", "--set",
+      "n=20", "--set", "seeds=[0]", "--set", "k_grid=[2]"], "covariance_scale"),
 ], ids=["nan-exponent", "nan-tree-exponent", "underflowing-bandwidth", "nan-bandwidth",
-        "overflowing-distance"])
+        "overflowing-distance", "overflowing-exponent", "overflowing-tree-exponent",
+        "nan-covariance-scale", "inf-covariance-scale", "nan-study-covariance-scale"])
 def test_generator_parameter_out_of_domain_exits_two(workdir, capsys, argv, named):
-    """A NaN tree exponent, a bandwidth whose square is 0 or NaN, and distances
-    over a bandwidth so small that every weight comes out 0 are exit 2 with an
-    error naming the cause, and no numpy warning (the suite makes warnings errors)."""
+    """A NaN tree exponent or one so close to 2 that degree ** (1 / (exponent
+    - 2)) overflows, a bandwidth whose square is 0 or NaN, distances over a
+    bandwidth so small that every weight comes out 0, and a NaN or infinite
+    covariance scale are exit 2 with an error naming the cause, and no numpy
+    warning (the suite makes warnings errors)."""
     assert run_cli("generate", "--model", "gaussian-mixture", "--means", "0,0;4,4",
                    "--fractions", "0.5,0.5", "--n", "12", "--seed", "1", "-o", "c.csv") == 0
     out = ["--out-dir", "exp"] if argv[0] == "experiment" else ["-o", "g.json"]
@@ -280,6 +294,57 @@ def test_baseline_methods(sbm_file, workdir):
     for path in ("r.json", "s.json", "bw.json", "km.json"):
         data = read_json(path)
         assert abs(sum(data["weights"]) - 1.0) < 1e-9
+
+
+def test_baseline_table_serves_the_cli_and_every_study(tmp_path):
+    """The CLI's baseline variants are the methods of baselines.BASELINES, and
+    every baseline method a study runs is one of them, with a seed stride."""
+    assert set(cli._VARIANTS["baseline"][2]) == set(BASELINES)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")
+    studied = set()
+
+    def record(config, methods, instance_for):
+        studied.update(method for method, kappa in methods.items() if kappa is None)
+        return []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_run", record)
+        for name, (config_cls, runner) in experiments.EXPERIMENTS.items():
+            runner(config_cls(data_path=str(edges)) if name == "ego-centrality" else config_cls())
+    assert studied == set(BASELINES) == set(experiments._SEED_STRIDES)
+
+
+@pytest.mark.parametrize("n, k_grid, checked", [
+    (300, (2, 5, 7), (2, 5, 7)),
+    (700, (4, 9), (9,)),
+], ids=["dense-every-k", "lanczos-k-max"])
+def test_spectral_baseline_writes_the_study_coreset(workdir, n, k_grid, checked):
+    """baseline --method spectral --k K --seed seed * 55 + K on the graph file
+    of an sbm-indicator seed writes the coreset the study scores at K: at
+    every K on the dense path (at most 600 vertices), where every embedding is
+    a slice of one full eigendecomposition, and at K = k_max past it, where the
+    study's Lanczos solve for k_max eigenvectors is the CLI's for K."""
+    config = experiments.SbmIndicatorConfig(n=n, k_grid=k_grid, seeds=(0, 1))
+    spectral, picked = BASELINES["spectral"], {}
+
+    def record(inputs, K, seed):
+        picked[K, seed] = spectral(inputs, K, seed)
+        return picked[K, seed]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(BASELINES, "spectral", record)
+        experiments.run_sbm_indicator(config)
+    sizes = ",".join(str(size) for size in config.block_sizes())
+    for seed in config.seeds:
+        assert run_cli("generate", "--model", "sbm", "--sizes", sizes, "--p-in", str(config.p_in),
+                       "--p-out", str(config.p_out), "--seed", str(seed), "-o", "g.json") == 0
+        for K in checked:
+            assert run_cli("baseline", "--method", "spectral", "--graph", "g.json", "--k", str(K),
+                           "--seed", str(seed * 55 + K), "-o", "s.json") == 0
+            written, study = Coreset.load_json("s.json"), picked[K, seed * 55 + K]
+            assert written.indices == study.indices
+            assert np.array_equal(written.weights, study.weights)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -793,10 +858,14 @@ def test_experiment_config_file(workdir):
     ("ell-sweep", ["base=1"], "base"),
     ("ell-sweep", ["ells=2"], "ells"),
     ("ell-sweep", ["ell=7"], "ells"),
+    ("sbm-indicator", ["k_grid=[4,4]"], "k_grid"),
+    ("ell-sweep", ["ells=[2,2]"], "ells"),
 ], ids=["int-grid", "int-seeds", "float-seed", "bool-ell", "float-n", "text-p-in",
-        "flat-means", "number-family", "sweep-base", "int-ells", "sweep-ell"])
+        "flat-means", "number-family", "sweep-base", "int-ells", "sweep-ell", "repeated-k",
+        "repeated-ell"])
 def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides, named):
-    """An override not shaped like its field's default, or one the runner would
+    """An override not shaped like its field's default, a k_grid or ells that
+    repeats an entry (its rows would be written twice), or one the runner would
     replace, is exit 2 with an error naming the key to set, never a traceback."""
     argv = ["experiment", "--name", name, "--out-dir", "exp"]
     for item in ["n=60", "seeds=[0]", "k_grid=[2]"] + overrides:  # a later --set wins

@@ -512,6 +512,21 @@ def test_powerlaw_tree_matches_choice_loop(n):
             assert np.array_equal(got.edges, want.edges)
 
 
+def test_powerlaw_tree_near_exponent_two():
+    """At exponent 2.004 (tilt 250) the first vertex to lead takes every later
+    attachment: 19 vertices keep its weight 17 ** 250 in float range and draw
+    the choice loop's tree, while 20 reach 18 ** 250, past it, and raise
+    naming the exponent, as does an exponent one ulp above 2."""
+    for seed in range(3):
+        pairs = np.column_stack([np.arange(1, 19), frozen_powerlaw_targets(19, 2.004, seed)])
+        assert np.array_equal(generate_powerlaw_tree(19, 2.004, seed).edges,
+                              Graph(19, pairs, np.ones(18)).edges)
+        with pytest.raises(ValueError, match=r"exponent 2\.004 overflows"):
+            generate_powerlaw_tree(20, 2.004, seed)
+    with pytest.raises(ValueError, match=r"exponent 2\.0000000000000004 overflows"):
+        generate_powerlaw_tree(6, 2.0000000000000004, seed=0)
+
+
 def test_powerlaw_tree_validation():
     with pytest.raises(ValueError):
         generate_powerlaw_tree(1, 3.0, seed=0)
