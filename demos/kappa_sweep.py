@@ -2,17 +2,16 @@
 
 One graph, one budget, kappa swept from strict (1.0) to loose (0.5). Lower
 kappa admits cheaper vertices into each greedy round, so total cost falls
-while the residual J rises. eta = sqrt(1 - (kappa * s0)^2), with s0 the best
-round-0 score, bounds the first round only (J_0 <= eta^2); it is not a
-per-round guarantee, and on this graph 11 of the 12 rounds at kappa = 1
-shrink J by less than eta^2. What holds in every round is the identity
-J_k = J_(k-1) * (1 - s_k^2), with s_k the picked vertex's score, recorded as
-its trajectory alignment (tests/test_acceptance.py checks it).
+while the residual J rises. Each round shrinks J by the exact factor
+1 - s_k^2, with s_k the picked vertex's score (its trajectory alignment).
+The pick scores at least kappa times the round's best score s*_k, so a
+round never does worse than J_k <= J_(k-1) * (1 - kappa^2 * s*_k^2)
+(tests/test_acceptance.py checks the identity, tests/test_selection.py the
+bound).
 """
 
 from graphcoreset import (
     SelectionConfig,
-    eta_diagnostic,
     generate_sbm,
     lazy_walk_matrix,
     normalized_columns,
@@ -27,18 +26,16 @@ def main():
     costs = sample_costs_uniform(graph.n, seed=42)
 
     print(f"three-block graph: n={graph.n}, m={graph.m}, budget 12, ell 2")
-    print(f"{'kappa':>6} {'eta':>7} {'total cost':>11} {'final J':>11} {'status':>10}")
+    print(f"{'kappa':>6} {'total cost':>11} {'final J':>11} {'status':>10}")
     for kappa in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
         out = select_coreset(columns, costs,
                              SelectionConfig(budget=12, kappa=kappa))
-        eta = eta_diagnostic(columns, kappa)
-        print(f"{kappa:>6.1f} {eta:>7.4f} {out.total_cost:>11.3f} "
+        print(f"{kappa:>6.1f} {out.total_cost:>11.3f} "
               f"{out.trajectory[-1].residual:>11.3e} {out.status:>10}")
     print()
-    print("eta bounds the first round only: J after round 0 is at most eta^2.")
-    print("Later rounds can shrink J by less; each round's exact factor is")
-    print("1 - s^2, s the pick's recorded alignment. J rises slowly as kappa")
-    print("falls while the cost drops steadily.")
+    print("Each round's exact factor is 1 - s^2, s the pick's recorded")
+    print("alignment; a lower kappa lets the pick score less than the round's")
+    print("best. J rises slowly as kappa falls while the cost drops steadily.")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .evaluate import (
     bound_check,
     error_metric,
     estimate_mean,
-    eta_diagnostic,
     results_to_csv,
     source_average_distances,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "eigendecomposition",
     "error_metric",
     "estimate_mean",
-    "eta_diagnostic",
     "generate_gaussian_mixture",
     "generate_powerlaw_tree",
     "generate_random_graph",

@@ -37,7 +37,6 @@ from .evaluate import (
     bound_check,
     error_metric,
     estimate_mean,
-    eta_diagnostic,
     results_to_csv,
     source_average_distances,
 )
@@ -181,7 +180,6 @@ def _execute_select(params: dict):
         "final_J " + fmt_float(final_j),
         "certificate_r " + fmt_float(math.sqrt(final_j / graph.n)),
         "total_cost " + fmt_float(coreset.total_cost),
-        "eta " + fmt_float(eta_diagnostic(columns, config.kappa)),
         "status " + coreset.status,
     ]
     return inputs, [params["out"]], lines
@@ -229,7 +227,7 @@ def _execute_eval(params: dict):
     if kind == "indicator":
         if graph.labels is None:
             raise ValueError("indicator evaluation needs a labeled graph")
-        f = GraphFunction((np.asarray(graph.labels) == params["label"]).astype(float))
+        f = experiments._indicator(graph.labels, params["label"], "--label")
     elif kind == "average-distance":
         f = GraphFunction(source_average_distances(graph, np.arange(graph.n)))
     else:  # smooth

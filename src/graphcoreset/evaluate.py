@@ -114,22 +114,6 @@ def bound_check(
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 
 
-def eta_diagnostic(columns: NormalizedColumns, kappa: float) -> float:
-    """sqrt(1 - (kappa * s0)^2), with s0 the best round-0 alignment.
-
-    It bounds the first round only: any pick in the round-0 slack set leaves
-    J_0 <= eta^2. It is not a per-round guarantee, since later rounds' best
-    scores differ: on an SBM(80, 120, 100) at ell 2 (demos/kappa_sweep.py),
-    11 of 12 rounds at kappa = 1 shrink J by less than eta^2. What holds in
-    every round is J_k = J_(k-1) * (1 - s_k^2), with s_k the pick's recorded
-    alignment (tests/test_acceptance.py::test_per_round_residual_identity).
-    """
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError("kappa must be in (0, 1]")
-    best = float(np.max(columns.alignments(columns.target)))
-    return float(np.sqrt(max(0.0, 1.0 - (kappa * best) ** 2)))
-
-
 def _require_connected(graph: Graph, source: int) -> None:
     """Raise unless every vertex is reachable from source, naming source and
     the lowest vertex it cannot reach: on a disconnected graph no source

@@ -105,6 +105,16 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
             for (method, K), (err, cost) in zip(cells, medians)]
 
 
+def _indicator(labels, label: int, key: str) -> GraphFunction:
+    """1 on the vertices carrying label, 0 elsewhere. A label no vertex carries
+    is a ValueError naming key: its indicator, and every estimate of its
+    mean, would be 0."""
+    values = np.asarray(labels) == label
+    if not values.any():
+        raise ValueError(f"{key} {label} is carried by no vertex")
+    return GraphFunction(values.astype(float))
+
+
 # ---------------------------------------------------------------------------
 # cluster-indicator: Gaussian mixture, kNN kernel graph, indicator mean
 
@@ -139,10 +149,10 @@ def run_cluster_indicator(config: ClusterIndicatorConfig) -> list[ExperimentResu
         cloud = generate_gaussian_mixture(
             config.component_means, config.component_fractions,
             config.covariance_scale, config.n, seed=seed)
+        function = _indicator(cloud.labels, config.indicator_component, "indicator_component")
         graph = build_knn_kernel_graph(cloud, config.k_neighbors, config.bandwidth)
         costs = sample_costs_uniform(config.n, seed=seed + config.cost_seed_offset)
-        values = (np.asarray(cloud.labels) == config.indicator_component).astype(float)
-        return _instance(config, methods, graph, costs, GraphFunction(values), cloud=cloud)
+        return _instance(config, methods, graph, costs, function, cloud=cloud)
 
     return _run(config, methods, instance_for)
 
@@ -164,8 +174,11 @@ class SbmIndicatorConfig:
     seeds: tuple = tuple(range(10))
 
     def block_sizes(self) -> list[int]:
-        if not (self.n < 2**63 and np.all(np.isfinite(self.block_fractions))):
-            raise ValueError("sbm n must fit in int64 and block fractions must be finite")
+        fractions = np.asarray(self.block_fractions, dtype=np.float64)
+        if not (np.all(fractions > 0) and abs(fractions.sum() - 1.0) <= 1e-9):  # NaN fails
+            raise ValueError("block_fractions must be positive and sum to 1")
+        if not self.n < 2**63:
+            raise ValueError("sbm n must fit in int64")
         sizes = [int(round(f * self.n)) for f in self.block_fractions[:-1]]
         sizes.append(self.n - sum(sizes))
         return sizes
@@ -174,8 +187,8 @@ class SbmIndicatorConfig:
 def _sbm_rows(config: SbmIndicatorConfig, methods: dict) -> list[ExperimentResult]:
     def instance_for(seed: int) -> _Instance:
         graph = generate_sbm(config.block_sizes(), config.p_in, config.p_out, seed=seed)
-        values = (np.asarray(graph.labels) == config.indicator_block).astype(float)
-        return _instance(config, methods, graph, CostVector.zeros(config.n), GraphFunction(values))
+        function = _indicator(graph.labels, config.indicator_block, "indicator_block")
+        return _instance(config, methods, graph, CostVector.zeros(config.n), function)
 
     return _run(config, methods, instance_for)
 
@@ -306,9 +319,10 @@ def config_from_mapping(name: str, overrides: dict):
     """Build an experiment config from a flat key-value mapping.
 
     Unknown keys are rejected, and so are a value of another type than its
-    field's default (see _kind), an empty list and a k_grid or ells that
-    repeats an entry (its rows would be written twice); list values are
-    frozen to tuples so configs stay hashable.
+    field's default (see _kind), an empty list, a k_grid or ells that
+    repeats an entry (its rows would be written twice) and seeds that repeat
+    one (it would weigh twice in the median); list values are frozen to
+    tuples so configs stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
@@ -324,7 +338,7 @@ def config_from_mapping(name: str, overrides: dict):
     for key, value in overrides.items():
         if isinstance(value, (list, tuple)) and not value:
             raise ValueError(f"{name} config {key} must not be empty")
-        if key in ("k_grid", "ells") and len(set(value)) < len(value):
+        if key in ("k_grid", "ells", "seeds") and len(set(value)) < len(value):
             raise ValueError(f"{name} config {key} must not repeat an entry")
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
 

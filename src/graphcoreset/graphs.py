@@ -310,8 +310,11 @@ def generate_gaussian_mixture(means, fractions, covariance_scale: float, n: int,
     Component c contributes floor(fractions[c] * n) points, the last component
     absorbs the remainder. Covariance is covariance_scale * I.
     """
-    means = np.asarray(means, dtype=np.float64)
     fractions = np.asarray(fractions, dtype=np.float64)
+    try:
+        means = np.asarray(means, dtype=np.float64)
+    except ValueError:  # ragged rows have no (c, d) shape
+        means = np.empty(0)
     if means.ndim != 2 or len(means) != len(fractions):
         raise ValueError("means must be (c, d) with one fraction per component")
     if not (np.all(fractions > 0) and abs(fractions.sum() - 1.0) <= 1e-9):  # NaN fails

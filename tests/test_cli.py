@@ -108,15 +108,22 @@ def test_generate_validation_exit_codes(workdir):
       "--covariance-scale", "inf"], "covariance_scale"),
     (["experiment", "--name", "cluster-indicator", "--set", "covariance_scale=NaN", "--set",
       "n=20", "--set", "seeds=[0]", "--set", "k_grid=[2]"], "covariance_scale"),
+    (["generate", "--model", "gaussian-mixture", "--means", "1,2;3", "--fractions", "0.5,0.5",
+      "--n", "6"], "means must be (c, d)"),
+    (["experiment", "--name", "cluster-indicator", "--set", "component_means=[[1,2],[3]]",
+      "--set", "component_fractions=[0.5,0.5]", "--set", "n=20", "--set", "seeds=[0]",
+      "--set", "k_grid=[2]"], "means must be (c, d)"),
 ], ids=["nan-exponent", "nan-tree-exponent", "underflowing-bandwidth", "nan-bandwidth",
         "overflowing-distance", "overflowing-exponent", "overflowing-tree-exponent",
-        "nan-covariance-scale", "inf-covariance-scale", "nan-study-covariance-scale"])
+        "nan-covariance-scale", "inf-covariance-scale", "nan-study-covariance-scale",
+        "ragged-means", "ragged-study-means"])
 def test_generator_parameter_out_of_domain_exits_two(workdir, capsys, argv, named):
     """A NaN tree exponent or one so close to 2 that degree ** (1 / (exponent
     - 2)) overflows, a bandwidth whose square is 0 or NaN, distances over a
-    bandwidth so small that every weight comes out 0, and a NaN or infinite
-    covariance scale are exit 2 with an error naming the cause, and no numpy
-    warning (the suite makes warnings errors)."""
+    bandwidth so small that every weight comes out 0, a NaN or infinite
+    covariance scale and mean vectors of different lengths are exit 2 with an
+    error naming the cause, and no numpy warning (the suite makes warnings
+    errors)."""
     assert run_cli("generate", "--model", "gaussian-mixture", "--means", "0,0;4,4",
                    "--fractions", "0.5,0.5", "--n", "12", "--seed", "1", "-o", "c.csv") == 0
     out = ["--out-dir", "exp"] if argv[0] == "experiment" else ["-o", "g.json"]
@@ -138,8 +145,8 @@ def test_generate_deterministic_bytes(workdir):
 def test_select_matches_library_and_prints(sbm_file, capsys):
     assert run_cli("select", "--graph", sbm_file, "--k", "5", "--ell", "2",
                    "-o", "cs.json") == 0
-    printed = capsys.readouterr().out
-    assert "final_J " in printed and "eta " in printed and "status " in printed
+    printed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["final_J", "certificate_r", "total_cost", "status"]  # no eta
     got = Coreset.load_json("cs.json")
     cols = normalized_columns(lazy_walk_matrix(Graph.load_json(sbm_file)), 2)
     want = select_coreset(cols, CostVector.zeros(40),
@@ -650,12 +657,21 @@ def test_eval_rejects_malformed_coreset(sbm_file, capsys, coreset, function):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_eval_indicator_needs_labels(workdir):
+def test_eval_indicator_needs_labels(workdir, capsys):
+    """An indicator needs a labeled graph and a label some vertex carries."""
     run_cli("generate", "--model", "random", "--n", "20",
             "--edge-probability", "0.3", "--seed", "0", "-o", "rg.json")
-    run_cli("select", "--graph", "rg.json", "--k", "3", "-o", "cs.json")
-    assert run_cli("eval", "--graph", "rg.json", "--coreset", "cs.json",
-                   "--function", "indicator", "-o", "ev.csv") == 2
+    run_cli("generate", "--model", "sbm", "--sizes", "10,10", "--p-in", "0.5",
+            "--p-out", "0.1", "--seed", "0", "-o", "sbm.json")
+    for graph, label, named in [("rg.json", "0", "labeled graph"),
+                                ("sbm.json", "99", "--label 99"),
+                                ("sbm.json", "-1", "--label -1")]:
+        run_cli("select", "--graph", graph, "--k", "3", "-o", "cs.json")
+        capsys.readouterr()
+        assert run_cli("eval", "--graph", graph, "--coreset", "cs.json", "--function",
+                       "indicator", "--label", label, "-o", "ev.csv") == 2
+        assert named in capsys.readouterr().err
+        assert not os.path.exists("ev.csv")
 
 
 def test_replay_reproduces_bytes(sbm_file):
@@ -860,13 +876,24 @@ def test_experiment_config_file(workdir):
     ("ell-sweep", ["ell=7"], "ells"),
     ("sbm-indicator", ["k_grid=[4,4]"], "k_grid"),
     ("ell-sweep", ["ells=[2,2]"], "ells"),
+    ("sbm-indicator", ["seeds=[0,0]", "k_grid=[4]"], "seeds"),
+    ("cluster-indicator", ["indicator_component=7"], "indicator_component"),
+    ("cluster-indicator", ["indicator_component=-1"], "indicator_component"),
+    ("sbm-indicator", ["indicator_block=9"], "indicator_block"),
+    ("sbm-indicator", ["block_fractions=[0.1,0.1,0.1]"], "block_fractions"),
+    ("sbm-indicator", ["block_fractions=[0.5,0.6]"], "block_fractions"),
+    ("sbm-indicator", ["block_fractions=[1.5,-0.5]"], "block_fractions"),
 ], ids=["int-grid", "int-seeds", "float-seed", "bool-ell", "float-n", "text-p-in",
         "flat-means", "number-family", "sweep-base", "int-ells", "sweep-ell", "repeated-k",
-        "repeated-ell"])
+        "repeated-ell", "repeated-seed", "absent-component", "negative-component",
+        "absent-block", "fractions-under-1", "fractions-over-1", "negative-fraction"])
 def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides, named):
-    """An override not shaped like its field's default, a k_grid or ells that
-    repeats an entry (its rows would be written twice), or one the runner would
-    replace, is exit 2 with an error naming the key to set, never a traceback."""
+    """An override not shaped like its field's default, a k_grid, ells or seeds
+    that repeats an entry (its rows would be written twice, or a seed weigh
+    twice in the median), one the runner would replace, an indicator label no
+    vertex carries (every estimate of its mean would be 0) and block fractions
+    that are not positive or do not sum to 1 are exit 2 with an error naming
+    the key to set, never a traceback."""
     argv = ["experiment", "--name", name, "--out-dir", "exp"]
     for item in ["n=60", "seeds=[0]", "k_grid=[2]"] + overrides:  # a later --set wins
         argv += ["--set", item]

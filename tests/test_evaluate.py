@@ -16,7 +16,6 @@ from graphcoreset import (
     bound_check,
     error_metric,
     estimate_mean,
-    eta_diagnostic,
     generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
@@ -184,26 +183,6 @@ def test_bound_holds_for_real_selections():
                              SelectionConfig(budget=8))
         lhs, rhs, holds = bound_check(f, 0.5, out, cols)
         assert holds and lhs <= rhs + 1e-9
-
-
-def test_eta_complete_graph_closed_form():
-    """K_n columns all share alignment sqrt((n-1)/n), so eta = 1/sqrt(n)."""
-    cols = normalized_columns(lazy_walk_matrix(complete_graph(4)), 1)
-    assert eta_diagnostic(cols, 1.0) == pytest.approx(0.5, abs=1e-12)
-    small_kappa = eta_diagnostic(cols, 1e-6)
-    assert small_kappa == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        eta_diagnostic(cols, 0.0)
-    with pytest.raises(ValueError):
-        eta_diagnostic(cols, 1.1)
-
-
-def test_eta_brute_force(two_triangles):
-    cols = normalized_columns(lazy_walk_matrix(two_triangles), 2)
-    best = max(cols.column(i) @ cols.target for i in range(6))
-    kappa = 0.8
-    expect = np.sqrt(1.0 - (kappa * best) ** 2)
-    assert eta_diagnostic(cols, kappa) == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

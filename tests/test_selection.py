@@ -222,7 +222,9 @@ def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, inst
     """Every round, rebuilt from the replayed state (its alignments carried by
     the loop's own rule) and the previous record's J, the masked score formula
     gives the recorded alignment and slack set size exactly, and the pick is
-    the slack set's cheapest vertex (the argmax at kappa = 1)."""
+    the slack set's cheapest vertex (the argmax at kappa = 1). The pick scores
+    at least kappa times the round's best score s*, so the round shrinks J at
+    least as far as J_k <= J_(k-1) * (1 - kappa^2 * s*^2)."""
     if instance == "knn":
         walk = request.getfixturevalue("knn_walk")
     elif instance == "sbm":  # n <= 2048 at ell >= 2: the dense power path
@@ -244,6 +246,7 @@ def test_slack_set_membership_and_cheapest_pick(request, replay_trajectory, inst
             assert step.vertex == int(np.argmax(scores))
         else:
             assert step.vertex == int(slack[np.argmin(costs.costs[slack])])
+        assert step.residual <= residual * (1.0 - (kappa * scores.max()) ** 2) + 1e-12
         iterate, inner, residual = after, after_inner, step.residual
 
 
