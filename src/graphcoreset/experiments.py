@@ -89,6 +89,9 @@ def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
     per_seed = []  # (error, cost) of every cell, one list per seed
     for seed in config.seeds:
         inst = instance_for(seed)
+        if max(config.k_grid) > len(inst.costs):  # n is known once the seed's graph is built
+            raise ValueError(f"k_grid entry {max(config.k_grid)} is above n = "
+                             f"{len(inst.costs)}, the vertex count of the seed-{seed} graph")
         out = []
         for method, K in cells:
             if method in inst.grids:
@@ -181,6 +184,9 @@ class SbmIndicatorConfig:
             raise ValueError("sbm n must fit in int64")
         sizes = [int(round(f * self.n)) for f in self.block_fractions[:-1]]
         sizes.append(self.n - sum(sizes))
+        if min(sizes) < 1:
+            raise ValueError(f"block_fractions {list(self.block_fractions)} leave a block "
+                             f"empty at n = {self.n}: raise n or the smallest fraction")
         return sizes
 
 
@@ -320,9 +326,9 @@ def config_from_mapping(name: str, overrides: dict):
 
     Unknown keys are rejected, and so are a value of another type than its
     field's default (see _kind), an empty list, a k_grid or ells that
-    repeats an entry (its rows would be written twice) and seeds that repeat
-    one (it would weigh twice in the median); list values are frozen to
-    tuples so configs stay hashable.
+    repeats an entry (its rows would be written twice) or holds one below 1,
+    and seeds that repeat one (it would weigh twice in the median); list
+    values are frozen to tuples so configs stay hashable.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}, expected one of {experiment_names()}")
@@ -340,6 +346,8 @@ def config_from_mapping(name: str, overrides: dict):
             raise ValueError(f"{name} config {key} must not be empty")
         if key in ("k_grid", "ells", "seeds") and len(set(value)) < len(value):
             raise ValueError(f"{name} config {key} must not repeat an entry")
+        if key in ("k_grid", "ells") and min(value) < 1:
+            raise ValueError(f"{name} config {key} entries must be at least 1")
     return config_cls(**{k: _freeze(v) for k, v in overrides.items()})
 
 

@@ -59,8 +59,8 @@ class SelectionConfig:
     floats go to the lowest vertex index. Under kappa < 1 the pick is the
     cheapest member of the slack set, and the lowest index among equal
     costs. Scores that are equal in exact arithmetic can differ by rounding,
-    so such ties are not guaranteed to break by index: dense and sparse
-    P^32 pick differently on 300-vertex power-law trees at seeds 0 and 4.
+    so such ties are not guaranteed to break by index: sorting the indices of
+    P^32's sparse squares flips picks on 300-vertex trees at seeds 0 and 4.
     The walk power is a property of the columns (NormalizedColumns.ell), not
     of the run.
     """

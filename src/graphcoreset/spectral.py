@@ -2,16 +2,14 @@
 
 The walk matrix P = (W - D)/d_max + I is exactly symmetric, doubly
 stochastic, and has spectrum inside [-1, 1]; lazy_walk_matrix returns it as a
-CSR matrix. The walk power P^ell is a dense BLAS matrix power for ell >= 2 on
-graphs of at most 2048 vertices and repeated sparse multiplication otherwise,
-which at ell = 1 is no multiplication at all. The dense power squares each
-factor as X @ X.T, which BLAS computes as a symmetric rank-k update (syrk,
-half the multiply-adds of a general product); that is X @ X only because P,
-and so each such square, is exactly symmetric. A sparse power that comes to
-store all n * n entries before ell finishes with the same dense chain. The
-path follows from n, ell and the power's fill alone; no caller chooses it.
-The power is stored as CSC either way. A power with no zero entry is also
-multiplied as dense: its CSC data, in column-major order, is the row-major
+CSR matrix. The walk power P^ell is one chain, np.linalg.matrix_power's
+repeated squaring with each square taken as X @ X.T (see _power). Its
+factors start dense for ell >= 2 on graphs of at most 2048 vertices, so BLAS
+squares them by syrk, and sparse otherwise (ell = 1 is P itself); a sparse
+square that stores all n * n entries turns dense. That follows from n, ell
+and the squares' fill alone; no caller chooses it.
+The power is stored as CSC either way. A power with no zero entry is scored
+as dense: its CSC data, in column-major order, is the row-major
 (P^ell)^T, so the greedy rounds score it with one BLAS gemv on that buffer;
 any other power is scored by a CSR matvec. A power that
 stores at most _GRAM_MAX_FILL of its n * n entries is not scored by a matvec
@@ -33,7 +31,7 @@ import numpy as np
 
 from .graphs import Graph
 
-# largest vertex count whose walk power (ell >= 2) goes through a dense matrix
+# largest vertex count whose walk power (ell >= 2) starts from the dense matrix
 _DENSE_POWER_MAX_N = 2048
 # largest vertex count whose top eigenvectors come from a full dense eigh
 _DENSE_EIG_MAX_N = 600
@@ -166,21 +164,13 @@ class NormalizedColumns:
 def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     """Normalized columns of P^ell.
 
-    walk must be exactly symmetric, as lazy_walk_matrix returns it: the dense
-    power squares by X @ X.T (see _dense_power). The result carries ell: the
+    walk must be exactly symmetric, as lazy_walk_matrix returns it: the
+    power squares by X @ X.T (see _power). The result carries ell: the
     selection and the error bound work from these columns and take no ell of
-    their own.
-    For ell >= 2, graphs of at most _DENSE_POWER_MAX_N vertices go through a
-    dense BLAS matrix power (repeated squaring, so large ell stays cheap).
-    Every other case multiplies P by itself sparsely, so ell = 1 is P itself,
-    and copies the power to CSC without explicit zeros: the same arrays a
-    dense round trip would give, without densifying. Once the sparse power
-    P^k stores all n * n entries (k < ell), its dense copy is smaller than
-    its CSR arrays, so P^ell = P^k @ _dense_power(P, ell - k) finishes in
-    about 2 log2(ell) dense products in place of ell - k sparse ones. A
-    power that never fills (on a disconnected or a regular bipartite graph)
-    keeps the sparse chain. A dense power with no zero entry becomes CSC
-    straight from its column-major buffer (see _dense_to_csc).
+    their own. A sparse power is copied to CSC without explicit zeros: the
+    same arrays a dense round trip would give, without densifying. A dense
+    power with no zero entry becomes CSC straight from its column-major
+    buffer (see _dense_to_csc).
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -188,37 +178,35 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
 
     # rounding can carry a huge power past float range; the norm check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        if ell >= 2 and walk.shape[0] <= _DENSE_POWER_MAX_N:
-            power = _dense_to_csc(_dense_power(walk, ell))
+        power = _power(walk, ell)
+        if isinstance(power, np.ndarray):
+            power = _dense_to_csc(power)
         else:
-            n, power, k = walk.shape[0], walk, 1
-            while k < ell and power.nnz < n * n:
-                power, k = power @ walk, k + 1
-            if k < ell:
-                power = power.toarray()  # frees the CSR arrays before the chain
-                power = _dense_to_csc(power @ _dense_power(walk, ell - k))
-            else:
-                power = sp.csc_matrix(power, copy=True)
-                power.eliminate_zeros()
+            power = sp.csc_matrix(power, copy=True)
+            power.eliminate_zeros()
         norms = np.sqrt(_column_sums_of_squares(power))
     if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
         raise ValueError("walk power has a zero or non-finite column")
     return NormalizedColumns(ell, power, norms)
 
 
-def _dense_power(walk: sp.csr_matrix, ell: int) -> np.ndarray:
-    """walk.toarray() to the power ell >= 1, for an exactly symmetric walk.
+def _power(walk: sp.csr_matrix, ell: int) -> np.ndarray | sp.csr_matrix:
+    """walk to the power ell >= 1, for an exactly symmetric walk.
 
     The chain is np.linalg.matrix_power's: right-to-left bits, one general
     product per extra set bit, and the ell == 3 short cut. Each squaring is
-    X @ X.T on one buffer, which numpy hands to BLAS syrk: it computes one
-    triangle and mirrors it, so the square is exactly symmetric and equals
-    X @ X to rounding. That holds for the next squaring too, since a
-    symmetric X is its own transpose. No factor is held past its last use:
-    the dense walk goes after its first squaring, and each square after the
-    last product that reads it, so no n x n buffer beyond numpy's is live.
+    X @ X.T, which is X @ X to rounding as P is symmetric. The factors start
+    as walk.toarray() for ell >= 2 on graphs of at most _DENSE_POWER_MAX_N
+    vertices, where numpy hands X @ X.T on one buffer to BLAS syrk (one
+    triangle, mirrored: the square is exactly symmetric), and as walk itself
+    otherwise, where (P @ P.T) @ P has the bytes of (P @ P) @ P. A sparse
+    square that stores all n * n entries turns dense, and a power that never
+    fills (a disconnected or regular bipartite graph) stays sparse; any ell
+    takes at most 2 log2(ell) products. The walk's dense copy goes after its
+    first squaring, and each square after the last product that reads it.
     """
-    square = walk.toarray()
+    n = walk.shape[0]
+    square = walk.toarray() if ell >= 2 and n <= _DENSE_POWER_MAX_N else walk
     if ell == 3:  # numpy's short cut; the chain below would give P @ P^2
         return (square @ square.T) @ square
     power = None
@@ -229,6 +217,8 @@ def _dense_power(walk: sp.csr_matrix, ell: int) -> np.ndarray:
         if not ell:
             return power
         square = square @ square.T
+        if not isinstance(square, np.ndarray) and square.nnz == n * n:
+            square = square.toarray()
 
 
 def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:

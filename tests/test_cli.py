@@ -883,17 +883,25 @@ def test_experiment_config_file(workdir):
     ("sbm-indicator", ["block_fractions=[0.1,0.1,0.1]"], "block_fractions"),
     ("sbm-indicator", ["block_fractions=[0.5,0.6]"], "block_fractions"),
     ("sbm-indicator", ["block_fractions=[1.5,-0.5]"], "block_fractions"),
+    ("sbm-indicator", ["block_fractions=[0.001,0.999]"], "block_fractions"),
+    ("sbm-indicator", ["k_grid=[0]"], "k_grid"),
+    ("ell-sweep", ["ells=[0]"], "ells"),
+    ("sbm-indicator", ["n=30", "k_grid=[40]"], "k_grid"),
+    ("shortest-path", ["family=random-graph", "n=40", "k_grid=[30]"], "k_grid"),
 ], ids=["int-grid", "int-seeds", "float-seed", "bool-ell", "float-n", "text-p-in",
         "flat-means", "number-family", "sweep-base", "int-ells", "sweep-ell", "repeated-k",
         "repeated-ell", "repeated-seed", "absent-component", "negative-component",
-        "absent-block", "fractions-under-1", "fractions-over-1", "negative-fraction"])
+        "absent-block", "fractions-under-1", "fractions-over-1", "negative-fraction",
+        "empty-block", "zero-k", "zero-ell", "k-above-n", "k-above-component"])
 def test_experiment_rejects_wrong_typed_override(workdir, capsys, name, overrides, named):
     """An override not shaped like its field's default, a k_grid, ells or seeds
     that repeats an entry (its rows would be written twice, or a seed weigh
     twice in the median), one the runner would replace, an indicator label no
-    vertex carries (every estimate of its mean would be 0) and block fractions
-    that are not positive or do not sum to 1 are exit 2 with an error naming
-    the key to set, never a traceback."""
+    vertex carries (every estimate of its mean would be 0), block fractions
+    that are not positive, do not sum to 1 or round to an empty block at n,
+    a k_grid or ells entry below 1 and a K above the vertex count of a
+    seed's graph (a random graph keeps only its largest component) are exit
+    2 with an error naming the key to set, never a traceback."""
     argv = ["experiment", "--name", name, "--out-dir", "exp"]
     for item in ["n=60", "seeds=[0]", "k_grid=[2]"] + overrides:  # a later --set wins
         argv += ["--set", item]

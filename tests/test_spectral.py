@@ -128,11 +128,12 @@ def test_dense_power_matches_matrix_power():
     products, bit for bit, and np.linalg.matrix_power's to rounding. The
     entries are nonnegative, so no product cancels: each of the at most
     2 log2(ell) products adds about n * eps of relative rounding per entry,
-    2e-13 in all at n = 75 and ell <= 64."""
+    2e-13 in all at n = 75 and ell <= 64. At ell = 1 the power is P itself."""
     walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.05, seed=2))
     dense = walk.toarray()
-    for ell in range(1, 65):
-        got = spectral._dense_power(walk, ell)
+    assert spectral._power(walk, 1) is walk
+    for ell in range(2, 65):
+        got = spectral._power(walk, ell)
         assert got.tobytes() == _reference_dense_power(dense, ell).tobytes(), ell
         assert np.allclose(got, np.linalg.matrix_power(dense, ell), rtol=1e-12, atol=0), ell
 
@@ -143,13 +144,14 @@ def test_squared_dense_powers_are_exactly_symmetric():
     triangle. A plain X @ X (gemm) square of this walk is not exactly
     symmetric, so this fails if the squaring stops going through syrk."""
     walk = lazy_walk_matrix(generate_powerlaw_tree(300, 3.0, seed=0))
-    for ell in (1, 2, 4, 8, 16, 32, 64):
-        power = spectral._dense_power(walk, ell)
+    for ell in (2, 4, 8, 16, 32, 64):
+        power = spectral._power(walk, ell)
         assert np.array_equal(power, power.T), ell
 
 
 def test_normalized_columns_sparse_path_agrees(large_knn_walk):
-    """Past the cutoff the sequential sparse product gives the columns and norms of ell matvecs."""
+    """Past the cutoff the sparse chain's (P @ P.T) @ P has the arrays of
+    P @ P @ P, and the columns and norms of ell matvecs."""
     cols = normalized_columns(large_knn_walk, 3)
     # scipy's product stores no zeros, so the CSC copy is the product's own conversion
     want = sp.csc_matrix(large_knn_walk @ large_knn_walk @ large_knn_walk)
@@ -161,21 +163,54 @@ def test_normalized_columns_sparse_path_agrees(large_knn_walk):
         assert cols.column_norms[i] == pytest.approx(np.linalg.norm(want), rel=1e-13)
 
 
-@pytest.mark.parametrize("ell", [5, 10**9])
+@pytest.mark.parametrize("ell", [5, 1000, 10**9])
 def test_filled_sparse_power_finishes_densely(monkeypatch, ell):
-    """Past the cutoff, a sparse power that stores all n * n entries (P^4
-    here) finishes with the dense chain: P^ell = P^4 @ _dense_power(P, ell - 4).
-    It agrees with the dense branch to rounding; at ell = 10**9 the sparse
-    chain alone would run ell - 1 products."""
+    """Past the cutoff the chain starts sparse, and its first square to store
+    all n * n entries (P^4 here) turns dense, so the power comes out full.
+    It agrees with the dense branch to rounding: nonnegative entries and no
+    cancellation, a few eps of relative rounding (measured 1.2e-15 at ell 5,
+    7.3e-15 at ell 1000). At ell = 10**9 both chains drift from the exact
+    limit, the uniform 1/n of a connected aperiodic doubly stochastic walk,
+    by about ell * eps relative (3.0e-8 dense, 2.5e-8 sparse-start): a
+    rounding error delta in the row sums of a factor grows to about
+    (1 + delta)**ell in the power's, so that case checks the limit within
+    ell * eps. The chain takes 41 products there, not ell - 1."""
     walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.05, seed=2))
+    n = walk.shape[0]
     want = normalized_columns(walk, ell)
-    assert (walk @ walk @ walk).nnz < walk.shape[0] ** 2 == (walk @ walk @ walk @ walk).nnz
+    assert (walk @ walk).nnz < n * n == (walk @ walk @ walk @ walk).nnz
     monkeypatch.setattr(spectral, "_DENSE_POWER_MAX_N", 1)
     got = normalized_columns(walk, ell)
     assert type(got.rows) is np.ndarray  # a full power, stored from the dense chain
-    # nonnegative entries and no cancellation: a few eps of relative rounding
-    assert np.allclose(got.rows, want.rows, rtol=1e-12, atol=0)
-    assert np.allclose(got.column_norms, want.column_norms, rtol=1e-12, atol=0)
+    if ell < 10**9:
+        assert np.allclose(got.rows, want.rows, rtol=1e-12, atol=0)
+        assert np.allclose(got.column_norms, want.column_norms, rtol=1e-12, atol=0)
+    else:
+        tolerance = ell * np.finfo(float).eps
+        assert np.allclose(got.rows, 1.0 / n, rtol=tolerance, atol=0)
+        assert np.allclose(got.column_norms, 1.0 / np.sqrt(n), rtol=tolerance, atol=0)
+
+
+def test_power_that_never_fills_stays_sparse_and_bounded():
+    """On a graph with two components no power fills, so past the cutoff the
+    chain stays sparse; it still squares, so ell = 10**9 takes 41 products
+    (a chain of ell - 1 products would not finish). Each block of P^ell is
+    the uniform 1/30 of its 30-vertex component to rounding, and no entry
+    crosses between the components. Run in a child process with a timeout."""
+    code = ("import numpy as np\n"
+            "from graphcoreset import generate_sbm, lazy_walk_matrix, spectral\n"
+            "walk = lazy_walk_matrix(generate_sbm([30, 30], 0.3, 0.0, seed=2))\n"
+            "spectral._DENSE_POWER_MAX_N = 1\n"
+            "power = spectral._power(walk, 10**9)\n"
+            "assert not isinstance(power, np.ndarray)\n"
+            "power = power.toarray()\n"
+            "assert not power[:30, 30:].any() and not power[30:, :30].any()\n"
+            "assert np.allclose(power[:30, :30], 1 / 30, rtol=0, atol=1e-7)\n"
+            "assert np.allclose(power[30:, 30:], 1 / 30, rtol=0, atol=1e-7)\n")
+    src = str(Path(graphcoreset.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def _with_stored_zero_diagonal(walk):
@@ -249,12 +284,12 @@ def test_normalized_columns_helpers(two_triangles):
 
 @pytest.fixture(scope="module")
 def full_powers():
-    """(walk, ell, dense P^ell from _dense_power) for walks whose dense-branch
+    """(walk, ell, dense P^ell from _power) for walks whose dense-branch
     power has no zero entry: the SBM study's graph at ell = 12 and the
     power-law tree study's at ell = 32."""
     sbm = lazy_walk_matrix(generate_sbm([100, 500, 400], 0.15, 0.045, seed=1))
     tree = lazy_walk_matrix(generate_powerlaw_tree(300, 3.0, seed=0))
-    return {name: (walk, ell, spectral._dense_power(walk, ell))
+    return {name: (walk, ell, spectral._power(walk, ell))
             for name, walk, ell in (("sbm", sbm, 12), ("tree", tree, 32))}
 
 
