@@ -101,15 +101,17 @@ def bound_check(
     # the certificate controls the walk power applied to the weight spikes:
     # for eigenpairs above the threshold, |<u, 1/n - row>| <= lam^-ell *
     # |<u, P^ell (1/n - row)>|, and P^ell fixes the uniform vector
-    mixed = columns.matrix @ row
-    residual_vec = mixed - np.full(n, 1.0 / n)
+    residual_vec = columns.apply(row) - 1.0 / n
     try:
         power = eigenvalue_threshold**columns.ell
     except OverflowError:  # an ell past float range: the power underflows all the same
         power = 0.0
     with np.errstate(over="ignore"):
         distance = float(np.linalg.norm(residual_vec))
-    rhs = norm / power * distance if power > 0.0 else math.inf
+    if power == 0.0:
+        rhs = math.inf
+    else:  # either zero factor gives 0: the other over a denormal power may be inf
+        rhs = norm * (distance / power) if norm and distance else 0.0
     lhs = abs(function.mean() - estimate_mean(function, coreset))
     return lhs, rhs, lhs <= rhs + BOUND_SLACK
 

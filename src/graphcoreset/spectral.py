@@ -8,19 +8,19 @@ factors start dense for ell >= 2 on graphs of at most 2048 vertices, so BLAS
 squares them by syrk, and sparse otherwise (ell = 1 is P itself); a sparse
 square that stores all n * n entries turns dense. That follows from n, ell
 and the squares' fill alone; no caller chooses it.
-The power is stored as CSC either way. A power with no zero entry is scored
-as dense: its CSC data, in column-major order, is the row-major
-(P^ell)^T, so the greedy rounds score it with one BLAS gemv on that buffer;
-any other power is scored by a CSR matvec. A power that
-stores at most _GRAM_MAX_FILL of its n * n entries is not scored by a matvec
-after the first round: each round updates the scores from one Gram column,
-a gather over the CSC columns on the picked column's support. These rules
-follow from the power's fill alone, too. NormalizedColumns derives the
-uniform target 1/sqrt(n) from n as well. Dense eigendecompositions never
-enter column construction: they serve smooth-function synthesis and, through
-top_eigenvectors on graphs of at most 600 vertices (larger ones use Lanczos),
-the eigenvector embedding that the spectral baseline clusters, as does the
-k-means baseline on a graph without a point cloud.
+A power with no zero entry is stored as the dense column-major array, whose
+buffer read row-major is (P^ell)^T, so the greedy rounds score it with one
+BLAS gemv on that buffer; any other power is stored as CSC and scored by a
+CSR matvec. A power that stores at most _GRAM_MAX_FILL of its n * n entries
+is not scored by a matvec after the first round: each round updates the
+scores from one Gram column, a gather over the CSC columns on the picked
+column's support. These rules follow from the power's fill alone, too.
+NormalizedColumns derives the uniform target 1/sqrt(n) from n as well. Dense
+eigendecompositions never enter column construction: they serve
+smooth-function synthesis and, through top_eigenvectors on graphs of at most
+600 vertices (larger ones use Lanczos), the eigenvector embedding that the
+spectral baseline clusters, as does the k-means baseline on a graph without
+a point cloud.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
 class NormalizedColumns:
     """Unit-normalized columns of a walk power.
 
-    matrix holds the raw power P^ell (symmetric) as CSC; column i of the
-    normalized family is matrix[:, i] / column_norms[i]. rows is a view of
-    matrix.T, built once at construction and sharing matrix's arrays, so
-    alignments is one matvec with no per-call transpose. When matrix stores
-    every entry with sorted indices, its data is column-major and rows is
-    that buffer reshaped to a dense row-major n x n array, so the matvec is a
-    BLAS gemv; otherwise rows is the CSR view. The fields are frozen, so the
-    view cannot go stale.
+    power holds the raw power P^ell (symmetric), read only by these methods:
+    the dense column-major array when it has no zero entry, CSC otherwise.
+    Column i of the normalized family is power[:, i] / column_norms[i]. rows
+    is power.T, built once and sharing power's buffers, so alignments is one
+    matvec with no per-call transpose: a BLAS gemv on a dense power's buffer
+    read as the row-major (P^ell)^T, a CSR matvec otherwise. The fields are
+    frozen, so the view cannot go stale.
 
     step_alignments carries the alignments of a greedy iterate from round to
     round. A power that stores at most _GRAM_MAX_FILL of its entries blends
@@ -92,22 +91,27 @@ class NormalizedColumns:
     """
 
     ell: int
-    matrix: sp.csc_matrix
+    power: np.ndarray | sp.csc_matrix
     column_norms: np.ndarray
     rows: np.ndarray | sp.csr_matrix = field(init=False, repr=False, compare=False)
     gram_steps: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if self.matrix.nnz == n * n and self.matrix.has_sorted_indices:
-            object.__setattr__(self, "rows", self.matrix.data.reshape(n, n))
-        else:
-            object.__setattr__(self, "rows", self.matrix.T)
-        object.__setattr__(self, "gram_steps", self.matrix.nnz <= _GRAM_MAX_FILL * n * n)
+        object.__setattr__(self, "rows", self.power.T)
+        object.__setattr__(self, "gram_steps", not isinstance(self.power, np.ndarray)
+                           and self.power.nnz <= _GRAM_MAX_FILL * self.n * self.n)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.power.shape[0]
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """The power as CSC (built on each call from a dense power), kept only
+        for the benchmark's trace hook in bench/spans.py; nothing here reads it."""
+        import scipy.sparse as sp
+
+        return sp.csc_matrix(self.power)
 
     @property
     def target(self) -> np.ndarray:
@@ -115,11 +119,17 @@ class NormalizedColumns:
         return np.full(self.n, 1.0 / np.sqrt(self.n))
 
     def column(self, i: int) -> np.ndarray:
-        """Dense unit-norm column i, filled from the CSC slice of column i."""
-        start, stop = self.matrix.indptr[i], self.matrix.indptr[i + 1]
+        """Dense unit-norm column i, sliced from a dense power or filled from CSC."""
+        if isinstance(self.power, np.ndarray):
+            return self.power[:, i] / self.column_norms[i]
+        start, stop = self.power.indptr[i], self.power.indptr[i + 1]
         col = np.zeros(self.n)
-        col[self.matrix.indices[start:stop]] = self.matrix.data[start:stop]
+        col[self.power.indices[start:stop]] = self.power.data[start:stop]
         return col / self.column_norms[i]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The raw power applied to x, P^ell @ x."""
+        return self.power @ x
 
     def alignments(self, x: np.ndarray) -> np.ndarray:
         """Inner product of every normalized column with x: one matvec with rows,
@@ -134,9 +144,9 @@ class NormalizedColumns:
         reading column j as row j of the symmetric power: one bincount over
         slices of the CSC arrays, with work (fill * n)^2 in place of fill * n^2.
         """
-        if isinstance(self.rows, np.ndarray):
+        if isinstance(self.power, np.ndarray):
             return self.alignments(self.column(i))
-        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
+        indptr, indices, data = self.power.indptr, self.power.indices, self.power.data
         start, stop = indptr[i], indptr[i + 1]
         support = indices[start:stop]
         starts = indptr[support]
@@ -168,9 +178,8 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     power squares by X @ X.T (see _power). The result carries ell: the
     selection and the error bound work from these columns and take no ell of
     their own. A sparse power is copied to CSC without explicit zeros: the
-    same arrays a dense round trip would give, without densifying. A dense
-    power with no zero entry becomes CSC straight from its column-major
-    buffer (see _dense_to_csc).
+    same arrays a dense round trip would give, without densifying. A power
+    with no zero entry is kept as the dense column-major array.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -179,11 +188,15 @@ def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:
     # rounding can carry a huge power past float range; the norm check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         power = _power(walk, ell)
-        if isinstance(power, np.ndarray):
-            power = _dense_to_csc(power)
-        else:
+        if not isinstance(power, np.ndarray):
             power = sp.csc_matrix(power, copy=True)
             power.eliminate_zeros()
+            if power.nnz == power.shape[0] ** 2:  # a last sparse product that filled
+                power = power.toarray(order="F")
+        elif np.count_nonzero(power) < power.size:
+            power = sp.csc_matrix(power)
+        else:
+            power = np.asfortranarray(power)
         norms = np.sqrt(_column_sums_of_squares(power))
     if not np.all((norms > 0) & (norms < np.inf)):  # a NaN norm fails too
         raise ValueError("walk power has a zero or non-finite column")
@@ -221,35 +234,19 @@ def _power(walk: sp.csr_matrix, ell: int) -> np.ndarray | sp.csr_matrix:
             square = square.toarray()
 
 
-def _dense_to_csc(dense: np.ndarray) -> sp.csc_matrix:
-    """sp.csc_matrix(dense) for a square array, arrays byte for byte.
+def _column_sums_of_squares(power: np.ndarray | sp.csc_matrix) -> np.ndarray:
+    """Sum of squared entries per column, dense or stored, in storage order.
 
-    An array with no zero entry skips scipy's COO round trip: its column-major
-    copy is the CSC data, every column holds rows 0..n-1 and column j starts
-    at j * n. The indices are int32, as scipy picks them, while n * n fits;
-    past that both arrays are int64.
-    """
-    import scipy.sparse as sp
-
-    n = dense.shape[0]
-    if np.count_nonzero(dense) < n * n:
-        return sp.csc_matrix(dense)
-    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    data = dense.ravel(order="F")
-    indices = np.tile(np.arange(n, dtype=index), n)
-    indptr = np.arange(0, n * n + 1, n, dtype=index)
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _column_sums_of_squares(matrix: sp.csc_matrix) -> np.ndarray:
-    """Sum of squared stored entries per column, summed in index order.
-
-    Bit-identical to matrix.multiply(matrix).sum(axis=0). reduceat returns
+    Bit-identical to multiply().sum(axis=0) on the CSC form. reduceat returns
     the next element for an empty segment, so empty columns are left at 0.
     """
-    sums = np.zeros(matrix.shape[1])
-    filled = np.flatnonzero(np.diff(matrix.indptr))
-    sums[filled] = np.add.reduceat(matrix.data * matrix.data, matrix.indptr[filled])
+    if isinstance(power, np.ndarray):
+        data, indptr = power.ravel(order="F"), np.arange(0, power.size + 1, power.shape[0])
+    else:
+        data, indptr = power.data, power.indptr
+    sums = np.zeros(power.shape[1])
+    filled = np.flatnonzero(np.diff(indptr))
+    sums[filled] = np.add.reduceat(data * data, indptr[filled])
     return sums
 
 

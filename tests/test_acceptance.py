@@ -287,7 +287,7 @@ def _certificate_gaps(columns, grid: dict) -> list:
         j = coreset.trajectory[-1].residual
         w = np.zeros(columns.n)
         w[coreset.indices] = coreset.weights
-        r = float(np.linalg.norm(columns.matrix @ w - 1.0 / columns.n))
+        r = float(np.linalg.norm(columns.apply(w) - 1.0 / columns.n))
         gaps.append((abs(w.sum() - (1.0 - j)) / (1.0 - j), abs(columns.n * r * r - j)))
     return gaps
 

@@ -168,7 +168,7 @@ def test_select_prints_certificate_r(sbm_file, capsys, ell):
     coreset = Coreset.load_json("cs.json")
     w = np.zeros(cols.n)
     w[coreset.indices] = coreset.weights
-    r = float(np.linalg.norm(cols.matrix @ w - 1.0 / cols.n))
+    r = float(np.linalg.norm(cols.apply(w) - 1.0 / cols.n))
     r_printed = float(printed["certificate_r"])
     assert printed["certificate_r"] == "%.17g" % math.sqrt(float(printed["final_J"]) / cols.n)
     assert abs(cols.n * r_printed**2 - cols.n * r**2) <= 1e-13
@@ -478,6 +478,18 @@ def test_eval_smooth_bound_is_vacuous_at_large_ell(sbm_file, capsys):
     assert "bound_rhs inf" in out.splitlines() and "Traceback" not in err
     row = next(csv.DictReader(Path("ev.csv").read_text(encoding="utf-8").splitlines()))
     assert float(row["bound_rhs"]) == math.inf
+
+
+@pytest.mark.parametrize("ell", [1073, 1074])
+def test_eval_smooth_exact_coreset_holds_where_the_power_is_denormal(workdir, capsys, ell):
+    """An exact coreset of the 2-vertex graph has a zero bound and exits 0
+    where 0.5**ell is denormal, not "smoothness bound violated"."""
+    write_json("g.json", {"n": 2, "u": [0], "v": [1], "w": [1.0]})
+    write_json("cs.json", {"indices": [0, 1], "weights": [0.5, 0.5]})
+    assert run_cli("eval", "--graph", "g.json", "--coreset", "cs.json", "--function", "smooth",
+                   "--threshold", "0.5", "--ell", str(ell), "-o", "ev.csv") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "abs_err 0" in lines and "bound_rhs 0" in lines
 
 
 def test_eval_average_distance(sbm_file):

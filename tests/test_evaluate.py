@@ -137,6 +137,10 @@ def test_bound_zero_function(two_triangles):
     f = GraphFunction(np.zeros(walk.shape[0]), np.zeros(3))
     lhs, rhs, holds = bound_check(f, 0.3, FakeCoreset([0], [1.0]), cols)
     assert lhs == 0.0 and rhs == 0.0 and holds
+    # 0.5**1074 is denormal, so the residual over it overflows to inf; the
+    # zero smoothness still makes the certificate 0, not nan
+    cols = normalized_columns(walk, 1074)
+    assert bound_check(f, 0.5, FakeCoreset([0], [1.0]), cols) == (0.0, 0.0, True)
 
 
 def test_bound_formula_and_validation(two_triangles):
@@ -151,7 +155,7 @@ def test_bound_formula_and_validation(two_triangles):
         # recompute the certificate by hand
         row = np.zeros(6)
         row[np.array(out.indices)] = out.weights
-        mixed = cols.matrix @ row
+        mixed = cols.apply(row)
         norm = float(np.linalg.norm(f.coefficients))
         expect = norm / 0.4 ** ell * float(np.linalg.norm(mixed - 1.0 / 6.0))
         assert rhs == pytest.approx(expect, abs=1e-12)
@@ -165,12 +169,26 @@ def test_bound_formula_and_validation(two_triangles):
 def test_bound_is_vacuous_where_the_power_underflows(threshold, ell):
     """threshold**ell rounds to 0.0, or ell converts to no float: the certificate
     is +inf and holds, where it used to raise."""
-    # P = [[0.5, 0.5], [0.5, 0.5]] is its own square, so every power of it is exact
+    # d_max = 1 leaves no lazy diagonal: P = [[0, 1], [1, 0]] squares to I, so
+    # every power of it is exact
     walk = lazy_walk_matrix(Graph(2, np.array([[0, 1]]), np.ones(1)))
     f = synthesize_smooth_function(walk, threshold, seed=1)
     cs = FakeCoreset([0], [1.0])
     lhs, rhs, holds = bound_check(f, threshold, cs, normalized_columns(walk, ell))
     assert (lhs, rhs, holds) == (abs(f.mean() - estimate_mean(f, cs)), math.inf, True)
+
+
+@pytest.mark.parametrize("ell", [1000, 1073, 1074])
+def test_bound_of_an_exact_coreset_is_zero_where_the_power_is_denormal(ell):
+    """Weights 1/2 on both vertices of the 2-vertex walk mix to the uniform
+    vector exactly, so the residual is 0 and so is the certificate, also
+    where threshold**ell is denormal (ell 1073 and 1074 at 0.5) and
+    smoothness / threshold**ell alone overflows to inf: inf * 0 must not make
+    it nan."""
+    walk = lazy_walk_matrix(Graph(2, np.array([[0, 1]]), np.ones(1)))
+    f = synthesize_smooth_function(walk, 0.5, seed=1)
+    cs = FakeCoreset([0, 1], [0.5, 0.5])
+    assert bound_check(f, 0.5, cs, normalized_columns(walk, ell)) == (0.0, 0.0, True)
 
 
 def test_bound_holds_for_real_selections():

@@ -191,6 +191,21 @@ def test_filled_sparse_power_finishes_densely(monkeypatch, ell):
         assert np.allclose(got.column_norms, 1.0 / np.sqrt(n), rtol=tolerance, atol=0)
 
 
+def test_sparse_power_that_fills_last_is_stored_dense(monkeypatch):
+    """Past the cutoff at ell = 3, P^2 is sparse but the last product (P @ P.T)
+    @ P stores all n * n entries: it is kept as the dense column-major array,
+    whose bytes are that product's CSC data, and scored by the gemv."""
+    walk = lazy_walk_matrix(generate_sbm([30, 25, 20], 0.3, 0.1, seed=2))
+    n = walk.shape[0]
+    product = (walk @ walk.T) @ walk
+    assert (walk @ walk).nnz < n * n == product.nnz
+    monkeypatch.setattr(spectral, "_DENSE_POWER_MAX_N", 1)
+    cols = normalized_columns(walk, 3)
+    assert type(cols.power) is np.ndarray and cols.power.flags.f_contiguous
+    assert cols.power.tobytes(order="F") == sp.csc_matrix(product).data.tobytes()
+    assert type(cols.rows) is np.ndarray and np.shares_memory(cols.rows, cols.power)
+
+
 def test_power_that_never_fills_stays_sparse_and_bounded():
     """On a graph with two components no power fills, so past the cutoff the
     chain stays sparse; it still squares, so ell = 10**9 takes 41 products
@@ -295,19 +310,16 @@ def full_powers():
 
 @pytest.mark.parametrize("case", ["sbm", "tree"])
 def test_full_power_is_scored_by_a_dense_gemv(full_powers, case):
-    """A power with no zero entry keeps the CSC arrays scipy's own conversion
-    gives, and rows is its data buffer read as the dense row-major (P^ell)^T."""
+    """A power with no zero entry is stored as the dense column-major array
+    _power gives, and rows is its buffer read as the row-major (P^ell)^T."""
     walk, ell, dense = full_powers[case]
     cols = normalized_columns(walk, ell)
     assert np.count_nonzero(dense) == dense.size
-    want = sp.csc_matrix(dense)
-    for name in ("indptr", "indices", "data"):
-        got_array, want_array = getattr(cols.matrix, name), getattr(want, name)
-        assert got_array.dtype == want_array.dtype
-        assert got_array.tobytes() == want_array.tobytes()
+    assert type(cols.power) is np.ndarray and cols.power.flags.f_contiguous
+    assert cols.power.tobytes(order="F") == dense.tobytes(order="F")
     assert type(cols.rows) is np.ndarray and cols.rows.flags.c_contiguous
-    assert np.shares_memory(cols.rows, cols.matrix.data)
-    assert np.array_equal(cols.rows, cols.matrix.toarray().T)
+    assert np.shares_memory(cols.rows, cols.power)
+    assert np.array_equal(cols.rows, dense.T)
     y = np.random.default_rng(4).standard_normal(cols.n)
     got = cols.alignments(y)
     assert got.tobytes() == ((cols.rows @ y) / cols.column_norms).tobytes()
@@ -319,9 +331,34 @@ def test_full_power_is_scored_by_a_dense_gemv(full_powers, case):
     assert np.allclose(got, csr, rtol=2e-13, atol=0)
 
 
+@pytest.mark.parametrize("case", ["full", "sparse"])
+def test_matrix_is_the_csc_of_the_power(full_powers, large_knn_walk, case):
+    """The benchmark's trace hook reads the power's size through
+    NormalizedColumns.matrix: shape, nnz and the CSC arrays, which match
+    scipy's conversion of the power byte for byte on a full power (the SBM's
+    P^12, stored dense) and on a sparse one (the kNN walk's P^3, stored CSC)."""
+    if case == "full":
+        walk, ell, power = full_powers["sbm"]
+    else:
+        walk, ell = large_knn_walk, 3
+        power = large_knn_walk @ large_knn_walk @ large_knn_walk
+    cols = normalized_columns(walk, ell)
+    want = sp.csc_matrix(power)
+    got = cols.matrix
+    assert got.shape == want.shape and got.nnz == want.nnz
+    assert (got.nnz == cols.n * cols.n) == (case == "full")
+    for name in ("data", "indices", "indptr"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
+    if case == "full":
+        assert np.shares_memory(cols.rows, cols.power)
+
+
 def _matrix_power_columns(walk, ell: int) -> NormalizedColumns:
     """normalized_columns(walk, ell) with np.linalg.matrix_power's gemm squares."""
-    power = spectral._dense_to_csc(np.linalg.matrix_power(walk.toarray(), ell))
+    power = np.asfortranarray(np.linalg.matrix_power(walk.toarray(), ell))
+    assert np.count_nonzero(power) == power.size
     return NormalizedColumns(ell, power, np.sqrt(spectral._column_sums_of_squares(power)))
 
 
@@ -377,15 +414,17 @@ def _stored_zero_and_empty_column():
 
 @pytest.mark.parametrize("case", ["dense", "sparse", "stored-zero-and-empty-column"])
 def test_column_norms_equal_the_sparse_sum(full_powers, large_knn_walk, case):
-    """Sums of squares per column are byte-identical to multiply().sum(axis=0)."""
+    """Sums of squares per column, of a dense column-major power or a CSC one,
+    are byte-identical to multiply().sum(axis=0) on the CSC form."""
     if case == "dense":
-        matrix = spectral._dense_to_csc(full_powers["sbm"][2])
+        power = np.asfortranarray(full_powers["sbm"][2])
     elif case == "sparse":
-        matrix = normalized_columns(large_knn_walk, 3).matrix
+        power = normalized_columns(large_knn_walk, 3).power
     else:
-        matrix = _stored_zero_and_empty_column()
+        power = _stored_zero_and_empty_column()
+    matrix = sp.csc_matrix(power)
     want = np.asarray(matrix.multiply(matrix).sum(axis=0)).ravel()
-    got = spectral._column_sums_of_squares(matrix)
+    got = spectral._column_sums_of_squares(power)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -397,9 +436,9 @@ def test_gemv_bytes_do_not_depend_on_blas_threads(full_powers, tmp_path):
     code = ("import sys\n"
             "import numpy as np\n"
             "from graphcoreset import spectral\n"
-            "matrix = spectral._dense_to_csc(np.load(sys.argv[1]))\n"
-            "norms = np.sqrt(spectral._column_sums_of_squares(matrix))\n"
-            f"cols = spectral.NormalizedColumns({ell}, matrix, norms)\n"
+            "power = np.asfortranarray(np.load(sys.argv[1]))\n"
+            "norms = np.sqrt(spectral._column_sums_of_squares(power))\n"
+            f"cols = spectral.NormalizedColumns({ell}, power, norms)\n"
             "assert type(cols.rows) is np.ndarray\n"
             "y = np.random.default_rng(7).standard_normal(cols.n)\n"
             "sys.stdout.write(cols.alignments(y).tobytes().hex())\n")
