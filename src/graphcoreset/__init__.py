@@ -13,8 +13,8 @@ labelled over the edge array in numpy), the random and k-means baselines
 and an indicator evaluation load no scipy at all; the walk matrix, its
 powers and the adjacency load scipy.sparse, and so do betweenness and
 average distances, which are breadth-first sweeps over the hop adjacency;
-the kNN build loads scipy.spatial, and Lanczos past 600 vertices
-scipy.sparse.linalg.
+the kNN build loads scipy.spatial, and the eigenvector embedding (a
+Lanczos solve) scipy.sparse.linalg.
 """
 
 from .baselines import (

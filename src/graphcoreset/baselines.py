@@ -290,6 +290,8 @@ class BaselineInputs:
     def embedding(self, k: int) -> PointCloud:
         """The first k basis coordinates of each vertex. The eigenvalue-1 vectors
         span component indicators, so clusters split components first."""
+        if k > self.k_max:
+            raise ValueError(f"k {k} is above k_max {self.k_max}")
         if self.basis is None:
             walk = lazy_walk_matrix(self.graph) if self.walk is None else self.walk
             self.basis = top_eigenvectors(walk, self.k_max)

@@ -15,12 +15,10 @@ CSR matvec. A power that stores at most _GRAM_MAX_FILL of its n * n entries
 is not scored by a matvec after the first round: each round updates the
 scores from one Gram column, a gather over the CSC columns on the picked
 column's support. These rules follow from the power's fill alone, too.
-NormalizedColumns derives the uniform target 1/sqrt(n) from n as well. Dense
-eigendecompositions never enter column construction: they serve
-smooth-function synthesis and, through top_eigenvectors on graphs of at most
-600 vertices (larger ones use Lanczos), the eigenvector embedding that the
-spectral baseline clusters, as does the k-means baseline on a graph without
-a point cloud.
+NormalizedColumns derives the uniform target 1/sqrt(n) from n as well.
+Eigenvectors never enter column construction: top_eigenvectors, one seeded
+Lanczos solve, embeds the graph for the spectral and graph k-means
+baselines, and the dense eigendecomposition serves smooth-function synthesis.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from .graphs import Graph
 
 # largest vertex count whose walk power (ell >= 2) starts from the dense matrix
 _DENSE_POWER_MAX_N = 2048
-# largest vertex count whose top eigenvectors come from a full dense eigh
-_DENSE_EIG_MAX_N = 600
 # largest fill (stored share of the n * n entries) of a power whose greedy
 # rounds advance their alignments by a Gram column instead of a matvec: a Gram
 # column takes about (fill * n)^2 element steps and a matvec fill * n^2, and on
@@ -251,10 +247,8 @@ def _column_sums_of_squares(power: np.ndarray | sp.csc_matrix) -> np.ndarray:
 
 
 def eigendecomposition(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full orthonormal eigenbasis of P, eigenvalues descending.
-
-    Dense; intended for synthesis, diagnostics, and modest n.
-    """
+    """Full orthonormal eigenbasis of P, eigenvalues descending, by a dense eigh:
+    for smooth-function synthesis, and top_eigenvectors at k >= n - 1."""
     values, vectors = np.linalg.eigh(walk.toarray())
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
@@ -263,14 +257,15 @@ def eigendecomposition(walk: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 def top_eigenvectors(walk: sp.csr_matrix, k: int) -> np.ndarray:
     """Eigenvectors of the k largest eigenvalues, as columns, descending.
 
-    Graphs of at most _DENSE_EIG_MAX_N vertices go through the dense path;
-    larger ones use Lanczos with a fixed seeded start vector so repeated
-    calls are reproducible.
+    One Lanczos solve (eigsh) from a start vector drawn from seed 0 on every
+    graph size, so repeated calls give the same bytes, under one BLAS thread
+    or two. k = n - 1 or n slices the full eigendecomposition instead: eigsh
+    refuses k = n, and at k = n - 1 its Krylov space is the whole space.
     """
     n = walk.shape[0]
     if not (1 <= k <= n):
         raise ValueError("k must be in 1..n")
-    if n <= _DENSE_EIG_MAX_N or k > n - 2:
+    if k > n - 2:
         _, vectors = eigendecomposition(walk)
         return vectors[:, :k]
     from scipy.sparse.linalg import eigsh

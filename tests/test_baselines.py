@@ -298,6 +298,17 @@ def test_spectral_clustering_on_sbm():
     assert exact >= 19
 
 
+@pytest.mark.parametrize("method", ["spectral", "kmeans"])
+def test_embedding_past_k_max_is_rejected(method):
+    """The embedding holds k_max eigenvectors; a k above it is an error naming
+    both, not a k-means run on k_max coordinates. k = k_max still runs."""
+    inputs = BaselineInputs(generate_sbm([30, 30], 0.3, 0.05, seed=0), 3)
+    with pytest.raises(ValueError, match=r"^k 6 is above k_max 3$"):
+        BASELINES[method](inputs, 6, 1)
+    assert len(BASELINES[method](inputs, 3, 1).indices) == 3
+    assert inputs.embedding(3).coords.shape == (60, 3)
+
+
 # ---------------------------------------------------------------------------
 # betweenness
 

@@ -468,7 +468,6 @@ def test_normalized_columns_rejects_zero_or_nonfinite_column(entries, ell):
 def test_top_eigenvectors_lanczos_path():
     g = generate_sbm([240, 230, 230], 0.1, 0.005, seed=3)
     walk = lazy_walk_matrix(g)
-    assert walk.shape[0] > spectral._DENSE_EIG_MAX_N  # past the dense cutoff: Lanczos
     vecs = top_eigenvectors(walk, 3)
     assert vecs.shape == (700, 3)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-8)
@@ -487,10 +486,21 @@ def test_top_eigenvectors_lanczos_path():
 
 
 def test_top_eigenvectors_dense_small(star4):
+    """k = n - 1 and k = n (no room for Lanczos) slice the full dense
+    eigendecomposition; k = 2 <= n - 2 is a Lanczos solve. star4's 2/3 is a
+    double eigenvalue, so that solve may return another basis of its
+    eigenspace: it is checked by orthonormality, residuals and eigenvalues."""
     walk = lazy_walk_matrix(star4)
-    vecs = top_eigenvectors(walk, 2)
     values, full = eigendecomposition(walk)
-    assert np.array_equal(vecs, full[:, :2])
+    for k in (3, 4):
+        assert np.array_equal(top_eigenvectors(walk, k), full[:, :k])
+    vecs = top_eigenvectors(walk, 2)
+    assert vecs.shape == (4, 2)
+    assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
+    rhos = np.einsum("ij,ij->j", vecs, walk @ vecs)
+    for j in range(2):
+        assert np.linalg.norm(walk @ vecs[:, j] - rhos[j] * vecs[:, j]) < 1e-8
+    assert np.allclose(rhos, values[:2], atol=1e-12)
 
 
 def test_synthesize_smooth_function(star4):
