@@ -22,9 +22,6 @@ from .spectral import lazy_walk_matrix, top_eigenvectors
 # Lloyd stops once every centroid moved less than _LLOYD_TOL, or after _LLOYD_MAX_ITER rounds
 _LLOYD_TOL = 1e-6
 _LLOYD_MAX_ITER = 300
-# From this many points per column up, one bincount per column sums the clusters
-# faster than one over (cluster, column) keys (n 300 to 2,000, 2 to 28 columns)
-_PER_COORDINATE = 100
 # sources per breadth-first sweep: the sweep holds a few (n, _BATCH) arrays
 _BATCH = 256
 
@@ -88,22 +85,17 @@ def _cluster_sums(points: np.ndarray, points_t: np.ndarray, assign: np.ndarray,
     """Per-cluster coordinate sums, each added in the order mean(axis=0) adds it.
 
     Two or more columns: numpy's axis-0 reduction adds each cluster's rows
-    in index order, as a bincount does: one per row of points_t (points^T)
-    from _PER_COORDINATE points per column up, else one over (cluster,
-    column) keys. One column: numpy sums it pairwise, so each cluster's run
-    of a stable sort is summed by the same reduction.
+    in index order, as a bincount does, one per row of points_t (points^T).
+    One column: numpy sums it pairwise, so each cluster's run of a stable
+    sort is summed by the same reduction.
     """
-    k, d = len(counts), points.shape[1]
-    if d == 1:
+    k = len(counts)
+    if points.shape[1] == 1:
         column = points[np.argsort(assign, kind="stable"), 0]
         stops = np.cumsum(counts)
         return np.array([[column[stop - count:stop].sum()]
                          for stop, count in zip(stops.tolist(), counts.tolist())])
-    if d * _PER_COORDINATE <= len(points):
-        return np.stack([np.bincount(assign, weights=row, minlength=k) for row in points_t],
-                        axis=1)
-    keys = (assign * d)[:, None] + np.arange(d)
-    return np.bincount(keys.ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+    return np.stack([np.bincount(assign, weights=row, minlength=k) for row in points_t], axis=1)
 
 
 def _lloyd(points: np.ndarray, k: int, seed: int):
@@ -152,22 +144,18 @@ def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarr
     """Representative of each non-empty cluster, in cluster order: the member
     point nearest the centroid, with weight its cluster's fraction of the points.
 
-    Whole-array passes: each point's distance to its own centroid, members
-    grouped by one stable sort of assign (so in index order), and each
-    group's first minimum, or first NaN, as np.argmin over the members
-    would pick it.
+    Ties go to the lowest index, and a cluster whose distances hold a NaN
+    picks its first NaN, as np.argmin over the members does.
     """
-    dist = np.sum((points - centroids[assign]) ** 2, axis=1)
-    order = np.argsort(assign, kind="stable")
-    sizes = np.bincount(assign)
-    sizes = sizes[sizes > 0]
-    ordered = dist[order]
-    # a group holding a NaN has NaN for its minimum, equal to no member
-    low = np.repeat(np.minimum.reduceat(ordered, np.cumsum(sizes) - sizes), sizes)
-    hits = np.flatnonzero((ordered == low) | np.isnan(ordered))
-    group = np.repeat(np.arange(len(sizes)), sizes)[hits]
-    first = hits[np.concatenate(([True], group[1:] != group[:-1]))]
-    return order[first].tolist(), sizes / len(points)
+    reps, weights = [], []
+    for j in range(len(centroids)):
+        members = np.flatnonzero(assign == j)
+        if len(members) == 0:
+            continue
+        d = np.sum((points[members] - centroids[j]) ** 2, axis=1)
+        reps.append(int(members[int(np.argmin(d))]))
+        weights.append(len(members) / len(points))
+    return reps, np.array(weights)
 
 
 def kmeans_coreset(cloud: PointCloud, k: int, seed: int) -> Coreset:

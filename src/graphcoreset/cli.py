@@ -432,7 +432,10 @@ def _params_from_args(args: argparse.Namespace) -> dict:
         raise ValueError(f"{flag} {params[flag]} requires {', '.join(missing)}")
     for key in types:
         if key in _GENERATE_PARSERS:
-            params[key] = _GENERATE_PARSERS[key](params[key])
+            try:
+                params[key] = _GENERATE_PARSERS[key](params[key])
+            except ValueError as exc:  # name the flag, as argparse does for scalar flags
+                raise ValueError(f"argument --{key}: {exc}") from None
     if args.command == "select":
         if args.costs and args.uniform_costs is not None:
             raise ValueError("--costs and --uniform-costs are mutually exclusive")

@@ -233,10 +233,14 @@ class PointCloud:
     def load_csv(cls, path: str) -> "PointCloud":
         """Inverse of save_csv; blank lines are skipped and fields may be quoted.
         Raises ValueError, naming the file line, on a ragged row, a non-numeric
-        field or a label that is not an integer."""
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = handle.readline().rstrip("\r\n").split(",")
-            body = handle.read()
+        field or a label that is not an integer, and naming the file when it
+        is not UTF-8."""
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                header = handle.readline().rstrip("\r\n").split(",")
+                body = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if header == [""]:
             raise ValueError(f"{path}: empty point cloud file")
         if not body.strip():
@@ -409,7 +413,9 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
     Each new vertex attaches to one existing vertex with probability
     proportional to degree**(1 / (exponent - 2)); exponent 3 is linear
     preferential attachment. The tilt is a heuristic mapping to the target
-    degree-tail exponent, steeper tilt for smaller exponents.
+    degree-tail exponent, steeper tilt for smaller exponents. Each target is
+    one rng.choice draw; an exponent whose weights overflow float range
+    raises ValueError naming it.
     """
     if n < 2:
         raise ValueError("tree needs at least 2 vertices")
@@ -426,10 +432,7 @@ def generate_powerlaw_tree(n: int, exponent: float, seed: int) -> Graph:
             total = weight.sum()
             if total == np.inf:
                 raise ValueError(f"exponent {exponent!r} overflows degree ** (1 / (exponent - 2))")
-            # rng.choice(t, p=weight / total)'s inverse-CDF draw, less its checks
-            cdf = np.cumsum(weight / total)
-            cdf /= cdf[-1]
-            target = int(cdf.searchsorted(rng.random(), side="right"))
+            target = int(rng.choice(t, p=weight / total))
             targets[t - 1] = target
             degree[t] = 1.0
             degree[target] += 1.0
@@ -486,28 +489,29 @@ def load_edge_list(path: str) -> Graph:
 
     Vertex ids are compacted to 0..n-1 in order of first appearance.
     Self loops are dropped with a warning that reports the count. Duplicate
-    edges, in either orientation, collapse to a single unit edge.
+    edges, in either orientation, collapse to a single unit edge. Raises
+    ValueError naming the file: on a line of another token count (with its
+    number), on no edges, or when the file is not UTF-8.
     """
-    tokens = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}: line {lineno}: expected 'u v' or 'u v w'")
-            tokens += parts[:2]
-    # unique sorts the ids; rank them by first appearance instead
-    _, first, inverse = np.unique(np.array(tokens), return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    u, v = rank[inverse[0::2]], rank[inverse[1::2]]
-    loop = u == v
-    if loop.any():
-        warnings.warn(f"{path}: dropped {int(loop.sum())} self-loop line(s)")
-    if loop.all():  # also when the file holds no edge line at all
+    ids, pairs, loops = {}, set(), 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split()
+                if len(parts) not in (2, 3):
+                    raise ValueError(f"{path}: line {lineno}: expected 'u v' or 'u v w'")
+                u, v = [ids.setdefault(token, len(ids)) for token in parts[:2]]
+                if u == v:
+                    loops += 1
+                    continue
+                pairs.add((u, v) if u < v else (v, u))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if loops:
+        warnings.warn(f"{path}: dropped {loops} self-loop line(s)")
+    if not pairs:
         raise ValueError(f"{path}: no edges found")
-    n = len(first)
-    u, v = u[~loop], v[~loop]
-    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
-    return Graph(n, np.column_stack([keys // n, keys % n]), np.ones(len(keys)))
+    return Graph(len(ids), np.array(sorted(pairs), dtype=np.int64), np.ones(len(pairs)))

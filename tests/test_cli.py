@@ -400,6 +400,21 @@ def test_variant_flags_without_default_are_required(workdir, capsys, argv, messa
     assert not os.path.exists("x.json")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--model", "sbm", "--sizes", "3,x", "--p-in", "0.5", "--p-out", "0.1"], "--sizes"),
+    (["--model", "gaussian-mixture", "--means", "0,0;1,q", "--fractions", "0.5,0.5", "--n", "6"],
+     "--means"),
+    (["--model", "gaussian-mixture", "--means", "0,0;1,1", "--fractions", "0.5,z", "--n", "6"],
+     "--fractions"),
+], ids=["sizes", "means", "fractions"])
+def test_list_flag_errors_name_the_flag(workdir, capsys, argv, flag):
+    """A list flag holding a field that is no number names the flag, as argparse
+    does for a scalar flag."""
+    assert run_cli("generate", *argv, "-o", "x.json") == 2
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    assert not os.path.exists("x.json")
+
+
 def test_parameter_tables_match_the_parser():
     """Every key a command records for any of its variants is a flag of that
     command, every flag is recorded by some variant, and the variant flag's
@@ -464,6 +479,18 @@ def test_point_cloud_errors_name_the_file_line(workdir, capsys, text, line):
                    "-o", "km.json") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad.csv: line {line}: ") and "row" not in err
+
+
+@pytest.mark.parametrize("path, data, argv", [
+    ("bad.csv", b"x0,x1\n0,0\n\xff,1\n",
+     ["baseline", "--method", "kmeans", "--cloud", "bad.csv", "--k", "2", "-o", "km.json"]),
+    ("bad.txt", b"0 1\n1 \xff\n",
+     ["experiment", "--name", "ego-centrality", "--set", "data_path=bad.txt", "--out-dir", "out"]),
+], ids=["point-cloud", "edge-list"])
+def test_readers_name_a_file_that_is_not_utf8(workdir, capsys, path, data, argv):
+    Path(path).write_bytes(data)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
 def test_eval_reports_the_coreset_cost(sbm_file):
