@@ -174,7 +174,10 @@ def betweenness_scores(graph: Graph) -> np.ndarray:
     Edge weights are affinities and are not read (Graph.hop_adjacency).
     Brandes per block of sources: batched breadth-first sweeps count the
     shortest paths σ (_levels), and dependencies δ flow back level by level.
-    Unreachable pairs contribute 0.
+    Unreachable pairs contribute 0. A tree (n - 1 edges, all n vertices
+    reached from vertex 0) skips the sweep: one search from vertex 0 gives
+    the subtree sizes, and the scores follow from them as int64 counts that
+    equal the sweep's exact float sums bit for bit (_tree_statistics).
     """
     return _betweenness_unit(graph.hop_adjacency())
 
@@ -230,10 +233,63 @@ def _hop_sums(adjacency: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
                            for start in range(0, len(sources), _BATCH)])
 
 
+def _tree_statistics(adjacency: sp.csr_matrix):
+    """(betweenness, depth sums) of a tree from its subtree sizes, or None for
+    any other graph.
+
+    A graph is a tree when it has n - 1 edges (2 (n - 1) stored entries) and
+    the levels from vertex 0 reach all n vertices. Rooted at 0, each vertex's
+    parent is its one neighbour a level up. Removing v leaves components of
+    its children's subtree sizes and n - size(v), and v lies on the one path
+    of every pair split between two of them, so its score is
+    ((n - 1)^2 - sum of the children's size^2 - (n - size(v))^2) / 2. Moving
+    the source from a parent to its child brings size(child) vertices one hop
+    nearer and the rest one farther: D(child) = D(parent) + n - 2 size(child).
+    All of it is int64: the sweep's float sums on a tree are the same integers.
+    """
+    n = adjacency.shape[0]
+    if adjacency.nnz != 2 * (n - 1):
+        return None
+    levels = [np.flatnonzero(level[:, 0])
+              for level in _levels(adjacency, np.zeros(1, dtype=np.intp))]
+    if sum(map(len, levels)) < n:
+        return None
+    depth = np.empty(n, dtype=np.int64)
+    for d, vertices in enumerate(levels):
+        depth[vertices] = d
+    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    up = depth[adjacency.indices] == depth[rows] - 1
+    parent = np.zeros(n, dtype=np.int64)
+    parent[rows[up]] = adjacency.indices[up]
+    size = np.ones(n, dtype=np.int64)
+    for vertices in reversed(levels[1:]):
+        np.add.at(size, parent[vertices], size[vertices])
+    child_squares = np.zeros(n, dtype=np.int64)
+    np.add.at(child_squares, parent[1:], size[1:] ** 2)
+    scores = ((n - 1) ** 2 - child_squares - (n - size) ** 2) // 2
+    sums = np.empty(n, dtype=np.int64)
+    sums[0] = depth.sum()
+    for vertices in levels[1:]:
+        sums[vertices] = sums[parent[vertices]] + n - 2 * size[vertices]
+    return scores.astype(np.float64), sums
+
+
 def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
                       depth_sums: np.ndarray | None = None) -> np.ndarray:
     """Brandes' sums over every source, batch sources at a time; depth_sums,
-    if given, receives each source's _depth_sums from the same levels."""
+    if given, receives each source's _depth_sums from the same levels.
+
+    A tree (2 (n - 1) stored entries, and the search from vertex 0 reaches all
+    n vertices) skips the sweep: _tree_statistics reads both from that one
+    search's subtree sizes. Its int64 counts are the integers the sweep adds
+    exactly in float64 (σ is 1 on a tree), so they are bit-equal to the
+    sweep's. Every other graph takes the sweep."""
+    tree = _tree_statistics(adjacency)
+    if tree is not None:
+        scores, sums = tree
+        if depth_sums is not None:
+            depth_sums[:] = sums
+        return scores
     n = adjacency.shape[0]
     scores = np.zeros(n)
     for start in range(0, n, batch):

@@ -8,7 +8,11 @@ avg_shortest_path_estimate is the paper's K-source estimator of its mean.
 Hop counts have one kernel, the batched breadth-first level sweep that also
 runs Brandes' forward pass (baselines._levels): a source's average distance
 is its exact integer sum of depth times level size, divided by n, and
-betweenness_and_distances reads both statistics off one sweep."""
+betweenness_and_distances reads both statistics off one sweep. On a tree (n - 1
+edges, all n vertices reached from vertex 0) it reads them off subtree sizes
+instead, one search from vertex 0 in place of n (baselines._tree_statistics):
+int64 counts equal to the integers the sweep sums exactly in float64, so no
+output byte moves. source_average_distances keeps the sweep on every graph."""
 
 import math
 from dataclasses import dataclass
@@ -133,9 +137,10 @@ def source_average_distances(graph: Graph, sources) -> np.ndarray:
     Edge weights are affinities and are not read: every edge has length 1
     (Graph.hop_adjacency). One breadth-first sweep per block of sources
     (baselines._hop_sums, without path counts): a source's average is its
-    exact integer sum of depth times level size, divided by n. A
-    disconnected graph raises, naming the first source and the lowest vertex
-    it cannot reach.
+    exact integer sum of depth times level size, divided by n. Trees keep
+    this sweep: the subtree-size rule serves only betweenness_and_distances,
+    which needs every source. A disconnected graph raises, naming the first
+    source and the lowest vertex it cannot reach.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
@@ -149,8 +154,9 @@ def source_average_distances(graph: Graph, sources) -> np.ndarray:
 def betweenness_and_distances(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """betweenness_scores(graph) and source_average_distances(graph,
     np.arange(n)) from one Brandes sweep, whose forward levels hold every hop
-    distance. Both equal their separate computations bit for bit; a
-    disconnected graph raises as source_average_distances does."""
+    distance, or on a tree from the subtree sizes of one search from vertex 0
+    (baselines._tree_statistics). Both equal their separate computations bit
+    for bit; a disconnected graph raises as source_average_distances does."""
     _require_connected(graph, 0)
     depth_sums = np.zeros(graph.n, dtype=np.int64)
     scores = _betweenness_unit(graph.hop_adjacency(), depth_sums=depth_sums)

@@ -212,7 +212,10 @@ def _power(walk: sp.csr_matrix, ell: int) -> np.ndarray | sp.csr_matrix:
     square that stores all n * n entries turns dense, and a power that never
     fills (a disconnected or regular bipartite graph) stays sparse; any ell
     takes at most 2 log2(ell) products. The walk's dense copy goes after its
-    first squaring, and each square after the last product that reads it.
+    first squaring only for even ell. For odd ell it is the product's first
+    factor and stays until the next set bit's product, so the chain holds
+    three n * n arrays at ell 5, 7 and 9 against two at ell 4, 8 and 16. Each
+    square goes after the last product that reads it.
     """
     n = walk.shape[0]
     square = walk.toarray() if ell >= 2 and n <= _DENSE_POWER_MAX_N else walk

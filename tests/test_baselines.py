@@ -464,17 +464,57 @@ def reference_betweenness_unit(adjacency, batch=256):
     return scores / 2.0
 
 
+def unit_graph(n: int, edges) -> Graph:
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return Graph(n, edges, np.ones(len(edges)))
+
+
+def cycle_and_path() -> Graph:
+    """A triangle beside a 3-vertex path: n - 1 edges, yet not a tree."""
+    return unit_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+
+
 @pytest.mark.parametrize("batch", [1, 7, 256])
 def test_betweenness_unit_matches_reference_loop(batch):
-    graphs = [generate_powerlaw_tree(120, 2.5, seed=s) for s in (0, 1)]
+    """Scores are bit-equal to the reference sweep's, and depth sums are the
+    Floyd-Warshall row sums over the reachable vertices. The trees (power-law
+    at 120 and 300 vertices, a 60-vertex path, a star, one and two vertices)
+    take the subtree-size rule; the other graphs, cycle_and_path among them,
+    take the sweep."""
+    graphs = [generate_powerlaw_tree(n, 2.5, seed=s) for n, s in ((120, 0), (120, 1), (300, 2))]
     graphs += [generate_random_graph(100, 0.05, seed=s) for s in (2, 3)]
     rng = np.random.default_rng(11)
     graphs.append(build_knn_kernel_graph(PointCloud(rng.standard_normal((90, 2))), 6, 1.0))
     graphs.append(two_component_graph())
+    graphs += [unit_graph(60, [(v, v + 1) for v in range(59)]),
+               unit_graph(9, [(0, v) for v in range(1, 9)]),
+               unit_graph(1, []), unit_graph(2, [(0, 1)]), cycle_and_path()]
     for g in graphs:
         adjacency = g.hop_adjacency()
-        assert np.array_equal(_betweenness_unit(adjacency, batch=batch),
+        depth_sums = np.zeros(g.n, dtype=np.int64)
+        assert np.array_equal(_betweenness_unit(adjacency, batch=batch, depth_sums=depth_sums),
                               reference_betweenness_unit(adjacency, batch=batch))
+        dist = floyd_warshall_hops(g)
+        assert np.array_equal(depth_sums, np.where(np.isinf(dist), 0.0, dist).sum(axis=1))
+
+
+def test_trees_search_from_one_source(monkeypatch):
+    """A tree's scores and average distances come from one breadth-first
+    search from vertex 0. A graph with n - 1 edges and a cycle fails that
+    search's reach, then sweeps from all n sources."""
+    calls = []
+    real = baselines_mod._levels
+
+    def counting(adjacency, sources, sigma=None):
+        calls.append(len(sources))
+        return real(adjacency, sources, sigma)
+
+    monkeypatch.setattr(baselines_mod, "_levels", counting)
+    betweenness_and_distances(generate_powerlaw_tree(300, 2.5, seed=2))
+    assert calls == [1]
+    calls.clear()
+    betweenness_scores(cycle_and_path())  # disconnected: no average distances
+    assert calls == [1, 6]
 
 
 def floyd_warshall_hops(graph: Graph) -> np.ndarray:
