@@ -24,6 +24,13 @@ _LLOYD_TOL = 1e-6
 _LLOYD_MAX_ITER = 300
 # sources per breadth-first sweep: the sweep holds a few (n, _BATCH) arrays
 _BATCH = 256
+# relative gap under which two members' distances to their centroid tie in
+# _snap_to_members. On the benchmark's runner pools (seeds 1 and 8675, 12,114
+# clusters of two or more members) the nearest two members' relative gap is
+# either below 1e-14 (1,070 two-member clusters, whose members are
+# equidistant from their exact mean) or at least 5.1e-6, so any constant from
+# 1e-13 to 1e-7 gives the same picks
+_SNAP_TIE_RTOL = 1e-9
 
 
 def random_sampling(n: int, k: int, seed: int) -> Coreset:
@@ -144,8 +151,13 @@ def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarr
     """Representative of each non-empty cluster, in cluster order: the member
     point nearest the centroid, with weight its cluster's fraction of the points.
 
-    Ties go to the lowest index, and a cluster whose distances hold a NaN
-    picks its first NaN, as np.argmin over the members does.
+    Members whose squared distance is within a relative _SNAP_TIE_RTOL of the
+    nearest one tie, and the lowest index wins. Members equidistant from the
+    exact mean (both members of any two-member cluster) then do not fall to
+    the rounding of the float centroid, nor to the rounding of the embedding
+    it came from. A distance of 0 ties only with exact zeros, a cluster whose
+    distances are all inf picks its first member, and one whose distances
+    hold a NaN picks its first NaN, as np.argmin does.
     """
     reps, weights = [], []
     for j in range(len(centroids)):
@@ -153,7 +165,10 @@ def _snap_to_members(points: np.ndarray, centroids: np.ndarray, assign: np.ndarr
         if len(members) == 0:
             continue
         d = np.sum((points[members] - centroids[j]) ** 2, axis=1)
-        reps.append(int(members[int(np.argmin(d))]))
+        nearest = int(np.argmin(d))
+        if d[nearest] < np.inf:  # neither NaN nor inf: take the first tied member
+            nearest = int(np.argmax(d - d[nearest] <= _SNAP_TIE_RTOL * d[nearest]))
+        reps.append(int(members[nearest]))
         weights.append(len(members) / len(points))
     return reps, np.array(weights)
 

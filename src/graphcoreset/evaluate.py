@@ -12,7 +12,8 @@ betweenness_and_distances reads both statistics off one sweep. On a tree (n - 1
 edges, all n vertices reached from vertex 0) it reads them off subtree sizes
 instead, one search from vertex 0 in place of n (baselines._tree_statistics):
 int64 counts equal to the integers the sweep sums exactly in float64, so no
-output byte moves. source_average_distances keeps the sweep on every graph."""
+output byte moves. source_average_distances reads a tree's sums the same way,
+at any set of sources."""
 
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write_text, fmt_float
-from .baselines import _betweenness_unit, _hop_sums
+from .baselines import _betweenness_unit, _hop_sums, _tree_statistics
 from .graphs import Graph
 from .spectral import GraphFunction, NormalizedColumns, smoothness_norm
 
@@ -135,12 +136,15 @@ def source_average_distances(graph: Graph, sources) -> np.ndarray:
     """Average hop distance from each source to all vertices.
 
     Edge weights are affinities and are not read: every edge has length 1
-    (Graph.hop_adjacency). One breadth-first sweep per block of sources
-    (baselines._hop_sums, without path counts): a source's average is its
-    exact integer sum of depth times level size, divided by n. Trees keep
-    this sweep: the subtree-size rule serves only betweenness_and_distances,
-    which needs every source. A disconnected graph raises, naming the first
-    source and the lowest vertex it cannot reach.
+    (Graph.hop_adjacency). A source's average is its exact integer sum of
+    depth times level size, divided by n. On a tree those sums for every
+    vertex follow from the subtree sizes of one search from vertex 0
+    (baselines._tree_statistics), read at the sources; any other graph
+    takes one breadth-first sweep per block of sources (baselines._hop_sums,
+    without path counts). Both give the same int64 sums. A graph without
+    2 (n - 1) stored entries is no tree, which costs only that count to see.
+    A disconnected graph raises, naming the first source and the lowest
+    vertex it cannot reach.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) == 0:
@@ -148,7 +152,10 @@ def source_average_distances(graph: Graph, sources) -> np.ndarray:
     if sources.min() < 0 or sources.max() >= graph.n:
         raise ValueError(f"source index out of range for {graph.n} vertices")
     _require_connected(graph, sources[0])
-    return _hop_sums(graph.hop_adjacency(), sources) / graph.n
+    adjacency = graph.hop_adjacency()
+    tree = _tree_statistics(adjacency)
+    sums = _hop_sums(adjacency, sources) if tree is None else tree[1][sources]
+    return sums / graph.n
 
 
 def betweenness_and_distances(graph: Graph) -> tuple[np.ndarray, np.ndarray]:

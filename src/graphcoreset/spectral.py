@@ -17,8 +17,11 @@ scores from one Gram column, a gather over the CSC columns on the picked
 column's support. These rules follow from the power's fill alone, too.
 NormalizedColumns derives the uniform target 1/sqrt(n) from n as well.
 Eigenvectors never enter column construction: top_eigenvectors, one seeded
-Lanczos solve, embeds the graph for the spectral and graph k-means
-baselines, and the dense eigendecomposition serves smooth-function synthesis.
+Lanczos solve stopped at the stated residual tolerance _LANCZOS_TOL, embeds
+the graph for the spectral and graph k-means baselines, and the dense
+eigendecomposition serves smooth-function synthesis. The embedding is exact
+only to that tolerance; baselines._snap_to_members ties distances within a
+relative 1e-9, so its picks do not follow the solver's last digits.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ _DENSE_POWER_MAX_N = 2048
 # column takes about (fill * n)^2 element steps and a matvec fill * n^2, and on
 # a 2,500-point kNN walk the two cost the same near fill 0.1 (NormalizedColumns)
 _GRAM_MAX_FILL = 0.1
+# ARPACK's stopping tolerance for top_eigenvectors: it returns a Ritz pair
+# (theta, u) once ||P u - theta u|| <= _LANCZOS_TOL * max(|theta|, eps^(2/3)),
+# which is _LANCZOS_TOL * |theta| for any |theta| of 4e-11 or more. At tol=0
+# (machine precision) a 2,000-point kNN walk at k = 14 takes 504 matvecs
+# against 377, and with the tie rule of baselines._snap_to_members no baseline
+# pick on the benchmark's runner pools differs between the two. test_top_eigenvectors_lanczos_path
+# asserts residuals below 1e-8, so 1e-8 itself would leave that no margin
+_LANCZOS_TOL = 1e-10
 
 
 def lazy_walk_matrix(graph: Graph) -> sp.csr_matrix:
@@ -262,8 +273,10 @@ def top_eigenvectors(walk: sp.csr_matrix, k: int) -> np.ndarray:
 
     One Lanczos solve (eigsh) from a start vector drawn from seed 0 on every
     graph size, so repeated calls give the same bytes, under one BLAS thread
-    or two. k = n - 1 or n slices the full eigendecomposition instead: eigsh
-    refuses k = n, and at k = n - 1 its Krylov space is the whole space.
+    or two. It stops at _LANCZOS_TOL: every returned pair (theta, u) has
+    ||P u - theta u|| <= _LANCZOS_TOL * |theta| (for |theta| of 4e-11 or more).
+    k = n - 1 or n slices the full eigendecomposition instead: eigsh refuses
+    k = n, and at k = n - 1 its Krylov space is the whole space.
     """
     n = walk.shape[0]
     if not (1 <= k <= n):
@@ -274,7 +287,7 @@ def top_eigenvectors(walk: sp.csr_matrix, k: int) -> np.ndarray:
     from scipy.sparse.linalg import eigsh
 
     v0 = np.random.default_rng(0).standard_normal(n)
-    values, vectors = eigsh(walk, k=k, which="LA", v0=v0)
+    values, vectors = eigsh(walk, k=k, which="LA", v0=v0, tol=_LANCZOS_TOL)
     order = np.argsort(-values, kind="stable")
     return vectors[:, order]
 

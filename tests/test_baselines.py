@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from graphcoreset import (
     source_average_distances,
 )
 from graphcoreset import baselines as baselines_mod
+from graphcoreset import experiments as experiments_mod
+from graphcoreset import spectral as spectral_mod
 from graphcoreset.baselines import (
     BASELINES,
     _betweenness_unit,
@@ -33,6 +36,12 @@ from graphcoreset.baselines import (
     _kmeans_plus_plus,
     _lloyd,
     _snap_to_members,
+)
+from graphcoreset.experiments import (
+    ClusterIndicatorConfig,
+    SbmIndicatorConfig,
+    run_cluster_indicator,
+    run_sbm_indicator,
 )
 
 
@@ -224,14 +233,58 @@ def test_snap_to_members_rules():
     assert weights.tolist() == [3 / 8, 4 / 8, 1 / 8]
 
 
+def test_snap_ties_break_to_the_lowest_index():
+    """Distances within a relative _SNAP_TIE_RTOL of the nearest tie and the
+    lowest index wins, whatever the rounding of the float centroid; a NaN
+    still picks the first NaN, 0 ties only with exact zeros, and inf never
+    ties a finite distance."""
+    def pick(column, centroid):
+        points = np.column_stack([column, np.zeros(len(column))])
+        return _snap_to_members(points, np.array([[centroid, 0.0]]), np.zeros(len(column), int))[0]
+
+    pair = np.array([[0.81], [0.91]])
+    centroid = float(pair.mean(axis=0)[0])  # Lloyd's float mean, 0.86 rounded
+    assert np.argmin((pair[:, 0] - centroid) ** 2) == 1  # rounding favours the higher index
+    assert pick(pair[:, 0], centroid) == [0]
+    assert pick([3.0, np.nan, 2.0, np.nan], 2.0) == [1]
+    assert pick([1e-160, 0.0, 0.0], 0.0) == [1]  # 1e-320 does not tie 0
+    with np.errstate(over="ignore"):  # 1e200 squared is inf
+        assert pick([1e200, 1.0, 1e200], 0.0) == [1]
+        assert pick([1e200, 1e200], 0.0) == [0]  # all inf: the first member
+        assert pick([1e200, np.sqrt(1.7e308)], 0.0) == [1]  # near the float limit, inf still loses
+
+
+def test_kmeans_picks_match_exact_arithmetic():
+    """On test_kmeans_coreset_golden_sha256's cloud, which holds coincident grid
+    points, each representative is the lowest-index member at the least exact
+    squared distance to its members' exact mean (fractions.Fraction)."""
+    rng = np.random.default_rng(11)
+    grid = rng.integers(0, 3, (30, 3)).astype(float)
+    coords = np.vstack([grid, rng.standard_normal((30, 3))])
+    exact = [[Fraction(x) for x in row] for row in coords.tolist()]
+    for k in (1, 4, 9, 20):
+        _, assign = _lloyd(coords, k, 3)
+        want = []
+        for j in range(k):
+            members = np.flatnonzero(assign == j).tolist()
+            if not members:
+                continue
+            mean = [sum(exact[i][c] for i in members) / len(members) for c in range(3)]
+            dist = {i: sum((exact[i][c] - mean[c]) ** 2 for c in range(3)) for i in members}
+            want.append(min(members, key=lambda i: (dist[i], i)))
+        assert kmeans_coreset(PointCloud(coords), k, seed=3).indices == want, k
+
+
 # SHA-256 of the int64 indices followed by the weights of kmeans_coreset(cloud,
 # k, seed=3) on test_kmeans_coreset_golden_sha256's cloud, as recorded;
-# replay --verify of a recorded kmeans baseline depends on these bytes
+# replay --verify of a recorded kmeans baseline depends on these bytes. k = 9
+# and 20 were re-recorded when _snap_to_members gained its tie rule: their old
+# picks 58 and 50 won exact ties against 30 and 44 by the centroid's rounding
 KMEANS_SHA256 = {
     1: "ed1aa11eefcf59e8db01645b2b9cbe4cdf1ca0611b78762ed737c877da1d8e47",
     4: "e5c7084125655c35954d92ed024be202d7064cecbd5033a376df75d7dfc7c080",
-    9: "9bdfb6bceb82462dec2208d7b256796ffe6788bb38f7332b3fe0263aa74d5a90",
-    20: "4eefc732e8438d6baeb2b70826b20edf9816d8cbaa0e57c576a9835bdd12d00b",
+    9: "07febf21c22f8f7a34eff8a1fa4b90de04b6f4cec029096290348a27de911de2",
+    20: "dfb9402a1defb365f3b229df6cd7a37aa265e533e68d14bb0c9cc681645638ea",
 }
 
 
@@ -286,6 +339,37 @@ def test_spectral_clustering_on_sbm():
         if blocks == [0, 1] and np.allclose(sorted(out.weights), [0.5, 0.5]):
             exact += 1
     assert exact >= 19
+
+
+def test_lanczos_tolerance_moves_no_pick(monkeypatch):
+    """The embedding's k-means and spectral picks at every K of the default
+    grids are the same at spectral._LANCZOS_TOL as at machine precision
+    (tol=0), on two cluster-indicator instances (n = 2,000) and two
+    sbm-indicator ones (n = 1,000). Seed 1014's spectral K = 14 and every SBM
+    instance hold two-member clusters whose picks rounding would decide
+    without the tie rule in _snap_to_members."""
+    runs = [(run_cluster_indicator, ClusterIndicatorConfig(n=2000, seeds=(1000, 1014))),
+            (run_sbm_indicator, SbmIndicatorConfig(seeds=(1000, 1001)))]
+
+    def picks():
+        seen = []  # (method, K, seed, indices) in the runners' call order
+
+        def recording(method):
+            def run(inputs, k, seed):
+                out = BASELINES[method](inputs, k, seed)
+                seen.append((method, k, seed, out.indices))
+                return out
+            return run
+
+        table = dict(BASELINES, kmeans=recording("kmeans"), spectral=recording("spectral"))
+        monkeypatch.setattr(experiments_mod, "BASELINES", table)
+        for run_study, config in runs:
+            run_study(config)
+        return seen
+
+    stated = picks()
+    monkeypatch.setattr(spectral_mod, "_LANCZOS_TOL", 0.0)
+    assert len(stated) == 2 * 2 * 2 * 7 and picks() == stated
 
 
 @pytest.mark.parametrize("method", ["spectral", "kmeans"])
@@ -499,9 +583,10 @@ def test_betweenness_unit_matches_reference_loop(batch):
 
 
 def test_trees_search_from_one_source(monkeypatch):
-    """A tree's scores and average distances come from one breadth-first
-    search from vertex 0. A graph with n - 1 edges and a cycle fails that
-    search's reach, then sweeps from all n sources."""
+    """A tree's scores and average distances, from every source or from a
+    few, come from one breadth-first search from vertex 0. A graph with
+    n - 1 edges and a cycle fails that search's reach, then sweeps from all
+    n sources."""
     calls = []
     real = baselines_mod._levels
 
@@ -510,7 +595,11 @@ def test_trees_search_from_one_source(monkeypatch):
         return real(adjacency, sources, sigma)
 
     monkeypatch.setattr(baselines_mod, "_levels", counting)
-    betweenness_and_distances(generate_powerlaw_tree(300, 2.5, seed=2))
+    tree = generate_powerlaw_tree(300, 2.5, seed=2)
+    betweenness_and_distances(tree)
+    assert calls == [1]
+    calls.clear()
+    source_average_distances(tree, np.array([5, 7, 5]))
     assert calls == [1]
     calls.clear()
     betweenness_scores(cycle_and_path())  # disconnected: no average distances

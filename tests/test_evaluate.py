@@ -16,6 +16,7 @@ from graphcoreset import (
     bound_check,
     error_metric,
     estimate_mean,
+    generate_powerlaw_tree,
     generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
@@ -23,6 +24,7 @@ from graphcoreset import (
     source_average_distances,
     synthesize_smooth_function,
 )
+from graphcoreset.baselines import _hop_sums
 from graphcoreset.selection import SelectionConfig, select_coreset
 
 
@@ -119,6 +121,18 @@ def test_source_average_distances_floyd_warshall_oracle():
     for m in range(n):
         dist = np.minimum(dist, dist[:, m:m + 1] + dist[m:m + 1, :])
     assert np.array_equal(source_average_distances(wg, np.arange(n)), dist.mean(axis=1))
+
+
+def test_tree_average_distances_match_the_sweep():
+    """On a tree the sums come from subtree sizes (baselines._tree_statistics),
+    bit-equal to the batched sweep's, at every source and at a subset that
+    repeats one."""
+    for n, seed in ((2, 0), (300, 2), (1000, 1)):
+        tree = generate_powerlaw_tree(n, 2.5, seed=seed)
+        subset = np.random.default_rng(seed).integers(0, n, 7)
+        for sources in (np.arange(n), np.append(subset, subset[0])):
+            want = _hop_sums(tree.hop_adjacency(), sources) / n
+            assert np.array_equal(source_average_distances(tree, sources), want)
 
 
 def test_disconnected_pair_is_reported():
