@@ -194,7 +194,7 @@ def betweenness_scores(graph: Graph) -> np.ndarray:
     the subtree sizes, and the scores follow from them as int64 counts that
     equal the sweep's exact float sums bit for bit (_tree_statistics).
     """
-    return _betweenness_unit(graph.hop_adjacency())
+    return _betweenness_unit(graph.hop_adjacency())[0]
 
 
 def _levels(adjacency: sp.csr_matrix, sources: np.ndarray, sigma: np.ndarray | None = None):
@@ -289,10 +289,9 @@ def _tree_statistics(adjacency: sp.csr_matrix):
     return scores.astype(np.float64), sums
 
 
-def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
-                      depth_sums: np.ndarray | None = None) -> np.ndarray:
-    """Brandes' sums over every source, batch sources at a time; depth_sums,
-    if given, receives each source's _depth_sums from the same levels.
+def _betweenness_unit(adjacency: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(Brandes' sums over every source, each source's _depth_sums), _BATCH
+    sources per sweep; the depth sums come from the same levels, as int64.
 
     A tree (2 (n - 1) stored entries, and the search from vertex 0 reaches all
     n vertices) skips the sweep: _tree_statistics reads both from that one
@@ -301,19 +300,16 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
     sweep's. Every other graph takes the sweep."""
     tree = _tree_statistics(adjacency)
     if tree is not None:
-        scores, sums = tree
-        if depth_sums is not None:
-            depth_sums[:] = sums
-        return scores
+        return tree
     n = adjacency.shape[0]
     scores = np.zeros(n)
-    for start in range(0, n, batch):
-        sources = np.arange(start, min(start + batch, n))
+    depth_sums = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _BATCH):
+        sources = np.arange(start, min(start + _BATCH, n))
         b = len(sources)
         sigma = np.zeros((n, b))
         levels = list(_levels(adjacency, sources, sigma))
-        if depth_sums is not None:
-            depth_sums[sources] = _depth_sums(levels)
+        depth_sums[sources] = _depth_sums(levels)
         # σ is 0 exactly off the levels, where no coefficient reads it: 1 keeps
         # the division finite
         np.copyto(sigma, 1.0, where=sigma == 0.0)
@@ -330,7 +326,7 @@ def _betweenness_unit(adjacency: sp.csr_matrix, batch: int = _BATCH,
             delta += back
         delta[sources, np.arange(b)] = 0.0
         scores += delta.sum(axis=1)
-    return scores / 2.0
+    return scores / 2.0, depth_sums
 
 
 @dataclass

@@ -165,8 +165,7 @@ def betweenness_and_distances(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     (baselines._tree_statistics). Both equal their separate computations bit
     for bit; a disconnected graph raises as source_average_distances does."""
     _require_connected(graph, 0)
-    depth_sums = np.zeros(graph.n, dtype=np.int64)
-    scores = _betweenness_unit(graph.hop_adjacency(), depth_sums=depth_sums)
+    scores, depth_sums = _betweenness_unit(graph.hop_adjacency())
     return scores, depth_sums / graph.n
 
 

@@ -2,8 +2,10 @@
 
 Graphs are undirected, weighted, and stored in canonical form: each edge once
 as (u, v) with u < v, sorted lexicographically, strictly positive weights, no
-self loops. A graph file is JSON in columns, {"n": n, "u": [...], "v": [...],
-"w": [...]} with an optional "labels": [...], edge i being (u[i], v[i], w[i]).
+self loops. Graph alone puts a table in that form, whatever order its rows
+come in; generators and loaders hand it their rows as drawn. A graph file is
+JSON in columns, {"n": n, "u": [...], "v": [...], "w": [...]} with an
+optional "labels": [...], edge i being (u[i], v[i], w[i]).
 All generators draw from numpy's seeded Generator so identical arguments
 reproduce identical objects.
 """
@@ -22,6 +24,8 @@ from ._util import atomic_write_text, check_fields, dump_json, read_json
 
 # the type of each graph field; the entries of each list are checked by _number_array
 _GRAPH_FIELDS = {"n": int, "u": list, "v": list, "w": list, "labels": list}
+# Graph's sort keys u * b + v, b = largest endpoint + 1, fit in int64 while b^2 <= 2^63
+_MAX_ENDPOINT = 3_037_000_498
 
 
 @dataclass
@@ -31,6 +35,12 @@ class Graph:
     Edge weights are affinities, which only the walk reads (through
     adjacency and degrees); shortest paths and betweenness count hops
     (hop_adjacency), whatever the weights.
+
+    Every edge table takes one path to canonical form: u = min and v = max
+    of each row, one stable argsort of the int64 keys u * b + v (b = largest
+    endpoint + 1), and ValueError where two sorted keys are equal. Distinct
+    keys sort as the (u, v) pairs do. An endpoint above _MAX_ENDPOINT
+    (3,037,000,498) would overflow a key and raises ValueError naming it.
 
     Attributes:
         n: vertex count, positive.
@@ -58,26 +68,26 @@ class Graph:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
         if len(self.edges):
-            if self.edges.min() < 0 or self.edges.max() >= self.n:
+            top = int(self.edges.max())
+            if self.edges.min() < 0 or top >= self.n:
                 raise ValueError("edge endpoint out of range")
+            if top > _MAX_ENDPOINT:
+                raise ValueError(f"edge endpoint {top} is above {_MAX_ENDPOINT}, the largest "
+                                 "whose (u, v) sort key fits in int64")
             if np.any(self.edges[:, 0] == self.edges[:, 1]):
                 raise ValueError("self loops are not allowed")
             if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("edge weights must be positive and finite")
-            if _is_canonical(self.edges):
-                # the graph owns its arrays, whatever the caller does with theirs
-                self.edges, self.weights = self.edges.copy(), self.weights.copy()
-            else:
-                # canonical form: u < v, lexicographic order, no duplicates
-                u = np.minimum(self.edges[:, 0], self.edges[:, 1])
-                v = np.maximum(self.edges[:, 0], self.edges[:, 1])
-                order = np.lexsort((v, u))
-                self.edges = np.column_stack([u[order], v[order]])
-                self.weights = self.weights[order]
-                if len(self.edges) > 1:
-                    same = np.all(self.edges[1:] == self.edges[:-1], axis=1)
-                    if np.any(same):
-                        raise ValueError("duplicate edges are not allowed")
+            # the sorted copies leave the caller's arrays alone
+            u = np.minimum(self.edges[:, 0], self.edges[:, 1])
+            v = np.maximum(self.edges[:, 0], self.edges[:, 1])
+            key = u * (top + 1) + v
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate edges are not allowed")
+            self.edges = np.column_stack([u[order], v[order]])
+            self.weights = self.weights[order]
 
     @property
     def m(self) -> int:
@@ -166,13 +176,6 @@ class Graph:
     @classmethod
     def load_json(cls, path: str) -> "Graph":
         return cls.from_dict(read_json(path))
-
-
-def _is_canonical(edges: np.ndarray) -> bool:
-    """Whether every row has u < v and the rows strictly increase as (u, v) pairs."""
-    u, v = edges[:, 0], edges[:, 1]
-    du = np.diff(u)
-    return bool(np.all(u < v) and np.all(du >= 0) and np.all((du > 0) | (np.diff(v) > 0)))
 
 
 def _number_array(data: dict, key: str, dtype) -> np.ndarray:
@@ -374,9 +377,7 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int) -> Graph:
     """Stochastic block model with unit edge weights and block labels.
 
     The edges are drawn block by block: for each block a, the pairs inside
-    it, then its pairs with each later block b. Each piece is row-major and
-    a vertex's pieces cover increasing ranges of v, so one stable sort on u
-    puts the table in canonical order and Graph does not re-sort it.
+    it, then its pairs with each later block b. Graph sorts the table.
     """
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
@@ -401,9 +402,7 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int) -> Graph:
             iu2, iv2 = np.nonzero(mask)
             edge_u.append(ia[iu2])
             edge_v.append(ib[iv2])
-    u = np.concatenate(edge_u)
-    order = np.argsort(u, kind="stable")
-    edges = np.column_stack([u[order], np.concatenate(edge_v)[order]])
+    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
     return Graph(n, edges, np.ones(len(edges)), labels)
 
 
@@ -489,7 +488,8 @@ def load_edge_list(path: str) -> Graph:
 
     Vertex ids are compacted to 0..n-1 in order of first appearance.
     Self loops are dropped with a warning that reports the count. Duplicate
-    edges, in either orientation, collapse to a single unit edge. Raises
+    edges, in either orientation, collapse to a single unit edge; Graph puts
+    the set of pairs in canonical order. Raises
     ValueError naming the file: on a line of another token count (with its
     number), on no edges, or when the file is not UTF-8.
     """
@@ -514,4 +514,4 @@ def load_edge_list(path: str) -> Graph:
         warnings.warn(f"{path}: dropped {loops} self-loop line(s)")
     if not pairs:
         raise ValueError(f"{path}: no edges found")
-    return Graph(len(ids), np.array(sorted(pairs), dtype=np.int64), np.ones(len(pairs)))
+    return Graph(len(ids), np.array(list(pairs), dtype=np.int64), np.ones(len(pairs)))

@@ -503,7 +503,9 @@ def test_betweenness_weighted_properties():
         g = Graph(n, np.array(list(picked)), np.array(list(picked.values())))
         public = betweenness_scores(g)
         assert np.allclose(public, brute_betweenness(unit_copy(g)), rtol=0.0, atol=1e-9)
-        blocked = _betweenness_unit(g.hop_adjacency(), batch=data.draw(st.integers(1, n - 1)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines_mod, "_BATCH", data.draw(st.integers(1, n - 1)))
+            blocked, _ = _betweenness_unit(g.hop_adjacency())
         assert np.allclose(blocked, public, rtol=0.0, atol=1e-12)
         k = data.draw(st.integers(1, n))
         top = run_betweenness(g, k).indices
@@ -559,7 +561,7 @@ def cycle_and_path() -> Graph:
 
 
 @pytest.mark.parametrize("batch", [1, 7, 256])
-def test_betweenness_unit_matches_reference_loop(batch):
+def test_betweenness_unit_matches_reference_loop(monkeypatch, batch):
     """Scores are bit-equal to the reference sweep's, and depth sums are the
     Floyd-Warshall row sums over the reachable vertices. The trees (power-law
     at 120 and 300 vertices, a 60-vertex path, a star, one and two vertices)
@@ -573,11 +575,11 @@ def test_betweenness_unit_matches_reference_loop(batch):
     graphs += [unit_graph(60, [(v, v + 1) for v in range(59)]),
                unit_graph(9, [(0, v) for v in range(1, 9)]),
                unit_graph(1, []), unit_graph(2, [(0, 1)]), cycle_and_path()]
+    monkeypatch.setattr(baselines_mod, "_BATCH", batch)
     for g in graphs:
         adjacency = g.hop_adjacency()
-        depth_sums = np.zeros(g.n, dtype=np.int64)
-        assert np.array_equal(_betweenness_unit(adjacency, batch=batch, depth_sums=depth_sums),
-                              reference_betweenness_unit(adjacency, batch=batch))
+        scores, depth_sums = _betweenness_unit(adjacency)
+        assert np.array_equal(scores, reference_betweenness_unit(adjacency, batch=batch))
         dist = floyd_warshall_hops(g)
         assert np.array_equal(depth_sums, np.where(np.isinf(dist), 0.0, dist).sum(axis=1))
 
@@ -646,11 +648,10 @@ def test_hop_kernel_matches_oracles():
                                               max_size=2 * n)))
         batch = data.draw(st.integers(1, n))
         adjacency = g.hop_adjacency()
-        depth_sums = np.zeros(n, dtype=np.int64)
-        fused = _betweenness_unit(adjacency, batch=batch, depth_sums=depth_sums)
-        assert np.array_equal(fused, reference_betweenness_unit(adjacency, batch=batch))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(baselines_mod, "_BATCH", batch)
+            fused, depth_sums = _betweenness_unit(adjacency)
+            assert np.array_equal(fused, reference_betweenness_unit(adjacency, batch=batch))
             if np.isinf(dist).any():
                 row, target = np.argwhere(np.isinf(dist[sources]))[0]
                 message = (f"no path between {sources[row]} and {target}; "

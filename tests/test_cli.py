@@ -220,6 +220,7 @@ EDGE = {"n": 2, "u": [0], "v": [1], "w": [1.0]}
     ({**EDGE, "w": [10**400]}, "graph w must fit in float64"),
     ({**EDGE, "v": [2]}, "graph v holds an endpoint out of range"),
     ({**EDGE, "u": [-1]}, "graph u holds an endpoint out of range"),
+    ({"n": 2**40, "u": [0], "v": [3_037_000_499], "w": [1.0]}, "above 3037000498"),
     ({**EDGE, "w": [-1.0]}, "edge weights must be positive and finite"),
     ('{"n": 2, "u": [0], "v": [1], "w": [NaN]}', "edge weights must be positive and finite"),
     ({**EDGE, "u": [1]}, "self loops"),
@@ -239,7 +240,8 @@ EDGE = {"n": 2, "u": [0], "v": [1], "w": [1.0]}
 ], ids=["no-n", "edge-without-weight", "row-layout", "edges-not-a-list", "not-an-object",
         "fractional-n", "fractional-endpoint", "empty-file", "truncated", "boolean-n",
         "pairs-not-triples", "four-entries", "nested-endpoint", "object-weight", "null-endpoint",
-        "huge-endpoint", "huge-weight", "endpoint-past-n", "negative-endpoint", "negative-weight",
+        "huge-endpoint", "huge-weight", "endpoint-past-n", "negative-endpoint",
+        "endpoint-past-key-bound", "negative-weight",
         "nan-weight", "self-loop", "duplicate-edge", "null-labels", "fractional-label",
         "string-label", "nested-label", "huge-label", "short-labels", "string-entries",
         "boolean-endpoint", "boolean-weight", "boolean-label", "overflowing-degree", "directory"])

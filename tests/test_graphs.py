@@ -23,7 +23,6 @@ from graphcoreset import (
     load_edge_list,
     sample_costs_uniform,
 )
-from graphcoreset import graphs as graphs_mod
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +69,10 @@ def test_graph_canonical_shuffled_and_flipped_tables_agree():
     # u falls while v rises: every row has u < v, yet the rows are out of order
     g = Graph(4, np.array([[1, 2], [0, 3]]), np.array([1.0, 2.0]))
     assert g.edges.tolist() == [[0, 3], [1, 2]] and g.weights.tolist() == [2.0, 1.0]
+    # flipped rows at the largest endpoint whose sort key fits in int64
+    top = 3_037_000_498
+    g = Graph(2**40, np.array([[top, top - 1], [1, 0]]), np.array([1.0, 2.0]))
+    assert g.edges.tolist() == [[0, 1], [top - 1, top]] and g.weights.tolist() == [2.0, 1.0]
 
 
 def test_graph_canonical_looking_duplicate_raises():
@@ -456,25 +459,49 @@ def _reference_sbm_table(sizes, p_in, p_out, seed):
 
 @pytest.mark.parametrize("sizes", [[1], [2], [7], [1, 1], [3, 1, 4], [5, 5], [12, 1, 9, 6]],
                          ids=str)
-def test_sbm_table_is_canonical_and_matches_reference_loop(monkeypatch, sizes):
-    """The table generate_sbm hands to Graph is already canonical, and it is
-    the reference loop's table in (u, v) order: same draws, same edges."""
-    seen = []
-    monkeypatch.setattr(graphs_mod, "Graph",
-                        lambda n, edges, weights, labels: seen.append((n, edges, weights, labels)))
+def test_sbm_table_is_canonical_and_matches_reference_loop(sizes):
+    """The graph generate_sbm builds is the reference loop's table in (u, v)
+    order: same draws, same edges, unit weights and block labels. A draw with
+    no edge on two or more vertices is no graph."""
     for p_in in (0.0, 0.3, 1.0):
         for p_out in (0.0, 0.1, 1.0):
             for seed in (0, 7):
-                generate_sbm(sizes, p_in, p_out, seed=seed)
-                n, edges, weights, labels = seen.pop()
                 want, want_labels = _reference_sbm_table(sizes, p_in, p_out, seed)
+                if len(want) == 0 and sum(sizes) >= 2:
+                    with pytest.raises(ValueError, match="at least one edge"):
+                        generate_sbm(sizes, p_in, p_out, seed=seed)
+                    continue
+                g = generate_sbm(sizes, p_in, p_out, seed=seed)
                 want = want[np.lexsort((want[:, 1], want[:, 0]))]
-                assert n == sum(sizes)
-                assert edges.dtype == np.int64 and edges.shape == want.shape
-                assert np.array_equal(edges, want)
-                assert graphs_mod._is_canonical(edges)
-                assert np.array_equal(weights, np.ones(len(want)))
-                assert np.array_equal(labels, want_labels)
+                assert g.n == sum(sizes)
+                assert g.edges.dtype == np.int64 and g.edges.shape == want.shape
+                assert np.array_equal(g.edges, want)
+                assert np.array_equal(g.weights, np.ones(len(want)))
+                assert np.array_equal(g.labels, want_labels)
+
+
+# SHA-256 of generate_sbm's int64 edge array, recorded from the table as
+# generate_sbm sorted it before Graph sorted every table; replay --verify of
+# a recorded generate depends on these bytes. The first two are the
+# sbm-indicator defaults, the last a complete graph
+SBM_SHA256 = {
+    ((100, 500, 400), 0.15, 0.045, 0):
+        "50b69a2cfe61250ff807021e00d176028c0e4eb791b01c9719029c2ad2a81588",
+    ((100, 500, 400), 0.15, 0.045, 1000):
+        "7e92d4ecfcf32a82e1e30d0be74bcb52085ef8c66b1a8cec0038b41952d7b379",
+    ((100, 500, 400), 0.1, 0.01, 3):
+        "5d1b234c5d646a32357f3b6a7dc067d3360c4ce0939ca5fc69e092a647e4419f",
+    ((30, 30), 0.3, 0.05, 0): "6411f9b6383cfb653c2a48f3c6ec4e6b9558b8888ce1efc05e5913a2a12afcd4",
+    ((12, 1, 9, 6), 1.0, 1.0, 7):
+        "fd535737db8cada0473572c7413deff900e4d9264cf4d64f7c60533f0080642d",
+}
+
+
+@pytest.mark.parametrize("sizes, p_in, p_out, seed", sorted(SBM_SHA256))
+def test_sbm_golden_sha256(sizes, p_in, p_out, seed):
+    edges = generate_sbm(list(sizes), p_in, p_out, seed).edges
+    assert edges.dtype == np.int64
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == SBM_SHA256[sizes, p_in, p_out, seed]
 
 
 def test_powerlaw_tree_is_a_tree():
