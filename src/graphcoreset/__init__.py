@@ -25,7 +25,6 @@ from .baselines import (
 )
 from .evaluate import (
     ExperimentResult,
-    avg_shortest_path_estimate,
     betweenness_and_distances,
     bound_check,
     error_metric,
@@ -77,7 +76,6 @@ __all__ = [
     "NormalizedColumns",
     "PointCloud",
     "SelectionConfig",
-    "avg_shortest_path_estimate",
     "betweenness_and_distances",
     "betweenness_scores",
     "bound_check",

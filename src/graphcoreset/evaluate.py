@@ -4,7 +4,8 @@ shortest-path (hop count) averages used by the experiment drivers.
 Every evaluated statistic is a GraphFunction: its estimate is estimate_mean,
 its truth GraphFunction.mean() and its error error_metric. The average
 distance is GraphFunction(source_average_distances(graph, np.arange(n)));
-avg_shortest_path_estimate is the paper's K-source estimator of its mean.
+the paper's K-source estimate needs only the selected vertices' averages,
+source_average_distances(graph, indices).
 Hop counts have one kernel, the batched breadth-first level sweep that also
 runs Brandes' forward pass (baselines._levels): a source's average distance
 is its exact integer sum of depth times level size, divided by n, and
@@ -167,18 +168,6 @@ def betweenness_and_distances(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     _require_connected(graph, 0)
     scores, depth_sums = _betweenness_unit(graph.hop_adjacency())
     return scores, depth_sums / graph.n
-
-
-def avg_shortest_path_estimate(graph: Graph, coreset) -> float:
-    """The paper's K-source estimate of the mean average distance: the
-    breadth-first sweep runs only from the selected vertices. Its exact
-    counterpart is the mean of
-    GraphFunction(source_average_distances(graph, np.arange(graph.n)))."""
-    idx = _indices(coreset, graph.n)
-    if len(idx) == 0:
-        return 0.0
-    weights = np.asarray(coreset.weights, dtype=np.float64)
-    return float(weights @ source_average_distances(graph, idx))
 
 
 def results_to_csv(rows, path: str) -> None:

@@ -78,16 +78,18 @@ class Graph:
                 raise ValueError("self loops are not allowed")
             if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("edge weights must be positive and finite")
-            # the sorted copies leave the caller's arrays alone
-            u = np.minimum(self.edges[:, 0], self.edges[:, 1])
-            v = np.maximum(self.edges[:, 0], self.edges[:, 1])
-            key = u * (top + 1) + v
+            # the sorted copies leave the caller's arrays alone, and the sorted
+            # columns come back from the sorted keys: no copy of u or v is held
+            first, second = self.edges.T
+            key = np.minimum(first, second) * (top + 1) + np.maximum(first, second)
             order = np.argsort(key, kind="stable")
             key = key[order]
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate edges are not allowed")
-            self.edges = np.column_stack([u[order], v[order]])
             self.weights = self.weights[order]
+            del order
+            self.edges = np.empty((len(key), 2), dtype=np.int64)
+            np.divmod(key, top + 1, out=(self.edges[:, 0], self.edges[:, 1]))
 
     @property
     def m(self) -> int:

@@ -1,6 +1,6 @@
 """Cost-aware greedy selection of weighted vertex coresets.
 
-The optimizer keeps a unit-norm iterate y = sum_i w_i q_i built from the
+The optimizer moves a unit-norm iterate y = sum_i w_i q_i built from the
 normalized walk-power columns q_i and pushes it toward the uniform target
 t = 1/sqrt(n) along spherical geodesics. Each round scores every vertex by
 how well its column's geodesic direction lines up with the direction toward
@@ -8,16 +8,10 @@ the target, forms the slack set of vertices within a kappa fraction of the
 best score, and takes the cheapest member. kappa = 1 collapses the slack set
 to the argmax, so costs cannot influence that path at all.
 
-A geodesic step blends the iterate with one column, so every column's
-alignment with the iterate follows the same blend: the loop carries them from
-round to round (NormalizedColumns.step_alignments). On a power that stores at
-most a tenth of its entries a round then costs one Gram column, a gather over
-the picked column's support of about (fill * n)^2 steps; any other power pays
-one matvec with the columns' once-built view of P^ell, a BLAS gemv on a full
-power and CSR otherwise. On a 2,500-point kNN walk at ell = 3 (fill 0.03) that
-is 0.084 ms in place of a 0.20 ms matvec; at ell = 8 (fill 0.19) the matvec
-wins, 0.99 against 1.83 ms. Either way a round adds a few plain numpy
-expressions over length-n arrays.
+The iterate is never formed: a round reads only the coefficients w, y's
+alignment with the target, and every column's alignment with y. A geodesic
+step blends y with one column, so each of these follows the same blend, and
+the alignments with the columns advance by one Gram column per round.
 
 On exit the unit-sphere coefficients are rescaled: beta carries the uniform
 vector's 1/sqrt(n) mass and each selected vertex gets the estimator weight
@@ -198,12 +192,16 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
     correction, so the trajectory's (vertex, delta) pairs are a complete
     record of the run.
 
-    Round 0 takes one matvec, the alignments with the target. Each later
-    round advances the alignments with the iterate by the step it just took:
-    a Gram column on a power of fill at most 0.1, a matvec on any other (see
-    NormalizedColumns). The Gram rule changes weights by rounding only
-    (within 1e-14 relative on 2,500-point kNN walks at ell = 3), and can
-    change a pick only where scores tie within rounding.
+    A round runs in coefficient space and never forms the iterate y. With c
+    the carried <y, q_v> of the pick v, the step's norm is
+    sqrt((1 - delta)^2 + 2 delta (1 - delta) c + delta^2), and <y, t> and every
+    <q_i, y> advance as ((1 - delta) * old + delta * new) / norm, where new is
+    <q_v, t> or the Gram column gram(v). Every round advances the alignments
+    by one Gram column, on every storage form; round 0 is the step with
+    delta = 1 and norm = 1 from the zero iterate, and the run's one matvec is
+    the alignments with the target. The carried alignments follow a fresh
+    matvec with y to rounding, so a pick can differ from such a loop's only
+    where scores tie within rounding.
     """
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets or budgets[0] < 1:
@@ -216,12 +214,10 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
     if len(cost) != n:
         raise ValueError("cost vector length must match vertex count")
 
-    target = columns.target
-    base = columns.alignments(target)  # <q_v, t>, fixed all run
+    base = columns.alignments(columns.target)  # <q_v, t>, fixed all run
     coeffs = np.zeros(n)
-    iterate = np.zeros(n)
-    inner = np.zeros(n)  # <q_v, iterate>, carried from round to round
-    align = 0.0
+    inner = np.zeros(n)  # <q_v, y>, carried from round to round
+    align = 0.0  # <y, t>
     support = np.empty(n, dtype=np.int64)  # support[:placed]: distinct picks, in order
     placed = 0
     seen = np.zeros(n, dtype=bool)
@@ -260,35 +256,29 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
             pending += 1
             if pending == len(budgets):
                 return grid
-        column = columns.column(v_k)
 
-        if k == 0:
-            # the column itself: renormalizing it would round its norm to 1 +- ulp
-            delta, norm = 1.0, 1.0
-            iterate = column
-        else:
-            b = float(base[v_k])
-            c = float(proj[v_k])
-            gain = b - align * c
-            anchor = align - b * c
-            span = gain + anchor
-            if abs(span) < _TINY:
-                status = "converged"
-                break
-            delta = min(max(gain / span, 0.0), 1.0)
-            blended = (1.0 - delta) * iterate + delta * column
-            norm = float(np.linalg.norm(blended))
-            if norm < _TINY:
-                status = "converged"
-                break
-            iterate = blended / norm
-
-        align = float(np.clip(iterate @ target, -1.0, 1.0))
+        # the step y <- ((1 - delta) y + delta q_v) / norm, in scalars; round 0
+        # (align and c both 0) gives delta = 1 and norm = 1 exactly
+        b = float(base[v_k])
+        c = float(proj[v_k])
+        gain = b - align * c
+        anchor = align - b * c
+        span = gain + anchor
+        if abs(span) < _TINY:
+            status = "converged"
+            break
+        delta = min(max(gain / span, 0.0), 1.0)
+        keep = 1.0 - delta
+        norm = math.sqrt(keep * keep + 2.0 * delta * keep * c + delta * delta)
+        if norm < _TINY:
+            status = "converged"
+            break
+        align = min(max((keep * align + delta * b) / norm, -1.0), 1.0)
         if not seen[v_k]:
             seen[v_k] = True
             support[placed] = v_k
             placed += 1
-        coeffs *= 1.0 - delta
+        coeffs *= keep
         coeffs[v_k] += delta
         coeffs /= norm
         res_before = res_after
@@ -299,7 +289,7 @@ def select_coreset_grid(columns: NormalizedColumns, costs: CostVector, kappa: fl
         if res_after <= _RESIDUAL_TOL or res_before - res_after <= 1e-12 * res_before:
             status = "converged"
             break
-        inner = columns.step_alignments(inner, iterate, v_k, delta, norm)
+        inner = (keep * inner + delta * columns.gram(v_k)) / norm
 
     final = _finish(columns, cost, support[:placed], coeffs, align, trajectory, status)
     return {budget: grid.get(budget, final) for budget in budgets}

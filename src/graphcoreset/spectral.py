@@ -8,13 +8,8 @@ factors start dense for ell >= 2 on graphs of at most 2048 vertices, so BLAS
 squares them by syrk, and sparse otherwise (ell = 1 is P itself); a sparse
 square that stores all n * n entries turns dense. That follows from n, ell
 and the squares' fill alone; no caller chooses it.
-A power with no zero entry is stored as the dense column-major array, whose
-buffer read row-major is (P^ell)^T, so the greedy rounds score it with one
-BLAS gemv on that buffer; any other power is stored as CSC and scored by a
-CSR matvec. A power that stores at most _GRAM_MAX_FILL of its n * n entries
-is not scored by a matvec after the first round: each round updates the
-scores from one Gram column, a gather over the CSC columns on the picked
-column's support. These rules follow from the power's fill alone, too.
+A power with no zero entry is stored as the dense column-major array and
+any other as CSC; that follows from the power's fill alone, too.
 NormalizedColumns derives the uniform target 1/sqrt(n) from n as well.
 Eigenvectors never enter column construction: top_eigenvectors, one seeded
 Lanczos solve stopped at the stated residual tolerance _LANCZOS_TOL, embeds
@@ -34,11 +29,6 @@ from .graphs import Graph
 
 # largest vertex count whose walk power (ell >= 2) starts from the dense matrix
 _DENSE_POWER_MAX_N = 2048
-# largest fill (stored share of the n * n entries) of a power whose greedy
-# rounds advance their alignments by a Gram column instead of a matvec: a Gram
-# column takes about (fill * n)^2 element steps and a matvec fill * n^2, and on
-# a 2,500-point kNN walk the two cost the same near fill 0.1 (NormalizedColumns)
-_GRAM_MAX_FILL = 0.1
 # ARPACK's stopping tolerance for top_eigenvectors: it returns a Ritz pair
 # (theta, u) once ||P u - theta u|| <= _LANCZOS_TOL * max(|theta|, eps^(2/3)),
 # which is _LANCZOS_TOL * |theta| for any |theta| of 4e-11 or more. At tol=0
@@ -79,34 +69,17 @@ class NormalizedColumns:
     read as the row-major (P^ell)^T, a CSR matvec otherwise. The fields are
     frozen, so the view cannot go stale.
 
-    step_alignments carries the alignments of a greedy iterate from round to
-    round. A power that stores at most _GRAM_MAX_FILL of its entries blends
-    them with one Gram column; every other power takes a fresh matvec. On a
-    2,500-point kNN walk (Xeon VM, 1 BLAS thread, best of 7) the two cost per
-    call:
-
-        ell  fill   CSR matvec  Gram column
-        1    0.005  0.053 ms    0.033 ms
-        3    0.030  0.20 ms     0.084 ms
-        5    0.078  0.37 ms     0.28 ms
-        6    0.110  0.51 ms     0.54 ms
-        8    0.188  0.99 ms     1.83 ms
-
-    The blended alignments agree with the matvec to rounding (within 1e-15
-    over a thousand rounds). A full power keeps the matvec: its exact ties
-    would otherwise break by the blend's rounding, not the matvec's.
+    gram(i), every column's alignment with column i, is all that a greedy
+    round reads of the power.
     """
 
     ell: int
     power: np.ndarray | sp.csc_matrix
     column_norms: np.ndarray
     rows: np.ndarray | sp.csr_matrix = field(init=False, repr=False, compare=False)
-    gram_steps: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", self.power.T)
-        object.__setattr__(self, "gram_steps", not isinstance(self.power, np.ndarray)
-                           and self.power.nnz <= _GRAM_MAX_FILL * self.n * self.n)
 
     @property
     def n(self) -> int:
@@ -163,19 +136,6 @@ class NormalizedColumns:
         where += np.arange(len(where))
         weights = data[where] * np.repeat(data[start:stop] / self.column_norms[i], lengths)
         return np.bincount(indices[where], weights, minlength=self.n) / self.column_norms
-
-    def step_alignments(self, inner: np.ndarray, iterate: np.ndarray, v: int, delta: float,
-                        norm: float) -> np.ndarray:
-        """alignments(iterate) for the greedy step iterate = ((1 - delta) * y +
-        delta * column(v)) / norm, where inner is alignments(y).
-
-        A power of fill at most _GRAM_MAX_FILL blends inner with gram(v) the
-        same way, which agrees with the matvec to rounding; any other power
-        takes the matvec.
-        """
-        if self.gram_steps:
-            return ((1.0 - delta) * inner + delta * self.gram(v)) / norm
-        return self.alignments(iterate)
 
 
 def normalized_columns(walk: sp.csr_matrix, ell: int) -> NormalizedColumns:

@@ -1,5 +1,8 @@
 """Shared fixtures: small hand-checkable graphs."""
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -37,31 +40,38 @@ def two_triangles() -> Graph:
     return Graph(6, edges, np.ones(7), labels=np.array([0, 0, 0, 1, 1, 1]))
 
 
+class RoundState(NamedTuple):
+    """A greedy run's state after one round."""
+
+    coeffs: np.ndarray  # the iterate's coefficients on the normalized columns
+    iterate: np.ndarray  # y = sum_i coeffs_i q_i, built for the tests only
+    inner: np.ndarray  # <q_v, y> as the loop carries it, for the next round
+    align: float  # <y, t> as the loop carries it
+
+
 def _replay_trajectory(columns, trajectory) -> list:
-    """(coefficients, iterate, inner) after each round, rebuilt from each record's
-    vertex and step size with the selection loop's own blend, normalize,
-    coefficient update and alignment rule (columns.step_alignments), so a
-    complete trajectory reproduces the run's state bit for bit. inner holds the
-    alignments the next round scores with, as the loop carries them."""
+    """The RoundState after each round, rebuilt from each record's vertex and
+    step size with the selection loop's own scalar step, coefficient update and
+    Gram-column rule, so a complete trajectory reproduces the run's carried
+    state bit for bit. The iterate is rebuilt from the coefficients by one
+    matvec, an independent check on what the loop carries."""
+    base = columns.alignments(columns.target)
     coeffs = np.zeros(columns.n)
-    iterate = np.zeros(columns.n)
     inner = np.zeros(columns.n)
+    align = 0.0
     states = []
     for rec in trajectory:
-        column = columns.column(rec.vertex)
-        if rec.k == 0:
-            norm = 1.0
-            coeffs[rec.vertex] = 1.0
-            iterate = column
-        else:
-            blended = (1.0 - rec.delta) * iterate + rec.delta * column
-            norm = float(np.linalg.norm(blended))
-            iterate = blended / norm
-            coeffs *= 1.0 - rec.delta
-            coeffs[rec.vertex] += rec.delta
-            coeffs /= norm
-        inner = columns.step_alignments(inner, iterate, rec.vertex, rec.delta, norm)
-        states.append((coeffs.copy(), iterate, inner))
+        v, delta = rec.vertex, rec.delta
+        c = float(np.clip(inner[v], -1.0, 1.0))
+        keep = 1.0 - delta
+        norm = math.sqrt(keep * keep + 2.0 * delta * keep * c + delta * delta)
+        align = min(max((keep * align + delta * float(base[v])) / norm, -1.0), 1.0)
+        coeffs *= keep
+        coeffs[v] += delta
+        coeffs /= norm
+        inner = (keep * inner + delta * columns.gram(v)) / norm
+        iterate = columns.apply(coeffs / columns.column_norms)
+        states.append(RoundState(coeffs.copy(), iterate, inner, align))
     return states
 
 

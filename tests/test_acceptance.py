@@ -23,7 +23,6 @@ from graphcoreset import (
     CostVector,
     Graph,
     SelectionConfig,
-    avg_shortest_path_estimate,
     betweenness_and_distances,
     bound_check,
     build_knn_kernel_graph,
@@ -170,7 +169,7 @@ def test_criterion_2_residual_identity(selection_sweep, replay_trajectory):
     worst = 0.0
     for n, cols, out, *_ in runs:
         j = out.trajectory[-1].residual
-        _, iterate, _ = replay_trajectory(cols, out.trajectory)[-1]
+        iterate = replay_trajectory(cols, out.trajectory)[-1].iterate
         dist2 = float(np.sum((out.beta * iterate - np.full(n, 1.0 / n)) ** 2))
         worst = max(worst, abs(j / n - dist2))
     ok = worst <= 1e-10
@@ -354,7 +353,7 @@ def test_criterion_8_dijkstra_counts(monkeypatch, two_triangles):
     out = select_coreset(cols, CostVector.zeros(g.n), SelectionConfig(budget=5))
     k = len(out.indices)
     counts = []
-    for compute in (lambda: avg_shortest_path_estimate(g, out),
+    for compute in (lambda: out.weights @ source_average_distances(g, out.indices),
                     lambda: source_average_distances(g, np.arange(g.n)).mean(),
                     lambda: betweenness_and_distances(g)):
         calls.clear()
@@ -441,7 +440,7 @@ def test_criterion_10_ego_network_run(replay_trajectory):
     elapsed = time.monotonic() - start
     js = [rec.residual for rec in out.trajectory]
     monotone = all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-    _, iterate, _ = replay_trajectory(cols, out.trajectory)[-1]
+    iterate = replay_trajectory(cols, out.trajectory)[-1].iterate
     gap = abs(js[-1] / g.n - float(np.sum(
         (out.beta * iterate - np.full(g.n, 1.0 / g.n)) ** 2)))
     ok = monotone and gap <= 1e-10 and len(out.indices) <= 30 and elapsed < 600.0

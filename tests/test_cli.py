@@ -21,9 +21,10 @@ from graphcoreset import (
     Coreset,
     CostVector,
     Graph,
+    GraphFunction,
     PointCloud,
     SelectionConfig,
-    avg_shortest_path_estimate,
+    estimate_mean,
     generate_random_graph,
     lazy_walk_matrix,
     normalized_columns,
@@ -599,8 +600,11 @@ def test_eval_average_distance_prints_the_exact_mean(workdir, capsys):
     graph = Graph.load_json("g.json")
     truth = source_average_distances(graph, np.arange(graph.n)).mean()
     assert printed["exact_mean"] == "%.17g" % truth
-    estimate = avg_shortest_path_estimate(graph, Coreset.load_json("r.json"))
-    assert printed["estimate"] == "%.17g" % estimate
+    # the K-source estimate: a sweep from the selected vertices alone
+    coreset = Coreset.load_json("r.json")
+    sources = GraphFunction(source_average_distances(graph, coreset.indices))
+    on_sources = Coreset(list(range(len(coreset.indices))), coreset.weights)
+    assert printed["estimate"] == "%.17g" % estimate_mean(sources, on_sources)
 
 
 def test_out_of_memory_exits_two(workdir):

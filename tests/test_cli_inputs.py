@@ -194,8 +194,12 @@ def _changed(doc, path, value):
     return copy
 
 
-def test_any_one_broken_field(valid):
-    """One field at any depth deleted or replaced, or the text cut anywhere.
+def test_mutated_inputs_keep_the_exit_contract(valid, capsys):
+    """Every kind of input, cut anywhere or with one or two fields at any depth
+    deleted or replaced, ends in exit 0, 2 or 3 without raising past main, and
+    a non-zero exit prints one line: "error: ..." for exit 2, "io error: ..."
+    for exit 3. The rejection rows above pin the messages; this pins the
+    contract.
 
     A config key deleted at the top level falls back to its default, which is
     a valid but full-size study, so the config's top-level keys are only
@@ -203,19 +207,31 @@ def test_any_one_broken_field(valid):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=150)
+    @hypothesis.settings(max_examples=300)
     @hypothesis.given(st.data())
     def check(data):
         kind = data.draw(st.sampled_from(sorted(valid)))
-        text = json.dumps(valid[kind])
+        doc = valid[kind]
+        text = json.dumps(doc)
         if data.draw(st.booleans()):
-            run(kind, text[:data.draw(st.integers(0, len(text) - 1))])
-            return
-        path = data.draw(st.sampled_from(list(_paths(valid[kind]))))
-        value = data.draw(st.sampled_from(VALUES))
-        if kind.startswith("config") and len(path) == 1 and value is DELETE:
-            value = None
-        run(kind, json.dumps(_changed(valid[kind], path, value)))
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            for _ in range(data.draw(st.integers(1, 2))):
+                paths = list(_paths(doc))
+                if not paths:
+                    break
+                path = data.draw(st.sampled_from(paths))
+                value = data.draw(st.sampled_from(VALUES))
+                if kind.startswith("config") and len(path) == 1 and value is DELETE:
+                    value = None
+                doc = _changed(doc, path, value)
+            text = json.dumps(doc)
+        capsys.readouterr()
+        code = run(kind, text)
+        if code:
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith({2: "error: ", 3: "io error: "}[code]), lines
 
     check()
 

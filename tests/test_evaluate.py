@@ -12,7 +12,6 @@ from graphcoreset import (
     ExperimentResult,
     Graph,
     GraphFunction,
-    avg_shortest_path_estimate,
     bound_check,
     error_metric,
     estimate_mean,
@@ -60,8 +59,6 @@ def test_estimators_reject_out_of_range_indices(path3):
         with pytest.raises(ValueError):
             estimate_mean(f, cs)
         with pytest.raises(ValueError):
-            avg_shortest_path_estimate(path3, cs)
-        with pytest.raises(ValueError):
             bound_check(f, 0.5, cs, cols)
         with pytest.raises(ValueError, match="source index out of range for 3 vertices"):
             source_average_distances(path3, bad)
@@ -100,12 +97,6 @@ def test_avg_distance_complete_graph():
     g = complete_graph(7)
     mean = source_average_distances(g, np.arange(g.n)).mean()
     assert mean == pytest.approx(6.0 / 7.0, abs=1e-14)
-
-
-def test_avg_distance_estimate_uses_weights(path3):
-    cs = FakeCoreset([1], [1.0])
-    assert avg_shortest_path_estimate(path3, cs) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert avg_shortest_path_estimate(path3, FakeCoreset([], [])) == 0.0
 
 
 def test_source_average_distances_floyd_warshall_oracle():
