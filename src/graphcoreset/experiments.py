@@ -10,6 +10,22 @@ seed * stride + K (_SEED_STRIDES). Runners are deterministic given their
 config: every random draw flows through seeds derived from the config's seed
 list, so a rerun reproduces the same rows bit for bit. The CLI feeds configs
 from JSON files; tests call the runners directly.
+
+A study runs on two threads. As soon as a seed's walk exists, _run hands
+the instance's greedy path (the normalized columns of the walk power and
+every greedy method's select_coreset_grid) to one worker thread, builds the
+baseline coresets on its own thread meanwhile, in cell order, then reads
+the grids and scores every cell in cell order. numpy releases the GIL
+inside BLAS, so the dense power overlaps the Lanczos embedding and Lloyd's
+runs. No row can depend on the worker: the threads share only the graph,
+the walk and the costs, which neither writes; every draw comes from its own
+seeded generator; and each thread's arithmetic is what one thread would do.
+When both a greedy path and a baseline fail, the greedy's error is raised,
+as when the grids were built first. The worker is joined before _run
+returns or raises, so an interrupted study waits for a running power to
+finish. concurrent.futures is imported inside _run, so importing the
+package does not load it. The CLI's select and eval run no study and stay
+on one thread.
 """
 
 from __future__ import annotations
@@ -51,24 +67,32 @@ class _Instance:
     """One graph of a study with what its methods share across K and seeds.
 
     costs holds the placement cost of every vertex and function the vertex
-    function whose mean the coresets estimate. grids holds each greedy
-    method's budget grid and baselines what the baseline methods read, with
-    k_max the largest K of the grid.
+    function whose mean the coresets estimate. grids is the future of each
+    greedy method's budget grid, built on the study's worker thread, and
+    baselines what the baseline methods read, with k_max the largest K of
+    the grid.
     """
 
     costs: np.ndarray
     function: GraphFunction
-    grids: dict
+    grids: Future  # concurrent.futures, imported in _run only
     baselines: BaselineInputs
 
 
-def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: GraphFunction,
-              cloud: PointCloud | None = None,
+def _greedy_grids(walk, config, costs: CostVector, methods: dict) -> dict:
+    """Every greedy method's budget grid on the normalized columns of the
+    walk's ell-th power. The worker runs all of it, so the power is made,
+    read and freed on the worker thread."""
+    columns = normalized_columns(walk, config.ell)
+    return {method: select_coreset_grid(columns, costs, kappa, config.k_grid)
+            for method, kappa in methods.items() if kappa is not None}
+
+
+def _instance(config, methods: dict, pool, graph: Graph, costs: CostVector,
+              function: GraphFunction, cloud: PointCloud | None = None,
               betweenness: np.ndarray | None = None) -> _Instance:
     walk = lazy_walk_matrix(graph)
-    columns = normalized_columns(walk, config.ell)
-    grids = {method: select_coreset_grid(columns, costs, kappa, config.k_grid)
-             for method, kappa in methods.items() if kappa is not None}
+    grids = pool.submit(_greedy_grids, walk, config, costs, methods)
     baselines = BaselineInputs(graph, max(config.k_grid), cloud=cloud, walk=walk,
                                scores=betweenness)
     return _Instance(costs.costs, function, grids, baselines)
@@ -77,31 +101,45 @@ def _instance(config, methods: dict, graph: Graph, costs: CostVector, function: 
 def _run(config, methods: dict, instance_for) -> list[ExperimentResult]:
     """Median error and placement cost of every method at every K over the seeds.
 
+    instance_for(seed, pool) builds a seed's instance and hands its greedy
+    grids to pool, a one-thread executor. The baseline coresets are built
+    here meanwhile, in cell order; the rows are then scored in cell order.
+
     err is the median of the per-seed squared errors and abs_err its square
     root. With an odd seed count that is the median absolute error; with an
     even one (10 seeds is the default of most studies) it is the root mean
     square of the two middle absolute errors, which is at least their mean.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not config.seeds:
         raise ValueError("seeds must not be empty")
     cells = [(method, K) for method in methods for K in config.k_grid]
 
     per_seed = []  # (error, cost) of every cell, one list per seed
-    for seed in config.seeds:
-        inst = instance_for(seed)
-        if max(config.k_grid) > len(inst.costs):  # n is known once the seed's graph is built
-            raise ValueError(f"k_grid entry {max(config.k_grid)} is above n = "
-                             f"{len(inst.costs)}, the vertex count of the seed-{seed} graph")
-        out = []
-        for method, K in cells:
-            if method in inst.grids:
-                coreset = inst.grids[method][K]
-            else:
-                coreset = BASELINES[method](inst.baselines, K, seed * _SEED_STRIDES[method] + K)
-            # priced as the greedy finish prices its own support
-            idx = np.array(coreset.indices, dtype=np.int64)
-            out.append((error_metric(inst.function, coreset)[0], float(inst.costs[idx].sum())))
-        per_seed.append(out)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # exit joins the worker
+        for seed in config.seeds:
+            inst = instance_for(seed, pool)
+            try:
+                if max(config.k_grid) > len(inst.costs):  # n is known once the graph is built
+                    raise ValueError(f"k_grid entry {max(config.k_grid)} is above n = "
+                                     f"{len(inst.costs)}, the vertex count of the "
+                                     f"seed-{seed} graph")
+                built = {(method, K): BASELINES[method](inst.baselines, K,
+                                                        seed * _SEED_STRIDES[method] + K)
+                         for method, K in cells if methods[method] is None}
+            except BaseException:
+                inst.grids.result()  # the grids come first, so a greedy error wins
+                raise
+            grids = inst.grids.result()
+            out = []
+            for method, K in cells:
+                coreset = built[method, K] if methods[method] is None else grids[method][K]
+                # priced as the greedy finish prices its own support
+                idx = np.array(coreset.indices, dtype=np.int64)
+                out.append((error_metric(inst.function, coreset)[0],
+                            float(inst.costs[idx].sum())))
+            per_seed.append(out)
     medians = np.median(np.array(per_seed), axis=0)
     return [ExperimentResult(method=method, K=K, err=float(err), abs_err=float(np.sqrt(err)),
                              coreset_cost=float(cost))
@@ -148,14 +186,14 @@ def run_cluster_indicator(config: ClusterIndicatorConfig) -> list[ExperimentResu
     methods = {"scgiga": 1.0, "scgiga-cost": config.kappa,
                "random": None, "kmeans": None, "spectral": None}
 
-    def instance_for(seed: int) -> _Instance:
+    def instance_for(seed: int, pool) -> _Instance:
         cloud = generate_gaussian_mixture(
             config.component_means, config.component_fractions,
             config.covariance_scale, config.n, seed=seed)
         function = _indicator(cloud.labels, config.indicator_component, "indicator_component")
         graph = build_knn_kernel_graph(cloud, config.k_neighbors, config.bandwidth)
         costs = sample_costs_uniform(config.n, seed=seed + config.cost_seed_offset)
-        return _instance(config, methods, graph, costs, function, cloud=cloud)
+        return _instance(config, methods, pool, graph, costs, function, cloud=cloud)
 
     return _run(config, methods, instance_for)
 
@@ -191,10 +229,10 @@ class SbmIndicatorConfig:
 
 
 def _sbm_rows(config: SbmIndicatorConfig, methods: dict) -> list[ExperimentResult]:
-    def instance_for(seed: int) -> _Instance:
+    def instance_for(seed: int, pool) -> _Instance:
         graph = generate_sbm(config.block_sizes(), config.p_in, config.p_out, seed=seed)
         function = _indicator(graph.labels, config.indicator_block, "indicator_block")
-        return _instance(config, methods, graph, CostVector.zeros(config.n), function)
+        return _instance(config, methods, pool, graph, CostVector.zeros(config.n), function)
 
     return _run(config, methods, instance_for)
 
@@ -239,10 +277,10 @@ def run_shortest_path(config: ShortestPathConfig) -> list[ExperimentResult]:
     truth and the betweenness baseline come from one Brandes sweep."""
     methods = {"scgiga": config.kappa, "random": None, "betweenness": None}
 
-    def instance_for(seed: int) -> _Instance:
+    def instance_for(seed: int, pool) -> _Instance:
         graph = _shortest_path_graph(config, seed)
         scores, distances = betweenness_and_distances(graph)
-        return _instance(config, methods, graph, CostVector.zeros(graph.n),
+        return _instance(config, methods, pool, graph, CostVector.zeros(graph.n),
                          GraphFunction(distances), betweenness=scores)
 
     return _run(config, methods, instance_for)
@@ -278,9 +316,15 @@ def run_ego_centrality(config: EgoCentralityConfig) -> list[ExperimentResult]:
     methods = {"scgiga": 1.0, "scgiga-cost": config.kappa, "random": None, "betweenness": None}
     costs = sample_costs_uniform(graph.n, seed=config.cost_seed)
     scores, distances = betweenness_and_distances(graph)
-    shared = _instance(config, methods, graph, costs, GraphFunction(distances),
-                       betweenness=scores)
-    return _run(config, methods, lambda seed: shared)
+    shared = []  # the one instance, built on the first seed and read by every seed
+
+    def instance_for(seed: int, pool) -> _Instance:
+        if not shared:
+            shared.append(_instance(config, methods, pool, graph, costs,
+                                    GraphFunction(distances), betweenness=scores))
+        return shared[0]
+
+    return _run(config, methods, instance_for)
 
 
 # ---------------------------------------------------------------------------

@@ -644,7 +644,9 @@ def test_cold_commands_load_only_what_they_run(workdir):
     submodules. The commands that need those still run from that cold state:
     a kNN build and a spectral baseline (a Lanczos solve on any graph size)
     load their modules at first use. No command loads
-    scipy.sparse.csgraph. One child interpreter runs the phases in order and
+    scipy.sparse.csgraph. The import and the scipy-free commands load no
+    concurrent.futures either (a study's worker thread comes from it;
+    scipy.sparse loads it too). One child interpreter runs the phases in order and
     reports, after each, the exit codes and which scipy modules are loaded."""
     phases = [
         [],  # the import alone
@@ -676,8 +678,8 @@ def test_cold_commands_load_only_what_they_run(workdir):
             "for phase in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes = [graphcoreset.cli.main(argv) for argv in phase]\n"
-            "    report.append([codes, sorted(m for m in sys.modules\n"
-            "                                 if m == 'scipy' or m.startswith('scipy.'))])\n"
+            "    report.append([codes, sorted(m for m in sys.modules if m == 'concurrent.futures'\n"
+            "                                 or m == 'scipy' or m.startswith('scipy.'))])\n"
             "print(json.dumps(report))\n")
     src = str(Path(graphcoreset.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

@@ -1,12 +1,19 @@
 """Experiment harness: configs, runners, and output files."""
 
+import concurrent.futures
 import csv
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphcoreset
 from graphcoreset import (
     ExperimentResult,
     PointCloud,
@@ -19,6 +26,9 @@ from graphcoreset import (
     sample_costs_uniform,
     top_eigenvectors,
 )
+from graphcoreset import experiments
+from graphcoreset.baselines import BASELINES
+from graphcoreset.cli import main
 from graphcoreset.experiments import (
     ClusterIndicatorConfig,
     EgoCentralityConfig,
@@ -30,6 +40,7 @@ from graphcoreset.experiments import (
     experiment_names,
     run_cluster_indicator,
     run_ego_centrality,
+    run_ell_sweep,
     run_sbm_indicator,
     run_shortest_path,
     write_experiment_outputs,
@@ -139,11 +150,15 @@ def test_run_ego_centrality_missing_data(tmp_path):
         run_ego_centrality(cfg)
 
 
-def test_run_ego_centrality_rows(tmp_path):
-    path = str(tmp_path / "edges.txt")
+def _edge_list(tmp_path) -> str:
+    path = tmp_path / "edges.txt"
     graph = generate_random_graph(150, 0.04, seed=3)
-    Path(path).write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges), encoding="utf-8")
-    cfg = EgoCentralityConfig(data_path=path, k_grid=(4, 8), seeds=(0, 1, 2))
+    path.write_text("".join("%d %d\n" % (u, v) for u, v in graph.edges), encoding="utf-8")
+    return str(path)
+
+
+def test_run_ego_centrality_rows(tmp_path):
+    cfg = EgoCentralityConfig(data_path=_edge_list(tmp_path), k_grid=(4, 8), seeds=(0, 1, 2))
     rows = run_ego_centrality(cfg)
     methods = ("scgiga", "scgiga-cost", "random", "betweenness")
     assert sorted((r.method, r.K) for r in rows) == sorted(
@@ -154,8 +169,6 @@ def test_run_ego_centrality_rows(tmp_path):
 
 
 def test_ell_sweep_tags_rows():
-    from graphcoreset.experiments import run_ell_sweep
-
     cfg = EllSweepConfig(ells=(1, 2), **dataclasses.asdict(TINY_SBM))
     rows = run_ell_sweep(cfg)
     assert cost_report(rows) is None
@@ -199,3 +212,135 @@ def test_write_outputs_deterministic_bytes(tmp_path):
     write_experiment_outputs(str(a), rows)
     write_experiment_outputs(str(b), rows)
     assert (a / "comparison.csv").read_bytes() == (b / "comparison.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the worker thread: each instance's greedy grids run beside its baselines
+
+
+class _InlineExecutor(concurrent.futures.Executor):
+    """Runs each submitted call at once on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+WORKER_STUDIES = {
+    "sbm-indicator": lambda tmp_path: (run_sbm_indicator, TINY_SBM),
+    "cluster-indicator": lambda tmp_path: (run_cluster_indicator, ClusterIndicatorConfig(
+        n=100, k_neighbors=5, ell=2, k_grid=(2, 4), seeds=(0, 1))),
+    "shortest-path-tree": lambda tmp_path: (run_shortest_path, ShortestPathConfig(
+        n=60, ell=8, k_grid=(3, 6), seeds=(0, 1))),
+    "shortest-path-random": lambda tmp_path: (run_shortest_path, ShortestPathConfig(
+        family="random-graph", n=60, edge_probability=0.1, ell=8, k_grid=(3, 6), seeds=(0, 1))),
+    "ell-sweep": lambda tmp_path: (run_ell_sweep, EllSweepConfig(
+        ells=(1, 3), **dataclasses.asdict(TINY_SBM))),
+    "ego-centrality": lambda tmp_path: (run_ego_centrality, EgoCentralityConfig(
+        data_path=_edge_list(tmp_path), k_grid=(4, 8), seeds=(0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("study", sorted(WORKER_STUDIES))
+def test_worker_changes_no_row(tmp_path, monkeypatch, study):
+    """A study's rows are the same bits whether its greedy grids run on the
+    worker thread or inline on the runner thread, as a serial loop ran them:
+    no output reads which thread ran what, or when. The threaded run switches
+    threads every microsecond, so a write to what the two threads share
+    would have many chances to land between the other's reads."""
+    runner, config = WORKER_STUDIES[study](tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = runner(config)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
+    assert runner(config) == threaded
+
+
+def test_worker_runs_the_power_off_the_runner_thread(monkeypatch):
+    """The walk power runs on another thread than the baselines; with the
+    executor made inline, on the same one."""
+    seen = {}
+
+    def recording(name, func):
+        def call(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(experiments, "normalized_columns",
+                        recording("power", experiments.normalized_columns))
+    monkeypatch.setitem(BASELINES, "kmeans", recording("baseline", BASELINES["kmeans"]))
+    run_sbm_indicator(TINY_SBM)
+    assert len(seen["power"]) == len(seen["baseline"]) == 1
+    assert seen["power"] != seen["baseline"]
+    seen.clear()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
+    run_sbm_indicator(TINY_SBM)
+    assert seen["power"] == seen["baseline"] == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("fail, message", [
+    ((), None),
+    (("greedy",), "greedy failed"),
+    (("baseline",), "baseline failed"),
+    (("greedy", "baseline"), "greedy failed"),
+    (("greedy", "k_grid"), "greedy failed"),
+    (("k_grid",), "k_grid entry 80 is above n = 60"),
+], ids=["none", "greedy", "baseline", "both", "greedy-and-k-grid", "k-grid"])
+def test_study_raises_what_a_serial_run_raised(tmp_path, monkeypatch, capsys, fail, message):
+    """A serial run built the grids before any baseline, so when the greedy
+    path and a baseline (or the k_grid check) both fail, `experiment` exits 2
+    with the greedy's error, and with the other one's when the greedy is
+    fine. The worker is joined on success and on every failure: the thread
+    count after the call is the one before it."""
+    def failing(text):
+        def call(*args, **kwargs):
+            raise ValueError(text)
+        return call
+
+    if "greedy" in fail:
+        monkeypatch.setattr(experiments, "normalized_columns", failing("greedy failed"))
+    if "baseline" in fail:
+        monkeypatch.setitem(BASELINES, "spectral", failing("baseline failed"))
+    k_grid = "[4,80]" if "k_grid" in fail else "[4,8]"
+    threads = threading.active_count()
+    code = main(["experiment", "--name", "sbm-indicator", "--set", "n=60", "--set", "ell=3",
+                 "--set", f"k_grid={k_grid}", "--set", "seeds=[0,1]",
+                 "--out-dir", str(tmp_path / "out")])
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_study_rows_repeat_at_two_blas_threads():
+    """Two threads that call BLAS at once leave no byte to timing: a child at
+    OPENBLAS_NUM_THREADS=2 runs an SBM study whose dense P^12 chain runs on
+    the worker beside the runner thread's Lanczos and Lloyd products, twice,
+    and gets the same rows."""
+    code = ("import dataclasses, json\n"
+            "from graphcoreset.experiments import SbmIndicatorConfig, run_sbm_indicator\n"
+            "config = SbmIndicatorConfig(n=400, k_grid=(4, 12), seeds=(0, 1))\n"
+            "print(json.dumps([[dataclasses.astuple(r) for r in run_sbm_indicator(config)]\n"
+            "                  for _ in range(2)]))\n")
+    src = str(Path(graphcoreset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, second = json.loads(done.stdout)
+    assert len(first) == 4 * 2
+    assert first == second
